@@ -67,9 +67,20 @@ Workload::config(std::uint64_t seed, int episode) const
     cfg.fault.stragglerFactor = 3.0;
     cfg.fault.stragglerDuration = 6.0;
     cfg.fault.linkFailureProb = 0.1;
-    cfg.fault.retryBudget = 4;
+    // Every request must still finish: the budget is never exhausted,
+    // no class is shed, and an expired deadline demotes the request to
+    // best-effort instead of failing it.
+    cfg.fault.retryBudget = 1000;
     cfg.fault.backoffBase = 0.25;
     cfg.fault.backoffCap = 4.0;
+    cfg.sloClasses.overloadControl = false;
+    for (auto& c : cfg.sloClasses.classes)
+        c.demoteOnExpiry = true;
+    // Short enough that Interactive requests caught behind a crash
+    // expire, so the deadline and demotion path runs.
+    cfg.sloClasses.classes[workload::sloClassIndex(
+                               workload::SloClass::Interactive)]
+        .relativeDeadline = 20.0;
     return cfg;
 }
 
