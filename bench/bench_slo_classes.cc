@@ -15,17 +15,8 @@
  * the shed/deadline/demotion counts. The headline the nightly chart
  * wants: full-mode Interactive p99 TTFT well below the classes-off
  * pool's, paid for with Batch sheds/demotions, while total goodput
- * stays comparable.
- *
- * The JSON artifact (argv[1], default BENCH_slo_classes.json)
- * additionally carries a "classes_overhead" object for
- * ci/check_perf_ratchet.py: the same storm re-run with the class
- * subsystem ENABLED but every request in the Standard class and all
- * enforcement off, divided by the classes-off wall time. With one
- * uniform class the schedule is identical, so the ratio isolates the
- * mechanical bookkeeping cost of the enabled layer (rank writes,
- * per-class counters, exact SLO-heap keys) — gated at 1.05x, which
- * also bounds the dormant-path overhead from above.
+ * stays comparable. The JSON artifact goes to argv[1] (default
+ * BENCH_slo_classes.json).
  */
 
 #include <chrono>
@@ -224,28 +215,6 @@ try {
         print(rows.back());
     }
 
-    // Dormant/mechanical overhead probe: same storm, every request
-    // forced into Standard, subsystem enabled with enforcement off.
-    // The schedule matches classes-off exactly (uniform rank), so the
-    // wall-time ratio is the class layer's bookkeeping cost.
-    auto uniform = trace;
-    for (auto& spec : uniform.requests)
-        spec.sloClass = SloClass::Standard;
-    SystemConfig off_cfg = stormConfig(Mode::ClassesOff);
-    SystemConfig uni_cfg = stormConfig(Mode::PriorityOnly);
-    auto t0 = std::chrono::steady_clock::now();
-    auto off_run = RunContext::execute(off_cfg, uniform);
-    double off_wall = secondsSince(t0);
-    t0 = std::chrono::steady_clock::now();
-    auto uni_run = RunContext::execute(uni_cfg, uniform);
-    double uni_wall = secondsSince(t0);
-    if (off_run.aggregate.numFinished != uni_run.aggregate.numFinished)
-        fatal("uniform-class run diverged from classes-off");
-    double classes_overhead = off_wall > 0.0 ? uni_wall / off_wall : 1.0;
-    std::printf("\nclasses overhead (uniform-standard, enabled/off): "
-                "%.3fx\n",
-                classes_overhead);
-
     const auto& full =
         rows[2].result
             .classAggregates[workload::sloClassIndex(
@@ -254,7 +223,7 @@ try {
         rows[0].result
             .classAggregates[workload::sloClassIndex(
                 SloClass::Interactive)];
-    std::printf("interactive p99 TTFT: classes-off %.3fs -> full "
+    std::printf("\ninteractive p99 TTFT: classes-off %.3fs -> full "
                 "%.3fs\n",
                 off.p99Ttft, full.p99Ttft);
 
@@ -277,8 +246,7 @@ try {
         jsonClassRows(json, row);
         json << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
-    json << "  },\n  \"classes_overhead\": {\"storm-uniform\": "
-         << bench::jsonNumber(classes_overhead) << "}\n}\n";
+    json << "  }\n}\n";
     json.close();
     std::printf("\nJSON written to %s\n", json_path.c_str());
     return 0;

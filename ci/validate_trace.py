@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Structural validator for TraceSink's Chrome trace-event JSON.
 
-Loads a trace file (e.g. the nightly ``bench_cluster_path
+Loads a trace file (e.g. the nightly ``bench_chaos_goodput
 --trace-out`` artifact), and fails unless:
 
   * every event carries the required fields for its phase and its

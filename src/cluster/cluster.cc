@@ -185,9 +185,8 @@ Cluster::submitTrace(const workload::Trace& trace)
     chunkRetired.push_back(0);
     liveRequests += static_cast<std::int64_t>(chunk.size());
     // Consecutive same-timestamp requests become one burst event:
-    // their placements and admissions drain back-to-back and the
-    // instances' deferred plan boundaries coalesce to a single build
-    // per burst member set.
+    // their placements and admissions drain back-to-back, and every
+    // member defers its plan boundary until the burst is placed.
     for (std::size_t i = 0; i < chunk.size();) {
         std::size_t j = i + 1;
         while (j < chunk.size() &&
@@ -298,12 +297,9 @@ void
 Cluster::onArrivals(workload::Request* first, std::uint32_t n)
 {
     // Placement stays strictly per-arrival: each decision sees the
-    // previous members admitted (but not yet planned — burst
-    // admission is a deliberate semantic improvement over the old
-    // chain, which could plan member 1 alone before member 2 was
-    // placed). What coalesces is the plan boundary — every kick() of
-    // the burst dedupes into one deferred build per touched
-    // instance.
+    // previous members admitted but not yet planned. A burst member's
+    // plan boundary is deferred to a same-timestamp event, so no
+    // instance plans member 1 alone before member 2 is placed.
     // Admission control under capacity loss: while the surviving
     // fraction of the fleet sits below the shed floor, new work is
     // rejected outright (terminal failure with an accounted reason)
@@ -345,10 +341,7 @@ Cluster::onArrivals(workload::Request* first, std::uint32_t n)
             target >= static_cast<InstanceId>(instances.size()))
             panic("placement returned invalid instance " +
                   std::to_string(target));
-        if (n == 1)
-            instances[target]->addRequest(req);
-        else
-            instances[target]->addRequestCoalesced(req);
+        instances[target]->addRequest(req, /*defer_plan=*/n > 1);
     }
 }
 

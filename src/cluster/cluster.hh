@@ -46,8 +46,8 @@ class Cluster
     /** Schedule every request of @p trace as arrival events.
      *  Consecutive same-timestamp requests are scheduled as ONE burst
      *  event, so their placement decisions and admissions drain
-     *  back-to-back and the instances' deferred plan boundaries
-     *  coalesce to one build per burst per instance. */
+     *  back-to-back and each instance plans the burst only after it
+     *  is fully placed. */
     void submitTrace(const workload::Trace& trace);
 
     /**
@@ -209,8 +209,7 @@ class Cluster
     std::uint64_t numViewRefreshes() const { return viewRefreshes; }
     std::uint64_t numViewBuilds() const { return viewBuilds; }
 
-    /** Sum of scheduler plan builds across instances (the burst
-     *  coalescing engagement stat). */
+    /** Sum of scheduler plan builds across instances. */
     std::uint64_t totalPlanBuilds() const;
 
     /** Sum of O(delta) plan repairs across instances (subset of

@@ -64,10 +64,6 @@ Instance::Instance(InstanceId id, sim::Simulator& sim,
     // enableIncremental's).
     verifyAccrual = this->sched->schedLimits().forceAccrue ||
                     std::getenv("PASCAL_FORCE_ACCRUE") != nullptr;
-    // Per-arrival plan boundaries: verification mode for burst
-    // coalescing (construction-time read, like the two above).
-    forceKick = this->sched->schedLimits().forcePerArrivalKick ||
-                std::getenv("PASCAL_FORCE_KICK") != nullptr;
 }
 
 void
@@ -98,34 +94,20 @@ Instance::admit(Request* req)
 }
 
 void
-Instance::addRequests(Request* const* reqs, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        admit(reqs[i]);
-    markViewDirty();
-    kick();
-}
-
-void
-Instance::addRequestCoalesced(Request* req)
+Instance::addRequest(Request* req, bool defer_plan)
 {
     admit(req);
     markViewDirty();
+    if (!defer_plan) {
+        kick();
+        return;
+    }
     // Defer the plan boundary through the event queue: same-timestamp
     // events fire FIFO, so every member of the arrival burst is
-    // admitted (and placed) before the single coalesced plan build
-    // runs. In PASCAL_FORCE_KICK mode the dedup is skipped and every
-    // member schedules its own (redundant) boundary — the per-arrival
-    // cost model the byte-identity tests verify against.
+    // admitted (and placed) before the first member's boundary runs.
     if (stepInFlight)
         return;
-    if (!forceKick) {
-        if (kickPending)
-            return; // Boundary already scheduled at this timestamp.
-        kickPending = true;
-    }
     sim.at(sim.now(), [this] {
-        kickPending = false;
         if (!stepInFlight)
             startIteration();
     });
@@ -277,9 +259,8 @@ Instance::startIteration()
     } else if (sched->repairPlan(inflight, kvPool)) {
         // O(delta) middle path: verbatim reuse declined but the dirty
         // set was small and benign, so the previous plan was patched
-        // in place. Counts as a build (it is a non-reused boundary —
-        // the coalescing gate's builds < arrivals invariant must keep
-        // seeing every boundary) and as a repair.
+        // in place. Counts as a build (it is a non-reused boundary)
+        // and as a repair.
         ++planBuilds;
         ++planRepairs;
         if (trace != nullptr) {
@@ -435,7 +416,6 @@ Instance::crash(bool preserve_cpu_kv,
     draining = false;
     ++crashGen; // Invalidate the in-flight step's completion event.
     stepInFlight = false;
-    kickPending = false;
     // Deferred deadline expiries die with the step: the orphans
     // re-enter the retry path, whose guards enforce expiry there.
     deadlineDeferred.clear();

@@ -78,33 +78,18 @@ class Instance
 
     InstanceId id() const { return instanceId; }
 
-    /** Route a newly arrived request here (no KV yet). */
-    void
-    addRequest(workload::Request* req)
-    {
-        addRequests(&req, 1);
-    }
-
     /**
-     * Burst admission: route @p n same-timestamp arrivals here with a
-     * single snapshot invalidation and a single kick() — one plan
-     * boundary for the whole burst instead of one per member.
+     * Route a newly arrived request here (no KV yet).
+     *
+     * @param defer_plan The request is one member of a same-timestamp
+     *        arrival burst whose remaining members are still being
+     *        placed: admit now, but defer this member's plan boundary
+     *        to a same-timestamp event, so the whole burst is placed
+     *        before any of it is planned. The first deferred boundary
+     *        plans the burst; the later ones find the step in flight
+     *        (or rebuild the same idle plan).
      */
-    void addRequests(workload::Request* const* reqs, std::size_t n);
-
-    /**
-     * Admission of one member of a same-timestamp arrival burst whose
-     * remaining members are still being placed: admits now, and
-     * defers the plan boundary to a same-timestamp event so every
-     * burst member (on this instance) shares ONE plan build. The
-     * kickPending flag dedupes the boundary; PASCAL_FORCE_KICK /
-     * SchedLimits::forcePerArrivalKick skips the dedup so every
-     * member schedules its own boundary (byte-identical results: a
-     * redundant boundary either finds a step in flight or rebuilds
-     * the same idle plan). The Cluster drains same-timestamp arrival
-     * runs through this.
-     */
-    void addRequestCoalesced(workload::Request* req);
+    void addRequest(workload::Request* req, bool defer_plan = false);
 
     /** A migrated request's KV just landed over the fabric. */
     void landMigration(workload::Request* req);
@@ -269,10 +254,9 @@ class Instance
      *  the scheduler's steady-state fast path. */
     std::uint64_t numPlanReuses() const { return planReuses; }
     /** Full scheduler plan builds (non-reused boundaries, including
-     *  boundaries whose plan came back idle). The burst-coalescing
-     *  engagement gate checks this stays below the arrival count.
-     *  Repaired boundaries count here too (a repair is still a
-     *  non-reused boundary); numFullWalks() isolates the walks. */
+     *  boundaries whose plan came back idle). Repaired boundaries
+     *  count here too (a repair is still a non-reused boundary);
+     *  numFullWalks() isolates the walks. */
     std::uint64_t numPlanBuilds() const { return planBuilds; }
     /** Non-reused boundaries satisfied by patching the previous plan
      *  by its dirty set (IntraScheduler::repairPlan) instead of a
@@ -370,10 +354,6 @@ class Instance
      *  stamp-verification walk every iteration. */
     bool verifyAccrual = false;
 
-    /** PASCAL_FORCE_KICK / SchedLimits::forcePerArrivalKick: schedule
-     *  a plan-boundary event per kick() instead of deduplicating. */
-    bool forceKick = false;
-
     bool stepInFlight = false;
 
     /** Fault layer: false while crashed/drained-out (the engine idles
@@ -396,10 +376,6 @@ class Instance
     /** crash() scratch: hosted-set copy walked while detach mutates
      *  the live set. */
     std::vector<workload::Request*> scratchHosted;
-
-    /** A deferred plan-boundary event is already scheduled at the
-     *  current timestamp (coalesced mode only). */
-    bool kickPending = false;
 
     /**
      * Epoch stamp for batch membership: startIteration bumps it and

@@ -56,8 +56,6 @@ RunContext::result() const
     result.totalIterations = clusterPtr->totalIterations();
     result.numUnfinished = clusterPtr->numUnfinished();
     result.totalMigrations = clusterPtr->totalMigrations();
-    result.numPlanRepairs = clusterPtr->totalPlanRepairs();
-    result.numFullWalks = clusterPtr->totalFullWalks();
     result.kvTransferLatencies = clusterPtr->allKvTransferLatencies();
     result.schedulerName = cfg.schedulerName();
     result.placementName = cfg.placementName();

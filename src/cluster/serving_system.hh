@@ -105,14 +105,6 @@ struct RunResult
         classAggregates{};
     /** @} */
 
-    /** Plan boundaries satisfied by the O(delta) repair patch instead
-     *  of a full O(material) walk (diagnostic; excluded from the
-     *  byte-identity comparisons so force-recompute twins stay
-     *  comparable). */
-    std::uint64_t numPlanRepairs = 0;
-    /** Non-reused plan boundaries that ran the full buildPlan walk. */
-    std::uint64_t numFullWalks = 0;
-
     /** All KV migration latencies (Section V-C). */
     std::vector<double> kvTransferLatencies;
 
@@ -121,7 +113,7 @@ struct RunResult
     std::string predictorName; //!< "none" when running reactively.
 
     /** @name Telemetry (src/obs/; excluded from byte-identity
-     *  comparisons like the fast-path diagnostics above) */
+     *  comparisons, so force-recompute twins stay comparable) */
     /** @{ */
 
     /** Generic snapshot of the cluster's stat registry (always

@@ -146,19 +146,6 @@ struct SchedLimits
     bool forceAccrue = false;
 
     /**
-     * Debug mode mirroring forceResort for burst-coalesced arrival
-     * planning: schedule one plan-boundary event per kick() instead
-     * of deduplicating same-timestamp kicks into a single boundary —
-     * the pre-optimization cost model that rebuilds a plan per
-     * arrival-burst member. Results must be byte-identical either
-     * way (the redundant boundaries are provably no-ops); the burst
-     * coalescing invariance tests run both modes and compare
-     * RunResults field by field. The PASCAL_FORCE_KICK environment
-     * variable forces it globally.
-     */
-    bool forcePerArrivalKick = false;
-
-    /**
      * Debug mode mirroring forceResort for incremental plan repair:
      * when a plan is dirtied by a bounded delta (departures,
      * demotions, phase transitions, landings), the fast path patches
@@ -167,7 +154,7 @@ struct SchedLimits
      * PASCAL_FORCE_REPAIR environment variable) disables the patch
      * path so every non-reused boundary pays the full greedy walk —
      * the pre-optimization cost model. Results must be byte-identical
-     * either way; the plan-repair invariance tests pin the full 2^5
+     * either way; the plan-repair invariance tests pin the full 2^4
      * force-mode matrix field by field.
      */
     bool forcePlanRepair = false;

@@ -89,12 +89,11 @@ predictorNamed(const std::string& kind)
 }
 
 /**
- * Run @p cfg on @p trace in the mode corners — {lazy, force-accrue}
- * x {incremental view, full rebuild}, plus the all-forced corner with
- * per-arrival plan boundaries — and require byte-identical
- * RunResults. The force-accrue runs double as correctness proofs:
- * the eager walk panics (failing the test) if any lazily maintained
- * stamp went stale.
+ * Run @p cfg on @p trace in the mode corners — lazy, force-accrue,
+ * and force-accrue with a full view rebuild — and require
+ * byte-identical RunResults. The force-accrue runs double as
+ * correctness proofs: the eager walk panics (failing the test) if any
+ * lazily maintained stamp went stale.
  */
 void
 expectAllModesIdentical(SystemConfig cfg, const workload::Trace& trace)
@@ -110,10 +109,6 @@ expectAllModesIdentical(SystemConfig cfg, const workload::Trace& trace)
     cfg.forceViewRebuild = true;
     auto reference = cluster::RunContext::execute(cfg, trace);
     test::expectIdentical(fast, reference);
-
-    cfg.limits.forcePerArrivalKick = true;
-    auto per_arrival = cluster::RunContext::execute(cfg, trace);
-    test::expectIdentical(fast, per_arrival);
 }
 
 TEST_F(AccrualInvariance, ReactiveSchedulersAcrossPredictors)

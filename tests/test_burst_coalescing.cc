@@ -1,21 +1,22 @@
 /**
  * @file
- * Burst-coalesced arrival planning invariance tests.
+ * Arrival-burst planning tests.
  *
- * Same-timestamp arrivals are drained as one burst event and every
- * kick() of the burst dedupes into a single deferred plan boundary
- * per touched instance. The contract: PASCAL_FORCE_KICK /
- * SchedLimits::forcePerArrivalKick (one boundary event per kick — the
- * pre-optimization cost model that rebuilds a plan per burst member)
- * must produce byte-identical RunResults, including bit-exact
- * phase-time buckets, across the whole scheduler x predictor grid on
- * an arrival-storm trace; and the coalesced fast path must engage
- * (strictly fewer plan builds than arrivals).
+ * Same-timestamp arrivals are drained as one burst event: placement
+ * stays per-arrival, and every member defers its plan boundary to a
+ * same-timestamp event, so each instance plans the burst only after
+ * the whole burst is placed. The contract: on a quantized arrival
+ * storm, every burst member is admitted before its instance's first
+ * plan boundary at that timestamp, plan builds stay strictly below
+ * arrivals, and the debug recompute modes stay byte-identical.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/run_context.hh"
@@ -40,14 +41,13 @@ class QuietLogs : public ::testing::Test
     void TearDown() override { setQuiet(false); }
 };
 
-using BurstCoalescing = QuietLogs;
+using ArrivalBurst = QuietLogs;
 using ForceModeMatrix = QuietLogs;
 
 /**
  * Arrival-storm trace with genuine bursts: Poisson arrivals quantized
  * onto a coarse tick grid, so tens of requests share each timestamp
- * (the CascadeInfer-style arrival-storm regime the coalesced path
- * targets).
+ * (the CascadeInfer-style arrival-storm regime).
  */
 workload::Trace
 burstTrace(std::uint64_t seed, int n = 400, double rate = 800.0,
@@ -94,47 +94,45 @@ predictorNamed(const std::string& kind)
     return cfg;
 }
 
-TEST_F(BurstCoalescing, ByteIdenticalAcrossSchedulerPredictorGrid)
+/** One trace event reduced to what the burst check reads. */
+struct TraceRow
 {
-    auto trace = burstTrace(1001);
-    struct GridPoint
-    {
-        SchedulerType sched;
-        std::string predictor;
+    std::string cat;
+    std::string name;
+    int tid = 0;
+    std::string ts; //!< Rendered timestamp: exact for equal times.
+};
+
+/** Parse the one-event-per-line Chrome JSON that TraceSink writes. */
+std::vector<TraceRow>
+parseTrace(const std::string& json)
+{
+    auto field = [](const std::string& line, const std::string& key) {
+        std::size_t at = line.find("\"" + key + "\": ");
+        if (at == std::string::npos)
+            return std::string();
+        at += key.size() + 4;
+        if (line[at] == '"') {
+            ++at;
+            return line.substr(at, line.find('"', at) - at);
+        }
+        return line.substr(at, line.find_first_of(",}", at) - at);
     };
-    std::vector<GridPoint> grid;
-    for (SchedulerType sched :
-         {SchedulerType::Fcfs, SchedulerType::Rr,
-          SchedulerType::Pascal}) {
-        for (const char* kind : {"none", "oracle", "profile"})
-            grid.push_back({sched, kind});
+    std::vector<TraceRow> rows;
+    std::istringstream in(json);
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("{\"name\": ", 0) != 0)
+            continue;
+        rows.push_back({field(line, "cat"), field(line, "name"),
+                        std::stoi(field(line, "tid")), field(line, "ts")});
     }
-    for (SchedulerType sched :
-         {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
-        for (const char* kind : {"oracle", "profile"})
-            grid.push_back({sched, kind});
-    }
-    for (const auto& point : grid) {
-        SCOPED_TRACE("scheduler " +
-                     std::to_string(static_cast<int>(point.sched)) +
-                     " predictor " + point.predictor);
-        SystemConfig cfg =
-            stormConfig(point.sched, predictorNamed(point.predictor));
-        cfg.limits.forcePerArrivalKick = false;
-        auto coalesced = cluster::RunContext::execute(cfg, trace);
-        cfg.limits.forcePerArrivalKick = true;
-        auto per_arrival = cluster::RunContext::execute(cfg, trace);
-        test::expectIdentical(coalesced, per_arrival);
-    }
+    return rows;
 }
 
-TEST_F(BurstCoalescing, FastPathEngagesOnArrivalStorm)
+TEST_F(ArrivalBurst, BurstIsPlacedBeforeItIsPlanned)
 {
-    // One plan boundary per burst per instance: on a bursty arrival
-    // storm with short generations, the whole burst prefills at one
-    // boundary, so both plan builds and iterations stay strictly
-    // below the arrival count (the pre-coalescing chain planned each
-    // member as it arrived).
+    // A bursty arrival storm with short generations: tens of requests
+    // share each timestamp and bursts often land on idle instances.
     Rng rng(77);
     auto profile = workload::DatasetProfile::alpacaEval();
     profile.prompt = {48.0, 0.4, 16, 96};
@@ -150,28 +148,52 @@ TEST_F(BurstCoalescing, FastPathEngagesOnArrivalStorm)
     SystemConfig cfg =
         stormConfig(SchedulerType::Pascal, predictorNamed("none"));
     cfg.gpuKvCapacityTokens = 65536; // Ample: bursts admit whole.
+    cfg.telemetry.traceEnabled = true;
+    cfg.telemetry.traceCapacity = 1u << 20; // Never wraps here.
 
-    cluster::RunContext coalesced(cfg);
-    coalesced.submit(trace);
-    coalesced.run();
-    std::uint64_t builds = coalesced.cluster().totalPlanBuilds();
-    auto result = coalesced.result();
-    EXPECT_LT(builds, trace.size());
-    EXPECT_LT(result.totalIterations, trace.size());
+    cluster::RunContext ctx(cfg);
+    ctx.submit(trace);
+    ctx.run();
+    auto result = ctx.result();
     EXPECT_EQ(result.numUnfinished, 0u);
+    // One plan boundary per burst per instance: both plan builds and
+    // iterations stay strictly below the arrival count (planning each
+    // member as it arrived would pay one boundary per arrival).
+    EXPECT_LT(ctx.cluster().totalPlanBuilds(), trace.size());
+    EXPECT_LT(result.totalIterations, trace.size());
 
-    // The per-boundary-per-kick verification mode may only pay MORE
-    // plan builds (redundant idle rebuilds), never fewer, and the
-    // simulation must be byte-identical.
-    cfg.limits.forcePerArrivalKick = true;
-    cluster::RunContext forced(cfg);
-    forced.submit(trace);
-    forced.run();
-    EXPECT_LE(builds, forced.cluster().totalPlanBuilds());
-    test::expectIdentical(result, forced.result());
+    // Per (instance, timestamp): no plan boundary between the first
+    // and the last admission of the burst members placed there.
+    struct Group
+    {
+        std::size_t admits = 0;
+        bool planned = false;
+    };
+    std::map<std::pair<int, std::string>, Group> groups;
+    std::size_t admits = 0;
+    std::size_t multi_member_bursts = 0;
+    std::size_t admitted_after_plan = 0;
+    for (const TraceRow& row : parseTrace(result.traceJson)) {
+        auto key = std::make_pair(row.tid, row.ts);
+        if (row.cat == "admission" && row.name == "admit") {
+            Group& g = groups[key];
+            if (g.planned)
+                ++admitted_after_plan;
+            if (++g.admits == 2)
+                ++multi_member_bursts;
+            ++admits;
+        } else if (row.cat == "plan") {
+            auto it = groups.find(key);
+            if (it != groups.end())
+                it->second.planned = true;
+        }
+    }
+    EXPECT_EQ(admitted_after_plan, 0u);
+    EXPECT_EQ(admits, trace.size());
+    EXPECT_GT(multi_member_bursts, 0u);
 }
 
-TEST_F(BurstCoalescing, ViewAuditCleanUnderBurstsAndSloHeap)
+TEST_F(ArrivalBurst, ViewAuditCleanUnderBurstsAndSloHeap)
 {
     // Incremental-view audit (which also re-verifies the SLO heap
     // against the reference O(hosted) walk at every decision) across
@@ -189,7 +211,7 @@ TEST_F(BurstCoalescing, ViewAuditCleanUnderBurstsAndSloHeap)
 
 TEST_F(ForceModeMatrix, AllSixteenCornersByteIdentical)
 {
-    // {FORCE_KICK} x {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE}:
+    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE} x {FORCE_REPAIR}:
     // every debug corner recomputes something the fast path maintains
     // incrementally, so all sixteen runs must agree byte-for-byte.
     auto trace = burstTrace(555, 220);
@@ -199,10 +221,10 @@ TEST_F(ForceModeMatrix, AllSixteenCornersByteIdentical)
     std::vector<cluster::RunResult> results;
     for (int mask = 0; mask < 16; ++mask) {
         SystemConfig cfg = base;
-        cfg.limits.forcePerArrivalKick = (mask & 1) != 0;
-        cfg.forceViewRebuild = (mask & 2) != 0;
-        cfg.limits.forceResort = (mask & 4) != 0;
-        cfg.limits.forceAccrue = (mask & 8) != 0;
+        cfg.forceViewRebuild = (mask & 1) != 0;
+        cfg.limits.forceResort = (mask & 2) != 0;
+        cfg.limits.forceAccrue = (mask & 4) != 0;
+        cfg.limits.forcePlanRepair = (mask & 8) != 0;
         results.push_back(cluster::RunContext::execute(cfg, trace));
     }
     for (std::size_t i = 1; i < results.size(); ++i) {
@@ -211,61 +233,36 @@ TEST_F(ForceModeMatrix, AllSixteenCornersByteIdentical)
     }
 }
 
-TEST_F(BurstCoalescing, SpanAdmissionCoalescesThePlanBoundary)
+TEST_F(ArrivalBurst, DeferredAdmissionPlansTheBurstTogether)
 {
-    // Instance::addRequests(span) is the burst admission primitive:
-    // one snapshot invalidation + one plan boundary for the whole
-    // span. It must match a sequence of addRequestCoalesced calls
-    // (the cluster's per-member drain — same single deferred
-    // boundary) exactly, and never plan more than the plain
-    // per-request addRequest chain, which starts an iteration at the
-    // first member and plans the rest as they trickle in.
+    // Deferred admission (the cluster's burst path) admits a whole
+    // t=0 burst before its first plan boundary, so it plans less
+    // often than the immediate addRequest chain, which starts an
+    // iteration at the first member and plans the rest as they
+    // trickle in.
     auto trace = burstTrace(9, 40, 400.0, 1.0);
     SystemConfig cfg =
         stormConfig(SchedulerType::Pascal, predictorNamed("none"));
     cfg.numInstances = 1; // Placement-free: pure admission semantics.
 
-    enum class Mode
-    {
-        Span,
-        Coalesced,
-        Sequential
-    };
-    auto run_with = [&](Mode mode) {
+    auto run_with = [&](bool defer_plan) {
         cluster::RunContext ctx(cfg);
         std::vector<workload::Request> owned;
         owned.reserve(trace.size());
         for (const auto& spec : trace.requests)
             owned.emplace_back(spec);
         auto& inst = *ctx.cluster().getInstances()[0];
-        std::vector<workload::Request*> ptrs;
         for (auto& r : owned)
-            ptrs.push_back(&r);
-        // Admit everything up front at t=0 (a maximal burst).
-        switch (mode) {
-          case Mode::Span:
-            inst.addRequests(ptrs.data(), ptrs.size());
-            break;
-          case Mode::Coalesced:
-            for (auto* r : ptrs)
-                inst.addRequestCoalesced(r);
-            break;
-          case Mode::Sequential:
-            for (auto* r : ptrs)
-                inst.addRequest(r);
-            break;
-        }
+            inst.addRequest(&r, defer_plan);
         ctx.run();
         return std::pair<std::uint64_t, std::uint64_t>(
             inst.numPlanBuilds(), inst.numIterations());
     };
 
-    auto span_stats = run_with(Mode::Span);
-    auto coalesced_stats = run_with(Mode::Coalesced);
-    auto seq_stats = run_with(Mode::Sequential);
-    EXPECT_EQ(span_stats, coalesced_stats);
-    EXPECT_LE(span_stats.first, seq_stats.first);
-    EXPECT_LE(span_stats.second, seq_stats.second);
+    auto deferred = run_with(true);
+    auto immediate = run_with(false);
+    EXPECT_LT(deferred.first, immediate.first);
+    EXPECT_LE(deferred.second, immediate.second);
 }
 
 } // namespace

@@ -48,7 +48,7 @@ class QuietLogs : public ::testing::Test
 using Chaos = QuietLogs;
 using FaultDormancy = QuietLogs;
 
-/** Bursty arrival-storm trace (same regime as the coalescing tests):
+/** Bursty arrival-storm trace (same regime as the arrival-burst tests):
  *  Poisson arrivals quantized onto a coarse tick grid. */
 workload::Trace
 chaosTrace(std::uint64_t seed, int n = 150, double rate = 300.0,
@@ -263,23 +263,22 @@ TEST_F(Chaos, ShedFloorRejectsArrivalsWhileCapacityIsDown)
 
 TEST_F(Chaos, ForceModeMatrixByteIdenticalUnderFaults)
 {
-    // {FORCE_KICK} x {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE} x
-    // {FORCE_REPAIR} with the fault schedule live: the failover path
-    // (crash detach, backoff re-placement, KV restore, link-failure
-    // aborts) must be invisible to every debug recompute mode, so all
-    // 32 corners agree byte-for-byte.
+    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE} x {FORCE_REPAIR}
+    // with the fault schedule live: the failover path (crash detach,
+    // backoff re-placement, KV restore, link-failure aborts) must be
+    // invisible to every debug recompute mode, so all 16 corners agree
+    // byte-for-byte.
     auto trace = chaosTrace(313, 100);
     SystemConfig base = chaosConfig(SchedulerType::Pascal,
                                     predictorNamed("oracle"), 3);
 
     std::vector<RunResult> results;
-    for (int mask = 0; mask < 32; ++mask) {
+    for (int mask = 0; mask < 16; ++mask) {
         SystemConfig cfg = base;
-        cfg.limits.forcePerArrivalKick = (mask & 1) != 0;
-        cfg.forceViewRebuild = (mask & 2) != 0;
-        cfg.limits.forceResort = (mask & 4) != 0;
-        cfg.limits.forceAccrue = (mask & 8) != 0;
-        cfg.limits.forcePlanRepair = (mask & 16) != 0;
+        cfg.forceViewRebuild = (mask & 1) != 0;
+        cfg.limits.forceResort = (mask & 2) != 0;
+        cfg.limits.forceAccrue = (mask & 4) != 0;
+        cfg.limits.forcePlanRepair = (mask & 8) != 0;
         results.push_back(RunContext::execute(cfg, trace));
     }
     EXPECT_GT(results[0].numCrashes, 0u);

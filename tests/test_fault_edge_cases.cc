@@ -6,7 +6,7 @@
  * zero (the injector exists, so the failover branches are armed, but
  * nothing fires on its own) and drives the Cluster's public fault API
  * at exact simulated times: destination crashes mid-transfer, a crash
- * landing at the same timestamp as a burst's coalesced plan boundary,
+ * landing at the same timestamp as a burst's deferred plan boundary,
  * CPU-preserved KV riding out a crash, and a drain racing a
  * reasoning->answering promotion.
  */
@@ -147,13 +147,12 @@ TEST_F(FaultEdgeCases, DestinationCrashMidRestoreAbortsAndRetries)
 
 TEST_F(FaultEdgeCases, CrashAtPlanBoundaryMidBurst)
 {
-    // A same-timestamp arrival burst admits through the coalesced
-    // path, which defers ONE plan boundary per instance to a
-    // same-timestamp event. A crash scheduled at that exact timestamp
-    // (FIFO: after the admissions, before the deferred boundary)
-    // orphans the admitted requests, and the boundary then fires
-    // against a down instance — it must be a no-op, not a plan over
-    // detached requests.
+    // A same-timestamp arrival burst defers each member's plan
+    // boundary to a same-timestamp event. A crash scheduled at that
+    // exact timestamp (FIFO: after the admissions, before the deferred
+    // boundaries) orphans the admitted requests, and the boundaries
+    // then fire against a down instance — they must be no-ops, not a
+    // plan over detached requests.
     SystemConfig cfg = scriptedConfig();
     RunContext ctx(cfg);
     ctx.submit(flatTrace(12, 1.0));

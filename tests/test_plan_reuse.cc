@@ -24,6 +24,7 @@
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 #include "src/core/pascal_scheduler.hh"
+#include "src/obs/stat_registry.hh"
 #include "src/workload/generator.hh"
 #include "tests/run_result_util.hh"
 #include "tests/scheduler_test_util.hh"
@@ -46,6 +47,15 @@ class QuietLogs : public ::testing::Test
 
 using PlanReuseInvariance = QuietLogs;
 using PlanReuseFastPath = QuietLogs;
+
+/** A cluster-level counter from the run's stat dump. */
+double
+clusterCounter(const cluster::RunResult& result, const std::string& name)
+{
+    const obs::StatValue* stat = obs::findStat(result.statsDump, name);
+    EXPECT_NE(stat, nullptr) << "missing stat " << name;
+    return stat != nullptr ? stat->value : -1.0;
+}
 
 /**
  * A reasoning-heavy trace on a memory-constrained deployment:
@@ -463,26 +473,25 @@ TEST_F(PlanReuseInvariance, PlanRepairGridByteIdentical)
     }
 }
 
-TEST_F(PlanReuseInvariance, AllThirtyTwoForceCornersByteIdentical)
+TEST_F(PlanReuseInvariance, AllSixteenForceCornersByteIdentical)
 {
-    // {FORCE_REPAIR} x {FORCE_KICK} x {FORCE_VIEW} x {FORCE_RESORT} x
-    // {FORCE_ACCRUE}: every corner disables (or eagerly verifies) a
-    // different maintained structure, so all 32 runs recompute
-    // different subsets of the same state and must agree
-    // byte-for-byte. The all-ones corner is the bench's recompute
-    // twin; mask 0 is the production fast path.
+    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE} x {FORCE_REPAIR}:
+    // every corner disables (or eagerly verifies) a different
+    // maintained structure, so all 16 runs recompute different
+    // subsets of the same state and must agree byte-for-byte. The
+    // all-ones corner is the seed's cost model; mask 0 is the
+    // production fast path.
     auto trace = transitionTrace(555, 300);
     SystemConfig base = repairConfig(SchedulerType::Pascal,
                                      predictorNamed("oracle"), 8192);
 
     std::vector<cluster::RunResult> results;
-    for (int mask = 0; mask < 32; ++mask) {
+    for (int mask = 0; mask < 16; ++mask) {
         SystemConfig cfg = base;
-        cfg.limits.forcePerArrivalKick = (mask & 1) != 0;
-        cfg.forceViewRebuild = (mask & 2) != 0;
-        cfg.limits.forceResort = (mask & 4) != 0;
-        cfg.limits.forceAccrue = (mask & 8) != 0;
-        cfg.limits.forcePlanRepair = (mask & 16) != 0;
+        cfg.forceViewRebuild = (mask & 1) != 0;
+        cfg.limits.forceResort = (mask & 2) != 0;
+        cfg.limits.forceAccrue = (mask & 4) != 0;
+        cfg.limits.forcePlanRepair = (mask & 8) != 0;
         results.push_back(cluster::RunContext::execute(cfg, trace));
     }
     for (std::size_t i = 1; i < results.size(); ++i) {
@@ -503,8 +512,9 @@ TEST_F(PlanReuseFastPath, RepairsOutnumberFullWalksOnTransitionStorm)
                                     predictorNamed("none"), 32768);
     auto result =
         cluster::RunContext::execute(cfg, transitionTrace(99, 500));
-    EXPECT_GT(result.numPlanRepairs, 0u);
-    EXPECT_GT(result.numPlanRepairs, result.numFullWalks);
+    double repairs = clusterCounter(result, "cluster.plan.repairs");
+    EXPECT_GT(repairs, 0.0);
+    EXPECT_GT(repairs, clusterCounter(result, "cluster.plan.full_walks"));
 }
 
 TEST_F(PlanReuseFastPath, ForcePlanRepairKeepsTheJournalDark)
@@ -520,11 +530,11 @@ TEST_F(PlanReuseFastPath, ForcePlanRepairKeepsTheJournalDark)
     auto trace = transitionTrace(101, 300);
     cfg.limits.forcePlanRepair = true;
     auto forced = cluster::RunContext::execute(cfg, trace);
-    EXPECT_EQ(forced.numPlanRepairs, 0u);
-    EXPECT_GT(forced.numFullWalks, 0u);
+    EXPECT_EQ(clusterCounter(forced, "cluster.plan.repairs"), 0.0);
+    EXPECT_GT(clusterCounter(forced, "cluster.plan.full_walks"), 0.0);
     cfg.limits.forcePlanRepair = false;
     auto fast = cluster::RunContext::execute(cfg, trace);
-    EXPECT_GT(fast.numPlanRepairs, 0u);
+    EXPECT_GT(clusterCounter(fast, "cluster.plan.repairs"), 0.0);
     test::expectIdentical(fast, forced);
 }
 

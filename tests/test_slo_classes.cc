@@ -119,15 +119,14 @@ params(SystemConfig& cfg, SloClass c)
 }
 
 /** Apply one force-mode matrix corner (same bit layout as the chaos
- *  and coalescing matrices). */
+ *  and arrival-burst matrices). */
 void
 applyForceMask(SystemConfig& cfg, int mask)
 {
-    cfg.limits.forcePerArrivalKick = (mask & 1) != 0;
-    cfg.forceViewRebuild = (mask & 2) != 0;
-    cfg.limits.forceResort = (mask & 4) != 0;
-    cfg.limits.forceAccrue = (mask & 8) != 0;
-    cfg.limits.forcePlanRepair = (mask & 16) != 0;
+    cfg.forceViewRebuild = (mask & 1) != 0;
+    cfg.limits.forceResort = (mask & 2) != 0;
+    cfg.limits.forceAccrue = (mask & 4) != 0;
+    cfg.limits.forcePlanRepair = (mask & 8) != 0;
 }
 
 /** Strip class-derived annotations so an annotated-trace run can be
@@ -284,7 +283,7 @@ TEST_F(ClassDormancy, DisabledConfigByteIdenticalAcrossForceMatrix)
 {
     // A fully-parameterized class config with enabled == false, on an
     // annotated trace, under the chaos fault schedule: every one of
-    // the 32 force-mode corners must match the default-config run
+    // the 16 force-mode corners must match the default-config run
     // byte-for-byte. This is the "classes-off is the pre-class
     // simulator" guarantee the acceptance criteria pin.
     auto trace = stormTrace(313, 100);
@@ -294,7 +293,7 @@ TEST_F(ClassDormancy, DisabledConfigByteIdenticalAcrossForceMatrix)
     auto baseline = RunContext::execute(base, trace);
     EXPECT_GT(baseline.numCrashes, 0u);
 
-    for (int mask = 0; mask < 32; ++mask) {
+    for (int mask = 0; mask < 16; ++mask) {
         SCOPED_TRACE("mode mask " + std::to_string(mask));
         SystemConfig cfg = base;
         applyForceMask(cfg, mask);
@@ -323,7 +322,7 @@ TEST_F(ClassBehavior, ClassesOnForceMatrixByteIdenticalUnderChaos)
     params(base, SloClass::Standard).relativeDeadline = 6.0;
 
     std::vector<RunResult> results;
-    for (int mask = 0; mask < 32; ++mask) {
+    for (int mask = 0; mask < 16; ++mask) {
         SystemConfig cfg = base;
         applyForceMask(cfg, mask);
         results.push_back(RunContext::execute(cfg, trace));
