@@ -55,9 +55,10 @@ Instance::Instance(InstanceId id, sim::Simulator& sim,
         panic("Instance needs a scheduler");
     this->sched->setInstanceId(id);
     // Incremental queue maintenance + the steady-state plan-reuse
-    // fast path. enableIncremental() itself backs off when the
-    // force-resort debug mode (SchedLimits::forceResort or the
-    // PASCAL_FORCE_RESORT env var) asks for recompute-from-scratch.
+    // fast path. enableIncremental() itself backs off for
+    // predictor-keyed policies and when the force-resort debug mode
+    // (SchedLimits::forceResort or the PASCAL_FORCE_RESORT env var)
+    // asks for recompute-from-scratch.
     this->sched->enableIncremental();
     // Accrual debug mode: keep the eager O(hosted) walk as a
     // per-iteration stamp verification (construction-time read, like

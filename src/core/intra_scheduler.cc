@@ -1,6 +1,7 @@
 #include "src/core/intra_scheduler.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -18,7 +19,6 @@ const char* const kPlanDeclineNames[] = {
     "none",           // PlanDecline::None
     "inactive",       // PlanDecline::Inactive
     "state_changed",  // PlanDecline::StateChanged
-    "predictor_moved",// PlanDecline::PredictorMoved
     "veto",           // PlanDecline::Veto
     "budget",         // PlanDecline::Budget
     "waiting_work",   // PlanDecline::WaitingWork
@@ -69,20 +69,26 @@ SchedLimits::validate() const
     }
 }
 
-IntraScheduler::IntraScheduler(SchedLimits limits) : limits(limits)
+IntraScheduler::IntraScheduler(SchedLimits limits)
+    : limits(limits),
+      resortForced(limits.forceResort ||
+                   std::getenv("PASCAL_FORCE_RESORT") != nullptr)
 {
     limits.validate();
+}
+
+std::uint64_t
+IntraScheduler::nextSortStamp()
+{
+    static std::atomic<std::uint64_t> last{0};
+    return last.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 void
 IntraScheduler::enableIncremental()
 {
-    // Read per call (construction-time only, not the hot path) so an
-    // embedder toggling the variable between runs is honored.
-    if (std::getenv("PASCAL_FORCE_RESORT") != nullptr ||
-        limits.forceResort) {
+    if (resortForced || keysUsePredictions())
         return;
-    }
     if (!requests.empty())
         panic("enableIncremental: must be called before requests are "
               "added");
@@ -369,13 +375,6 @@ IntraScheduler::scanFreshAnswering() const
     return n;
 }
 
-bool
-IntraScheduler::predictorMoved() const
-{
-    return keysUsePredictions() &&
-           currentPredictorVersion() != lastPredictorVersion;
-}
-
 void
 IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
 {
@@ -393,7 +392,6 @@ IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
     if (!incremental)
         return;
     stateChanged = false;
-    lastPredictorVersion = currentPredictorVersion();
     lastPlanReusable =
         out.prefill.empty() && out.prewarm.empty() &&
         out.swapIn.empty() && out.swapOut.empty() &&
@@ -445,10 +443,6 @@ IntraScheduler::reusePlan(const IterationPlan& prev,
     }
     if (!lastPlanReusable || stateChanged) {
         reuseDecline = PlanDecline::StateChanged;
-        return false;
-    }
-    if (predictorMoved()) {
-        reuseDecline = PlanDecline::PredictorMoved;
         return false;
     }
     // Deferred plan-time decisions (demotion) fire exactly here, the
@@ -527,16 +521,14 @@ IntraScheduler::repairPlan(IterationPlan& prev,
     // when its earlier gates pass, so re-run them here. Idempotent,
     // and any applied demotion journals its own re-key.
     applyDeferredDecisions();
-    if (repairBail || predictorMoved() || !waitingPrompts.empty() ||
+    if (repairBail || !waitingPrompts.empty() ||
         waitingPrewarmCount > 0 ||
         pool.numTracked() != pool.numGpuResident()) {
         repairDecline =
             repairBail ? PlanDecline::Bailed
-            : predictorMoved()
-                ? PlanDecline::PredictorMoved
-                : (!waitingPrompts.empty() || waitingPrewarmCount > 0)
-                      ? PlanDecline::WaitingWork
-                      : PlanDecline::SwappedMembers;
+            : (!waitingPrompts.empty() || waitingPrewarmCount > 0)
+                ? PlanDecline::WaitingWork
+                : PlanDecline::SwappedMembers;
         return false;
     }
 
@@ -704,19 +696,6 @@ IntraScheduler::revalidate(const IterationPlan& prev,
         budget -= cost;
     }
     return true;
-}
-
-void
-IntraScheduler::annotatePrediction(IterationPlan& plan) const
-{
-    if (lengthPredictor == nullptr)
-        return;
-    double remaining = 0.0;
-    for (const auto* r : plan.prefill)
-        remaining += lengthPredictor->predictRemainingTokens(*r);
-    for (const auto* r : plan.decode)
-        remaining += lengthPredictor->predictRemainingTokens(*r);
-    plan.predictedRemainingTokens = remaining;
 }
 
 void

@@ -16,6 +16,18 @@
  *    SchedLimits::forceResort): every buildPlan() call rebuilds and
  *    re-sorts the priority order from scratch. Simple, and the
  *    reference behaviour the invariance tests compare against.
+ *    Predictor-keyed schedulers (keysUsePredictions(): SRPT and
+ *    PASCAL-Spec) always run here. A predicted remaining length moves
+ *    with every generated token, so every executed member re-keys
+ *    every iteration and no plan is ever reused; an online learner
+ *    (profile, rank) also re-keys every hosted request at each
+ *    completion. Their sorts are warm-started (warmSort()): members
+ *    whose key did not move since the last plan keep their order, so
+ *    a plan costs one prediction per schedulable request plus a sort
+ *    of the re-keyed ones, where maintained queues would pay a relink
+ *    per executed token. The force-resort mode sorts from scratch.
+ *    README ("Predictor-keyed policies always recompute") lists where
+ *    this was measured against maintained queues.
  *
  *  - Incremental mode (enabled by the owning Instance via
  *    enableIncremental()): the scheduler maintains its priority
@@ -33,11 +45,12 @@
  *  - noteExecuted()            after each emitToken()/completePrefill()
  *                              (token progress, quantum rollover, phase
  *                              flip, KV growth),
- *  - onPhaseTransition()       reasoning->answering staying home,
+ *  - onPhaseTransition()       reasoning->answering staying home.
  *
- * plus LengthPredictor::version() for predictor-driven key changes.
- * Code that mutates requests behind the scheduler's back (unit tests
- * poking exec states directly) must simply leave incremental mode off.
+ * Incremental keys never read the predictor, so predictor updates need
+ * no notification. Code that mutates requests behind the scheduler's
+ * back (unit tests poking exec states directly) must simply leave
+ * incremental mode off.
  * Subclasses hook the notifications via onHostedAdded/onHostedRemoved/
  * onRequestExecuted and must keep their queues equal to what their
  * recompute path would build — the randomized force-resort invariance
@@ -75,14 +88,13 @@ namespace core
  * greedy walk never visited, before evicting from the back. The
  * queue tag ranks PASCAL's high queue above its low queue; the SLO
  * class rank (all zero with classes off) ranks tenant classes within
- * a queue; below those every policy orders by (quanta, cached score,
- * arrival, id) — policies that freeze a level (FCFS/SRPT never
- * consume quanta, reactive policies keep score 0) degenerate to
- * exactly their own comparator. A policy whose order is NOT
- * expressible in these six fields must not rely on the early-exit
- * tail (or must extend this comparator) — the eviction-storm
- * invariance test runs every shipped policy against recompute mode to
- * keep the equivalence honest.
+ * a queue; below those every policy orders by (quanta, arrival, id) —
+ * FCFS never consumes quanta, so it degenerates to exactly its own
+ * comparator, and predictor-keyed policies never run incrementally. A
+ * policy whose order is NOT expressible in these five fields must not
+ * rely on the early-exit tail (or must extend this comparator) — the
+ * eviction-storm invariance test runs every shipped policy against
+ * recompute mode to keep the equivalence honest.
  */
 struct ResidentEvictOrder
 {
@@ -96,8 +108,6 @@ struct ResidentEvictOrder
             return a->schedClassRank < b->schedClassRank;
         if (a->quantaConsumed != b->quantaConsumed)
             return a->quantaConsumed < b->quantaConsumed;
-        if (a->schedScore != b->schedScore)
-            return a->schedScore < b->schedScore;
         if (a->spec().arrival != b->spec().arrival)
             return a->spec().arrival < b->spec().arrival;
         return a->id() < b->id();
@@ -137,7 +147,6 @@ enum class PlanDecline : std::uint8_t
     None = 0,       //!< The path ran (or was never consulted).
     Inactive,       //!< Fast path off (recompute mode / force twin).
     StateChanged,   //!< Membership/key/queue change since last build.
-    PredictorMoved, //!< Predictor version bumped under spec keys.
     Veto,           //!< Policy veto (PASCAL's deferred demotion).
     Budget,         //!< Paged-memory revalidation failed.
     WaitingWork,    //!< Waiting admission candidates exist.
@@ -210,11 +219,11 @@ class IntraScheduler
      * what buildPlan() would produce, in which case the instance runs
      * it again verbatim. Holds when (a) incremental mode is on, (b)
      * the previous plan was pure decode (no prefill / prewarm /
-     * swaps), (c) no membership, key, demotion, or predictor change
-     * was observed since, and (d) re-walking the recorded selection
+     * swaps), (c) no membership, key, or demotion change was
+     * observed since, and (d) re-walking the recorded selection
      * against the pool shows every decode member still fits and every
      * kept resident still holds its memory. (d) is O(batch) integer
-     * arithmetic — no sorting, no allocation, no predictor calls.
+     * arithmetic — no sorting, no allocation.
      */
     bool reusePlan(const IterationPlan& prev, const model::KvPool& pool);
 
@@ -227,15 +236,15 @@ class IntraScheduler
      * ResidentEvictOrder rank, and the paged-memory budget check
      * re-runs over the maintained block-offset histogram (patched by
      * the same deltas) — O(delta log delta + batch) with no queue
-     * walk, no predictor calls, and no allocation once warm.
+     * walk and no allocation once warm.
      *
      * Eligibility mirrors the conditions under which the patched
      * batch provably equals what buildPlan() would produce: the
      * previous plan must be an uncapped pure-decode plan with no kept
      * residents (every material member in the batch), no waiting
-     * admission candidates, no swapped members, no predictor
-     * movement, and the patched batch must fit the capacity exactly
-     * as the full walk would conclude. Anything else returns false
+     * admission candidates, no swapped members, and the patched
+     * batch must fit the capacity exactly as the full walk would
+     * conclude. Anything else returns false
      * and the caller falls back to buildPlan(). Disabled (always
      * false) by SchedLimits::forcePlanRepair / PASCAL_FORCE_REPAIR —
      * the plan-repair force twin.
@@ -277,8 +286,9 @@ class IntraScheduler
 
     /**
      * Switch on incremental maintenance. Must be called before any
-     * request is added. Ignored when SchedLimits::forceResort is set
-     * or the PASCAL_FORCE_RESORT environment variable is present.
+     * request is added. Ignored when keysUsePredictions() (see the
+     * file comment), when SchedLimits::forceResort is set, or when the
+     * PASCAL_FORCE_RESORT environment variable was set at construction.
      */
     void enableIncremental();
 
@@ -302,6 +312,10 @@ class IntraScheduler
     {
         return lengthPredictor;
     }
+
+    /** True if ordering keys come from the predictor; such a
+     *  scheduler never enters incremental mode. */
+    virtual bool keysUsePredictions() const { return false; }
 
     /**
      * Residents the last buildPlan() left resident without running
@@ -397,10 +411,6 @@ class IntraScheduler
         (void)delta;
     }
 
-    /** True if ordering keys come from the predictor, so a predictor
-     *  version bump re-keys every request. */
-    virtual bool keysUsePredictions() const { return false; }
-
     /** Subclasses call this whenever queue contents or keys changed
      *  outside buildPlan (blocks verbatim reuse until the next
      *  buildPlan). */
@@ -409,10 +419,10 @@ class IntraScheduler
     /**
      * Subclasses call this whenever a hosted request's
      * ResidentEvictOrder key moved (quantum consumption, queue-tag
-     * transfer, demotion, predictor re-key) — always in addition to
-     * marking their own queues dirty. Keeps the maintained
-     * eviction-order structure exact and journals the member for the
-     * plan-repair splice/merge when a repairable lineage is active.
+     * transfer, demotion) — always in addition to marking their own
+     * queues dirty. Keeps the maintained eviction-order structure
+     * exact and journals the member for the plan-repair splice/merge
+     * when a repairable lineage is active.
      * No-op for non-material members (their keys are re-read at
      * admission) and in recompute mode.
      */
@@ -431,10 +441,6 @@ class IntraScheduler
     /** Recompute @p req's contribution to the maintained monitor
      *  counters from its live state. */
     void syncCounters(workload::Request* req);
-
-    /** Predictor version() changed since the last buildPlan (only
-     *  meaningful when keysUsePredictions()). */
-    bool predictorMoved() const;
 
     /** True if @p req is currently hosted by *this* scheduler (the
      *  intrusive fields alone cannot tell schedulers apart). */
@@ -491,11 +497,10 @@ class IntraScheduler
     {
         if (incremental) {
             // Link any pending eviction-order members now: every key
-            // change of this boundary (demotion, predictor re-key,
-            // quantum rollover) has already been marked dirty by the
-            // planInto prologue, so the settle pass below reads a
-            // fully ordered resident structure — no per-build
-            // re-sort.
+            // change of this boundary (demotion, quantum rollover) has
+            // already been marked dirty by the planInto prologue, so
+            // the settle pass below reads a fully ordered resident
+            // structure — no per-build re-sort.
             evictOrder.repair();
         }
         TokenCount budget = pool.gpuCapacity();
@@ -719,6 +724,62 @@ class IntraScheduler
                           std::size_t high_prefix_len = 0,
                           TokenCount high_budget_cap = 0);
 
+    /** Where one queue's members sat after its last warmSort(). */
+    struct SortMemo
+    {
+        std::uint64_t stamp = 0; //!< 0 = never sorted.
+        std::size_t size = 0;
+    };
+
+    /**
+     * std::sort of @p items by @p order, warm-started from the last
+     * sort of the same queue (@p memo). @p order must be a strict total
+     * order over (schedClassRank, quantaConsumed, schedScore) and the
+     * immutable arrival and id. Members whose three mutable fields are
+     * unchanged since that sort keep their relative order, so only new
+     * and re-keyed members are sorted and then merged in: O(n + k log
+     * k) for k changed members, and the same result as std::sort
+     * because the order is total. The force-resort debug mode sorts
+     * from scratch instead.
+     */
+    template <typename Order>
+    void
+    warmSort(std::vector<workload::Request*>& items, SortMemo& memo,
+             Order order)
+    {
+        if (resortForced) {
+            std::sort(items.begin(), items.end(), order);
+            return;
+        }
+        sortSlots.assign(memo.size, nullptr);
+        sortChanged.clear();
+        for (auto* r : items) {
+            if (memo.stamp != 0 && r->sortStamp == memo.stamp &&
+                r->sortClassRank == r->schedClassRank &&
+                r->sortQuanta == r->quantaConsumed &&
+                r->sortScore == r->schedScore) {
+                sortSlots[r->sortRank] = r;
+            } else {
+                sortChanged.push_back(r);
+            }
+        }
+        std::sort(sortChanged.begin(), sortChanged.end(), order);
+        auto kept_end =
+            std::remove(sortSlots.begin(), sortSlots.end(), nullptr);
+        std::merge(sortSlots.begin(), kept_end, sortChanged.begin(),
+                   sortChanged.end(), items.begin(), order);
+        memo.stamp = nextSortStamp();
+        memo.size = items.size();
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            workload::Request* r = items[i];
+            r->sortStamp = memo.stamp;
+            r->sortRank = static_cast<std::uint32_t>(i);
+            r->sortClassRank = r->schedClassRank;
+            r->sortQuanta = r->quantaConsumed;
+            r->sortScore = r->schedScore;
+        }
+    }
+
     /** Legacy convenience (unit probes): greedySelectInto on a fresh
      *  plan. */
     IterationPlan
@@ -732,10 +793,6 @@ class IntraScheduler
                          high_prefix_len, high_budget_cap);
         return out;
     }
-
-    /** Fill @p plan's predictedRemainingTokens from the wired
-     *  predictor (no-op without one). */
-    void annotatePrediction(IterationPlan& plan) const;
 
     std::vector<workload::Request*> requests;
 
@@ -753,6 +810,21 @@ class IntraScheduler
     InstanceId instanceId = kNoInstance;
 
   private:
+    /** Process-wide unique warmSort() stamp, so a request carried over
+     *  from another queue or scheduler never matches a memo. */
+    static std::uint64_t nextSortStamp();
+
+    /** Force-resort debug mode (SchedLimits::forceResort or the
+     *  PASCAL_FORCE_RESORT environment variable, read at construction):
+     *  no incremental mode, and warmSort() sorts from scratch. */
+    bool resortForced = false;
+
+    /** @name warmSort() scratch */
+    /** @{ */
+    std::vector<workload::Request*> sortSlots;
+    std::vector<workload::Request*> sortChanged;
+    /** @} */
+
     /**
      * Shared tail of the greedy walk: keep unselected residents while
      * @p leftover_budget covers them and evict the rest. The record
@@ -773,12 +845,6 @@ class IntraScheduler
     /** Recompute-mode counter scans. */
     int scanReasoning() const;
     int scanFreshAnswering() const;
-
-    std::uint64_t
-    currentPredictorVersion() const
-    {
-        return lengthPredictor ? lengthPredictor->version() : 0;
-    }
 
     /** Maintained monitor counters (incremental mode). */
     int reasoningCount = 0;
@@ -903,8 +969,6 @@ class IntraScheduler
 
     /** Last plan qualifies for verbatim reuse (pure decode). */
     bool lastPlanReusable = false;
-
-    std::uint64_t lastPredictorVersion = 0;
 
     /** @name Reuse-validation record of the last greedy walk */
     /** @{ */

@@ -41,15 +41,6 @@ struct IterationPlan
     /** Decode batch: each member emits one token this iteration. */
     std::vector<workload::Request*> decode;
 
-    /**
-     * Predicted decode tokens the selected work (prefill + decode)
-     * still owes after this iteration, summed over the batch by
-     * predictor-aware schedulers (0 when no predictor is wired).
-     * Diagnostic: lets harnesses watch how much speculative backlog a
-     * plan commits to.
-     */
-    double predictedRemainingTokens = 0.0;
-
     bool
     idle() const
     {
@@ -69,7 +60,6 @@ struct IterationPlan
         swapIn.clear();
         swapOut.clear();
         decode.clear();
-        predictedRemainingTokens = 0.0;
     }
 };
 

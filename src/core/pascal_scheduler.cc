@@ -123,14 +123,11 @@ PascalScheduler::onMaterialChanged(workload::Request* req, int delta)
 void
 PascalScheduler::onHostedAdded(workload::Request* req)
 {
-    if (usesQueueKeys())
-        req->schedScore = queueKey(req);
     if (isHighPriority(req)) {
         highQueue.insert(req);
-        // A request arriving with a fat KV (or inside the speculative
-        // lookahead window) may demote at the very next plan boundary,
-        // just as recompute mode's full applyDemotion scan would find
-        // it.
+        // A request arriving with a fat KV may demote at the very
+        // next plan boundary, just as recompute mode's full
+        // applyDemotion scan would find it.
         if (demotionPossible(req)) {
             req->schedDemotionPending = true;
             demotionCandidates.push_back(req);
@@ -154,15 +151,11 @@ PascalScheduler::onRequestExecuted(workload::Request* req,
     if (req->schedQueueTag == 1 && !high) {
         // The </think> token (or a completion) just moved the request
         // out of the high queue.
-        if (usesQueueKeys())
-            req->schedScore = queueKey(req);
         highQueue.erase(req);
         lowQueue.insert(req);
         noteKeyChanged(req); // After the transfer: tag settled at 2.
         noteStateChanged();
-    } else if (quanta_changed || usesQueueKeys()) {
-        if (usesQueueKeys())
-            req->schedScore = queueKey(req);
+    } else if (quanta_changed) {
         queueOf(req).markDirty(req);
         noteKeyChanged(req);
         noteStateChanged();
@@ -176,16 +169,16 @@ PascalScheduler::onRequestExecuted(workload::Request* req,
 }
 
 void
-PascalScheduler::sortQueue(std::vector<workload::Request*>& queue) const
+PascalScheduler::sortQueue(std::vector<workload::Request*>& queue,
+                           SortMemo& memo)
 {
-    if (usesQueueKeys()) {
+    if (keysUsePredictions()) {
         // Precompute keys so predictor-backed variants pay one
-        // prediction per request, not one per comparison. The cached
-        // score is the same field the incremental queues order by.
+        // prediction per request, not one per comparison.
         for (auto* r : queue)
             r->schedScore = queueKey(r);
     }
-    std::sort(queue.begin(), queue.end(), PascalQueueOrder{});
+    warmSort(queue, memo, PascalQueueOrder{});
 }
 
 void
@@ -215,8 +208,8 @@ PascalScheduler::recomputePlan(const model::KvPool& pool,
         (isHighPriority(r) ? highScratch : lowScratch).push_back(r);
     }
 
-    sortQueue(highScratch);
-    sortQueue(lowScratch);
+    sortQueue(highScratch, highMemo);
+    sortQueue(lowScratch, lowMemo);
 
     orderScratch.clear();
     orderScratch.insert(orderScratch.end(), highScratch.begin(),
@@ -235,29 +228,12 @@ PascalScheduler::recomputePlan(const model::KvPool& pool,
 
     greedySelectInto(orderScratch, pool, /*stop_at_unfit=*/false, out,
                      prefix, high_cap);
-    annotatePrediction(out);
 }
 
 void
 PascalScheduler::incrementalPlan(const model::KvPool& pool,
                                  IterationPlan& out)
 {
-    if (predictorMoved()) {
-        // The predictor learned: every cached score is suspect. Re-key
-        // and re-sort everything, and re-check every high-queue
-        // resident against the (possibly moved) demotion rule.
-        for (auto* r : requests) {
-            r->schedScore = queueKey(r);
-            queueOf(r).markDirty(r);
-            noteKeyChanged(r);
-            if (isHighPriority(r) && !r->schedDemotionPending &&
-                demotionPossible(r)) {
-                r->schedDemotionPending = true;
-                demotionCandidates.push_back(r);
-            }
-        }
-        noteStateChanged();
-    }
     processPendingDemotions();
     highQueue.repair();
     lowQueue.repair();
@@ -273,7 +249,6 @@ PascalScheduler::incrementalPlan(const model::KvPool& pool,
                        lowQueue.begin(), lowQueue.end(),
                        limits.answeringReserveFraction > 0.0, high_cap,
                        pool, /*stop_at_unfit=*/false, out);
-    annotatePrediction(out);
 }
 
 void

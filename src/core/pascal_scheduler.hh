@@ -16,9 +16,10 @@
  * monster request cannot starve the answering phase.
  *
  * In incremental mode both queues are OrderedQueues repaired only for
- * requests whose (quantaConsumed, score) key or phase/demotion
- * membership changed, and the demotion rule is re-checked only for
- * requests whose KV (or prediction) moved since the last plan.
+ * requests whose quantaConsumed key or phase/demotion membership
+ * changed, and the demotion rule is re-checked only for requests whose
+ * KV moved since the last plan. Predictor-keyed variants always
+ * recompute (see IntraScheduler's file comment).
  */
 
 #ifndef PASCAL_CORE_PASCAL_SCHEDULER_HH
@@ -99,10 +100,6 @@ class PascalScheduler : public IntraScheduler
     void applyDeferredDecisions() override;
     void onMaterialChanged(workload::Request* req,
                            int delta) override;
-    bool keysUsePredictions() const override
-    {
-        return usesQueueKeys();
-    }
     /** @} */
 
     /**
@@ -117,30 +114,25 @@ class PascalScheduler : public IntraScheduler
      * before arrival/id (ascending = served first). The paper's pure
      * round-robin uses a constant; speculative variants return a
      * predicted-remaining-length score. Only called when
-     * usesQueueKeys() is true.
+     * keysUsePredictions() is true, which keeps the reactive policy's
+     * score level inert.
      */
     virtual double queueKey(const workload::Request* req) const;
 
-    /** Whether queueKey() varies per request. False keeps the
-     *  reactive policy's score level inert. */
-    virtual bool usesQueueKeys() const { return false; }
-
+  private:
     /**
-     * Cheap necessary condition for shouldDemote(): only requests
-     * passing it are queued as demotion candidates, so a steady batch
-     * far below the threshold re-checks nothing at all. Must be
-     * implied by shouldDemote() for every subclass (a request failing
-     * demotionPossible() must never satisfy shouldDemote() with the
-     * same KV), or incremental mode would miss demotions that
-     * recompute mode applies.
+     * Cheap necessary condition for shouldDemote() in incremental mode:
+     * only requests passing it are queued as demotion candidates, so a
+     * steady batch far below the threshold re-checks nothing at all.
+     * Incremental mode runs only without predictor keys, where every
+     * variant's demotion rule is the reactive one this mirrors.
      */
-    virtual bool
+    bool
     demotionPossible(const workload::Request* req) const
     {
         return req->kvTokens() > limits.demoteThresholdTokens;
     }
 
-  private:
     /** True if @p req belongs to the high-priority queue. */
     static bool isHighPriority(const workload::Request* req);
 
@@ -157,7 +149,7 @@ class PascalScheduler : public IntraScheduler
 
     /**
      * Incremental mode: re-check the demotion rule for the pending
-     * candidates only (requests whose KV or prediction moved).
+     * candidates only (requests whose KV moved).
      * @return true if any request was demoted.
      */
     bool processPendingDemotions();
@@ -166,8 +158,10 @@ class PascalScheduler : public IntraScheduler
     void demote(workload::Request* req);
 
     /** Sort @p queue by (quantaConsumed, key, arrival, id), caching
-     *  queueKey() into schedScore first when keys are in use. */
-    void sortQueue(std::vector<workload::Request*>& queue) const;
+     *  queueKey() into schedScore first when keys use predictions;
+     *  @p memo warm-starts the sort from the queue's last one. */
+    void sortQueue(std::vector<workload::Request*>& queue,
+                   SortMemo& memo);
 
     /** Queue of @p req per its tag, for incremental maintenance. */
     OrderedQueue<PascalQueueOrder>& queueOf(const workload::Request* r);
@@ -179,9 +173,12 @@ class PascalScheduler : public IntraScheduler
      *  plan boundary (deduped via schedDemotionPending). */
     std::vector<workload::Request*> demotionCandidates;
 
-    /** Recompute-mode scratch partitions (capacity reused). */
+    /** Recompute-mode scratch partitions (capacity reused) and the
+     *  memos that warm-start their sorts. */
     std::vector<workload::Request*> highScratch;
     std::vector<workload::Request*> lowScratch;
+    SortMemo highMemo;
+    SortMemo lowMemo;
 };
 
 } // namespace core

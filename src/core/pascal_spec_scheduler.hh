@@ -45,6 +45,8 @@ class PascalSpecScheduler : public PascalScheduler
 
     std::string name() const override { return "PASCAL-Spec"; }
 
+    bool keysUsePredictions() const override { return true; }
+
   protected:
     /** Reactive rule OR (inside the lookahead window AND predicted
      *  final reasoning KV exceeds the threshold). */
@@ -53,21 +55,6 @@ class PascalSpecScheduler : public PascalScheduler
     /** Predicted remaining work (rank score); 0 without a predictor,
      *  which degrades to the paper's arrival-order round robin. */
     double queueKey(const workload::Request* req) const override;
-
-    /** Keyed only when a predictor is actually wired. */
-    bool usesQueueKeys() const override
-    {
-        return lengthPredictor != nullptr;
-    }
-
-    /** Inside the lookahead window below the threshold (necessary for
-     *  both the reactive rule and predictive demotion). */
-    bool
-    demotionPossible(const workload::Request* req) const override
-    {
-        return req->kvTokens() + limits.demoteLookaheadTokens >
-               limits.demoteThresholdTokens;
-    }
 };
 
 } // namespace core

@@ -9,6 +9,29 @@ namespace pascal
 namespace core
 {
 
+namespace
+{
+
+/** Shortest cached rank score, arrival/id tie-broken, below the
+ *  SLO-class rank (inert all-zero level with classes off). */
+struct SrptOrder
+{
+    bool
+    operator()(const workload::Request* a,
+               const workload::Request* b) const
+    {
+        if (a->schedClassRank != b->schedClassRank)
+            return a->schedClassRank < b->schedClassRank;
+        if (a->schedScore != b->schedScore)
+            return a->schedScore < b->schedScore;
+        if (a->spec().arrival != b->spec().arrival)
+            return a->spec().arrival < b->spec().arrival;
+        return a->id() < b->id();
+    }
+};
+
+} // namespace
+
 SrptScheduler::SrptScheduler(SchedLimits limits)
     : IntraScheduler(limits)
 {
@@ -30,25 +53,6 @@ SrptScheduler::planInto(const model::KvPool& pool, IterationPlan& out)
     // tie-breaks keep runs deterministic when predictions collide.
     // Skip semantics: a long request that does not fit must not block
     // the shorter ones behind it (that would re-create FCFS blocking).
-    if (incrementalEnabled()) {
-        if (predictorMoved()) {
-            // The online learner updated: every cached score is
-            // suspect, re-key the whole queue.
-            for (auto* r : requests) {
-                r->schedScore = lengthPredictor->rankScore(*r);
-                queue.markDirty(r);
-                noteKeyChanged(r);
-            }
-            noteStateChanged();
-        }
-        queue.repair();
-        greedySelectRanges(queue.end(), queue.end(), queue.begin(),
-                           queue.end(), /*cap_high=*/false, 0, pool,
-                           /*stop_at_unfit=*/false, out);
-        annotatePrediction(out);
-        return;
-    }
-
     orderScratch.clear();
     for (auto* r : requests) {
         if (schedulable(r)) {
@@ -56,9 +60,8 @@ SrptScheduler::planInto(const model::KvPool& pool, IterationPlan& out)
             orderScratch.push_back(r);
         }
     }
-    std::sort(orderScratch.begin(), orderScratch.end(), SrptOrder{});
+    warmSort(orderScratch, orderMemo, SrptOrder{});
     greedySelectInto(orderScratch, pool, /*stop_at_unfit=*/false, out);
-    annotatePrediction(out);
 }
 
 } // namespace core

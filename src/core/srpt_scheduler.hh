@@ -14,12 +14,9 @@
  * Like FCFS, SRPT needs no token quantum: priorities come entirely
  * from the predictions, so quantum accounting is disabled.
  *
- * Rank scores move with the request's own progress, so in incremental
- * mode every executed request is re-keyed each iteration (no verbatim
- * plan reuse), but idle requests keep their cached score: the repair
- * is O(batch log batch) instead of O(hosted log hosted), and a
- * predictor version bump (an online learner updating its state)
- * re-keys everything.
+ * Rank scores move with the request's own progress, so SRPT always
+ * plans in recompute mode: one prediction per schedulable request and
+ * one sort per plan (see IntraScheduler's file comment).
  */
 
 #ifndef PASCAL_CORE_SRPT_SCHEDULER_HH
@@ -28,30 +25,11 @@
 #include <string>
 
 #include "src/core/intra_scheduler.hh"
-#include "src/core/ordered_queue.hh"
 
 namespace pascal
 {
 namespace core
 {
-
-/** Shortest cached rank score, arrival/id tie-broken, below the
- *  SLO-class rank (inert all-zero level with classes off). */
-struct SrptOrder
-{
-    bool
-    operator()(const workload::Request* a,
-               const workload::Request* b) const
-    {
-        if (a->schedClassRank != b->schedClassRank)
-            return a->schedClassRank < b->schedClassRank;
-        if (a->schedScore != b->schedScore)
-            return a->schedScore < b->schedScore;
-        if (a->spec().arrival != b->spec().arrival)
-            return a->spec().arrival < b->spec().arrival;
-        return a->id() < b->id();
-    }
-};
 
 /** Predicted-shortest-remaining-first scheduler. */
 class SrptScheduler : public IntraScheduler
@@ -61,45 +39,16 @@ class SrptScheduler : public IntraScheduler
 
     std::string name() const override { return "SRPT"; }
 
+    bool keysUsePredictions() const override { return true; }
+
   protected:
     /** @throws FatalError if no predictor is wired (SRPT cannot rank
      *  requests blind). */
     void planInto(const model::KvPool& pool,
                   IterationPlan& out) override;
 
-    void onHostedAdded(workload::Request* req) override
-    {
-        req->schedScore = lengthPredictor
-                              ? lengthPredictor->rankScore(*req)
-                              : 0.0;
-        queue.insert(req);
-    }
-
-    void onHostedRemoved(workload::Request* req) override
-    {
-        queue.erase(req);
-    }
-
-    void
-    onMaterialChanged(workload::Request* req, int delta) override
-    {
-        (void)delta;
-        queue.noteMaterialized(req);
-    }
-
-    void onRequestExecuted(workload::Request* req, bool) override
-    {
-        // Progress moves the predicted remaining work.
-        req->schedScore = lengthPredictor->rankScore(*req);
-        queue.markDirty(req);
-        noteKeyChanged(req);
-        noteStateChanged();
-    }
-
-    bool keysUsePredictions() const override { return true; }
-
   private:
-    OrderedQueue<SrptOrder> queue{1};
+    SortMemo orderMemo;
 };
 
 } // namespace core

@@ -137,11 +137,11 @@ class LengthPredictor
     /**
      * Monotone state version. Advances whenever the predictor's
      * internal state — and therefore its predictions for requests
-     * that did not themselves progress — may have changed. Schedulers
-     * whose ordering keys come from predictions (SRPT, PASCAL-Spec)
-     * re-key every hosted request when it moves. Stateless predictors
-     * (oracle, noisy oracle) never bump it: their estimates are pure
-     * functions of the request's own progress.
+     * that did not themselves progress — may have changed. The
+     * cluster's predictive placement view rebuilds every instance's
+     * snapshot when it moves. Stateless predictors (oracle, noisy
+     * oracle) never bump it: their estimates are pure functions of the
+     * request's own progress.
      */
     std::uint64_t version() const { return versionCounter; }
 

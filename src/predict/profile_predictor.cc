@@ -21,8 +21,8 @@ constexpr double kPriorAnswerTokens = 500.0;
 void
 RunningQuantile::add(double x)
 {
-    samples.push_back(x);
-    sorted = false;
+    samples.insert(std::upper_bound(samples.begin(), samples.end(), x),
+                   x);
 }
 
 double
@@ -30,10 +30,6 @@ RunningQuantile::quantile(double q) const
 {
     if (samples.empty())
         return 0.0;
-    if (!sorted) {
-        std::sort(samples.begin(), samples.end());
-        sorted = true;
-    }
     double pos = q * static_cast<double>(samples.size() - 1);
     auto lo = static_cast<std::size_t>(pos);
     std::size_t hi = std::min(lo + 1, samples.size() - 1);

@@ -30,15 +30,15 @@ namespace predict
 {
 
 /**
- * Exact running quantile: samples accumulate online and the quantile
- * is computed from a lazily re-sorted buffer. Completion counts per
- * run are small (thousands), so exactness is cheaper than an
- * approximate sketch would be to verify.
+ * Exact running quantile: samples are kept sorted as they arrive, so
+ * a query is O(1) interpolation and an observation one binary search
+ * plus a shift. Completion counts per run are small (thousands), so
+ * exactness is cheaper than an approximate sketch would be to verify.
  */
 class RunningQuantile
 {
   public:
-    /** Record one observation. */
+    /** Record one observation (sorted insert, after equal samples). */
     void add(double x);
 
     /** Empirical @p q quantile (q in (0,1)); 0 when empty. */
@@ -47,8 +47,7 @@ class RunningQuantile
     std::size_t count() const { return samples.size(); }
 
   private:
-    mutable std::vector<double> samples;
-    mutable bool sorted = true;
+    std::vector<double> samples; //!< Always ascending.
 };
 
 /** Online per-dataset running-quantile length predictor. */

@@ -298,9 +298,21 @@ class Request
     Request* schedNextHosted = nullptr;
 
     /** Cached predictor rank score used as the ordering key by
-     *  SRPT/PASCAL-Spec; refreshed whenever the request is re-keyed
-     *  so comparisons never call the predictor. */
+     *  SRPT/PASCAL-Spec; computed once per request per plan so the
+     *  sort's comparisons never call the predictor (0 elsewhere). */
     double schedScore = 0.0;
+
+    /** @name Warm-sort memo
+     *  The last sort of the request's queue: its stamp, the request's
+     *  position in it, and the mutable key fields it was sorted with
+     *  (core::IntraScheduler::warmSort()). */
+    /** @{ */
+    std::uint64_t sortStamp = 0;
+    std::uint32_t sortRank = 0;
+    int sortQuanta = 0;
+    double sortScore = 0.0;
+    std::uint8_t sortClassRank = 0;
+    /** @} */
 
     /** quantaConsumed at the last scheduler sync (change detector). */
     int schedCachedQuanta = 0;

@@ -10,7 +10,8 @@
  * {FCFS, RR, PASCAL, SRPT, PASCAL-Spec} x predictor grid in both
  * modes and compare every metric field exactly, plus unit-level
  * checks of the maintained monitor counters and the fast-path
- * engagement itself.
+ * engagement itself (including which policies never engage it:
+ * predictor-keyed SRPT and PASCAL-Spec always recompute).
  */
 
 #include <gtest/gtest.h>
@@ -109,6 +110,8 @@ predictorNamed(const std::string& kind)
         cfg.noiseSigma = 0.4;
     } else if (kind == "profile") {
         cfg.type = predict::PredictorType::Profile;
+    } else if (kind == "rank") {
+        cfg.type = predict::PredictorType::Rank;
     }
     return cfg;
 }
@@ -174,8 +177,7 @@ TEST_F(PlanReuseInvariance, EvictionStormTailStaysByteIdentical)
         cfg.limits.demoteThresholdTokens = 600;
         if (sched == SchedulerType::Srpt ||
             sched == SchedulerType::PascalSpec) {
-            // Predictor-keyed orders: schedScore drives the eviction
-            // tail's priority restoration too.
+            // Speculative policies need a predictor to rank by.
             cfg.predictor.type = predict::PredictorType::Oracle;
         }
 
@@ -213,13 +215,16 @@ TEST_F(PlanReuseInvariance, ReactiveSchedulersAcrossPredictors)
 
 TEST_F(PlanReuseInvariance, SpeculativeSchedulersAcrossPredictors)
 {
-    // SRPT and PASCAL-Spec re-key executed requests every iteration;
-    // the profile predictor additionally exercises the version-bump
-    // path that re-keys *idle* requests when the online learner moves.
+    // SRPT and PASCAL-Spec always recompute; forceResort makes them
+    // sort from scratch instead of warm-starting from the last sort,
+    // which must not change a byte. Static predictors re-key only the
+    // executed members, online learners (profile, rank) also the idle
+    // ones.
     auto trace = churnTrace(777);
     for (SchedulerType sched :
          {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
-        for (const std::string kind : {"oracle", "noisy", "profile"}) {
+        for (const std::string kind :
+             {"oracle", "noisy", "profile", "rank"}) {
             SCOPED_TRACE("scheduler " +
                          std::to_string(static_cast<int>(sched)) +
                          " predictor " + kind);
@@ -515,6 +520,50 @@ TEST_F(PlanReuseFastPath, RepairsOutnumberFullWalksOnTransitionStorm)
     double repairs = clusterCounter(result, "cluster.plan.repairs");
     EXPECT_GT(repairs, 0.0);
     EXPECT_GT(repairs, clusterCounter(result, "cluster.plan.full_walks"));
+}
+
+TEST_F(PlanReuseFastPath, PredictorKeyedSchedulersAlwaysRecompute)
+{
+    if (std::getenv("PASCAL_FORCE_RESORT") != nullptr)
+        GTEST_SKIP() << "fast path globally disabled by env";
+    // Predicted remaining work moves with every token, so SRPT and
+    // PASCAL-Spec never maintain queues: no plan is reused or
+    // repaired. Wiring a predictor only for predictive placement
+    // leaves reactive PASCAL's queues unkeyed, and it keeps the
+    // incremental fast path.
+    auto trace = transitionTrace(99, 500);
+    struct Case
+    {
+        SchedulerType sched;
+        const char* predictor;
+        bool keyed;
+    };
+    for (const Case& c : {Case{SchedulerType::PascalSpec, "profile", true},
+                          Case{SchedulerType::Srpt, "oracle", true},
+                          Case{SchedulerType::Pascal, "profile", false}}) {
+        SCOPED_TRACE(std::string("scheduler ") +
+                     std::to_string(static_cast<int>(c.sched)) +
+                     " predictor " + c.predictor);
+        SystemConfig cfg =
+            repairConfig(c.sched, predictorNamed(c.predictor), 32768);
+        ASSERT_EQ(cfg.placement, PlacementType::PascalPredictive);
+        cluster::RunContext ctx(cfg);
+        ctx.submit(trace);
+        ctx.run();
+        std::uint64_t reuses = 0;
+        std::uint64_t repairs = 0;
+        for (const auto& inst : ctx.cluster().getInstances()) {
+            EXPECT_EQ(inst->scheduler().incrementalEnabled(), !c.keyed);
+            reuses += inst->numPlanReuses();
+            repairs += inst->numPlanRepairs();
+        }
+        if (c.keyed) {
+            EXPECT_EQ(reuses, 0u);
+            EXPECT_EQ(repairs, 0u);
+        } else {
+            EXPECT_GT(reuses, 0u);
+        }
+    }
 }
 
 TEST_F(PlanReuseFastPath, ForcePlanRepairKeepsTheJournalDark)

@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "src/common/log.hh"
+#include "src/common/rng.hh"
 #include "src/predict/oracle_predictor.hh"
 #include "src/predict/predictor.hh"
 #include "src/predict/profile_predictor.hh"
@@ -212,18 +215,36 @@ TEST(ProfilePredictor, StartInAnsweringSkewsNoReasoningQuantile)
                      200.0);
 }
 
-TEST(RunningQuantile, InterpolatesAndResorts)
+TEST(RunningQuantile, MatchesSortedReferenceBitwise)
 {
+    // The sorted-insert buffer must answer every query exactly like a
+    // fresh sort of everything seen so far. Few distinct values (with
+    // an occasional fractional one) keep long runs of duplicates in
+    // play, where an insert position off by one would still pass a
+    // tolerance check but not a bitwise one.
     predict::RunningQuantile q;
-    EXPECT_DOUBLE_EQ(q.quantile(0.5), 0.0);
-    q.add(30.0);
-    q.add(10.0);
-    q.add(20.0);
-    EXPECT_DOUBLE_EQ(q.quantile(0.5), 20.0);
-    EXPECT_DOUBLE_EQ(q.quantile(0.25), 15.0);
-    q.add(40.0); // Re-sort after the cached sort.
-    EXPECT_DOUBLE_EQ(q.quantile(0.5), 25.0);
-    EXPECT_EQ(q.count(), 4u);
+    EXPECT_EQ(q.quantile(0.5), 0.0);
+    Rng rng(2026);
+    std::vector<double> seen;
+    for (int i = 0; i < 10000; ++i) {
+        double x = static_cast<double>(rng.uniformInt(0, 40));
+        if (rng.bernoulli(0.1))
+            x += rng.uniformReal(0.0, 1.0);
+        q.add(x);
+        seen.push_back(x);
+        std::vector<double> ref = seen;
+        std::sort(ref.begin(), ref.end());
+        for (double p : {0.1, 0.5, 0.9}) {
+            double pos = p * static_cast<double>(ref.size() - 1);
+            auto lo = static_cast<std::size_t>(pos);
+            std::size_t hi = std::min(lo + 1, ref.size() - 1);
+            double frac = pos - static_cast<double>(lo);
+            double want = ref[lo] + frac * (ref[hi] - ref[lo]);
+            ASSERT_EQ(q.quantile(p), want) << "after " << i + 1
+                                           << " adds, q=" << p;
+        }
+    }
+    EXPECT_EQ(q.count(), seen.size());
 }
 
 TEST(RankPredictor, LearnsWhichBucketFinishesFirst)

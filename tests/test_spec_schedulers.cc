@@ -86,14 +86,60 @@ TEST(SrptScheduler, OrdersByPredictedRemainingWork)
     EXPECT_EQ(plan.decode[1], medium);
     EXPECT_EQ(plan.decode[2], longest);
 
-    // The plan carries the predicted backlog of its batch.
-    double expected = oracle.predictRemainingTokens(*longest) +
-                      oracle.predictRemainingTokens(*medium) +
-                      oracle.predictRemainingTokens(*shortest);
-    EXPECT_DOUBLE_EQ(plan.predictedRemainingTokens, expected);
-
     // SRPT disables quantum accounting like FCFS.
     EXPECT_EQ(sched.schedLimits().quantum, 0);
+}
+
+/** Exposes the protected warm-started sort. */
+struct WarmSortProbe : SrptScheduler
+{
+    using SrptScheduler::SrptScheduler;
+    using SrptScheduler::SortMemo;
+    using SrptScheduler::warmSort;
+};
+
+TEST(SpecSchedulers, WarmSortMatchesColdSort)
+{
+    // Two queues over one pool. Each round re-keys some members (ten
+    // score values, so ties fall through to arrival and id) and moves
+    // some between the queues or out of both, and each queue arrives
+    // in a rotated order. The warm sort must equal std::sort each time.
+    SchedulerHarness h(100000);
+    std::vector<workload::Request*> pool;
+    std::vector<std::int64_t> queue_of;
+    Rng rng(2024);
+    for (int i = 0; i < 200; ++i) {
+        pool.push_back(h.make(i, static_cast<double>(i % 37), 10, 10, 10));
+        queue_of.push_back(rng.uniformInt(-1, 1));
+    }
+    WarmSortProbe probe(specLimits());
+    WarmSortProbe::SortMemo memos[2];
+    for (std::size_t round = 0; round < 500; ++round) {
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+            double u = rng.uniformReal(0.0, 1.0);
+            auto v = rng.uniformInt(0, 9);
+            if (u < 0.05)
+                queue_of[i] = v % 3 - 1;
+            else if (u < 0.15)
+                pool[i]->schedScore = static_cast<double>(v);
+            else if (u < 0.18)
+                ++pool[i]->quantaConsumed;
+            else if (u < 0.19)
+                pool[i]->schedClassRank = static_cast<std::uint8_t>(v % 3);
+        }
+        for (int q = 0; q < 2; ++q) {
+            std::vector<workload::Request*> items;
+            for (std::size_t i = 0; i < pool.size(); ++i) {
+                std::size_t k = (i + round) % pool.size();
+                if (queue_of[k] == q)
+                    items.push_back(pool[k]);
+            }
+            auto cold = items;
+            std::sort(cold.begin(), cold.end(), core::PascalQueueOrder{});
+            probe.warmSort(items, memos[q], core::PascalQueueOrder{});
+            ASSERT_EQ(items, cold) << "round " << round << " queue " << q;
+        }
+    }
 }
 
 TEST(PascalSpecScheduler, PredictiveDemotionFiresInsideLookahead)
