@@ -46,10 +46,10 @@ Instance::Instance(InstanceId id, sim::Simulator& sim,
       perf(perf),
       sched(std::move(sched)),
       kvPool(kv_capacity_tokens, kv_block_size_tokens),
-      slo(slo),
       callbacks(std::move(callbacks)),
       pcie(sim, perf.hardwareConfig().effPcieBandwidth(),
-           "pcie-" + std::to_string(id))
+           "pcie-" + std::to_string(id)),
+      monitor(slo)
 {
     if (this->sched == nullptr)
         panic("Instance needs a scheduler");
@@ -85,8 +85,7 @@ Instance::admit(Request* req)
     sched->add(req);
     // startInAnswering arrivals begin their TTFAT countdown the
     // moment they are admitted.
-    sloHeapFix(req);
-    sloNoteExact(req);
+    monitor.park(req);
     if (trace != nullptr) {
         trace->instant(obs::TraceCat::Admission, obs::TraceName::Admit,
                        instanceId, sim.now(), obs::TraceArg::Request,
@@ -139,8 +138,7 @@ Instance::landMigration(Request* req)
         req->accrualKind = BucketKind::Preempted;
     }
     sched->add(req);
-    sloHeapFix(req);
-    sloNoteExact(req);
+    monitor.park(req);
     markViewDirty();
     kick();
 }
@@ -160,7 +158,7 @@ Instance::detach(Request* req)
         req->kvSlot = model::kNoKvSlot;
     }
     sched->remove(req);
-    sloHeapErase(req);
+    monitor.remove(req);
     req->exec = ExecState::InTransit;
     markViewDirty();
 }
@@ -182,8 +180,7 @@ Instance::demoteBestEffort(Request* req)
     sched->add(req);
     // The pacing targets just relaxed to the Batch class's: the SLO
     // monitor key must move with them.
-    sloHeapFix(req);
-    sloNoteExact(req);
+    monitor.park(req);
     markViewDirty();
 }
 
@@ -519,33 +516,18 @@ Instance::completeIteration(Time step_start)
         r->completePrefill(now, quantum);
         sched->noteExecuted(r);
         // A one-token reasoning phase transitions at its prefill.
-        sloHeapFix(r);
-        sloNoteExact(r);
+        monitor.park(r);
     }
     for (auto* r : plan.decode) {
-        // Steady answering emission: the request was already pacing
-        // (in the heap with its first answer token emitted) and this
-        // token advances its flip bound by exactly one tpot. Those
-        // advances are applied in bulk below (usually a single
-        // per-instance offset bump); only formula switches —
-        // transition, first answer token, finish — re-key eagerly.
-        bool was_pacing =
-            r->sloHeapPos >= 0 && r->firstAnswer >= 0.0;
         r->settleAccrual(now);
         r->emitToken(now, quantum);
         ++decodeTokens;
         sched->noteExecuted(r);
-        if (was_pacing) {
-            if (r->finished())
-                sloHeapErase(r);
-            else
-                ++sloAdvanced;
-        } else {
-            sloHeapFix(r);
-            sloNoteExact(r);
-        }
+        monitor.onEmit(r);
     }
-    sloHeapAdvance();
+    // Answering members that sat this step out park at their exact
+    // keys; the batch's pacing keys advance with one offset bump.
+    monitor.endStep(iterationEpoch);
 
     auto handle = [&](Request* r) {
         if (r->finished()) {
@@ -583,328 +565,16 @@ Instance::completeIteration(Time step_start)
     startIteration();
 }
 
-Time
-Instance::tpotOf(const Request* r) const
-{
-    // Per-class pacing target when classes are on; the global SLO
-    // otherwise. Best-effort demotion relaxes to the Batch targets.
-    if (classCfg.enabled)
-        return classCfg.effective(r->spec().sloClass, r->bestEffort)
-            .tpotTarget;
-    return slo.tpotTarget;
-}
-
-Time
-Instance::ttfatOf(const Request* r) const
-{
-    if (classCfg.enabled)
-        return classCfg.effective(r->spec().sloClass, r->bestEffort)
-            .ttfatTarget;
-    return slo.ttfatTarget;
-}
-
-double
-Instance::sloKeyOf(const Request* r) const
-{
-    if (r->firstAnswer >= 0.0) {
-        // The verdict can only flip once the expected-token floor
-        // reaches generated - margin; one tpot of slack absorbs any
-        // rounding disagreement between this bound and the
-        // floor-based check in sloViolated().
-        double flip_tokens = static_cast<double>(
-            r->answerGenerated() - slo.monitorBufferMarginTokens - 1);
-        return r->firstAnswer + flip_tokens * tpotOf(r);
-    }
-    // Transitioned but no first answering token yet: the verdict
-    // flips exactly when the TTFAT budget runs out; one tpot of
-    // slack absorbs any rounding disagreement with the subtraction
-    // in the exact check.
-    return r->reasoningEnd + ttfatOf(r) - tpotOf(r);
-}
-
-bool
-Instance::sloViolated(const Request* r, Time now) const
-{
-    if (r->firstAnswer >= 0.0) {
-        // The user digests one token per tpot from the first
-        // answering token; the monitor flags the request once the
-        // pacer buffer (generated minus digested) runs below the
-        // early-warning margin.
-        auto expected = static_cast<TokenCount>(
-            std::floor((now - r->firstAnswer) / tpotOf(r))) + 1;
-        expected = std::min(expected + slo.monitorBufferMarginTokens,
-                            r->spec().answerTokens);
-        return r->answerGenerated() < expected;
-    }
-    // Failing once the TTFAT budget is exhausted.
-    return now - r->reasoningEnd > ttfatOf(r);
-}
-
-void
-Instance::sloHeapSiftUp(std::size_t i)
-{
-    Request* r = sloHeap[i];
-    while (i > 0) {
-        std::size_t parent = (i - 1) / 2;
-        if (sloHeap[parent]->sloKey <= r->sloKey)
-            break;
-        sloHeap[i] = sloHeap[parent];
-        sloHeap[i]->sloHeapPos = static_cast<std::int32_t>(i);
-        i = parent;
-    }
-    sloHeap[i] = r;
-    r->sloHeapPos = static_cast<std::int32_t>(i);
-}
-
-void
-Instance::sloHeapSiftDown(std::size_t i)
-{
-    Request* r = sloHeap[i];
-    std::size_t n = sloHeap.size();
-    for (;;) {
-        std::size_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n &&
-            sloHeap[child + 1]->sloKey < sloHeap[child]->sloKey) {
-            ++child;
-        }
-        if (r->sloKey <= sloHeap[child]->sloKey)
-            break;
-        sloHeap[i] = sloHeap[child];
-        sloHeap[i]->sloHeapPos = static_cast<std::int32_t>(i);
-        i = child;
-    }
-    sloHeap[i] = r;
-    r->sloHeapPos = static_cast<std::int32_t>(i);
-}
-
-void
-Instance::sloHeapErase(Request* r)
-{
-    std::int32_t pos = r->sloHeapPos;
-    if (pos < 0)
-        return; // Not at risk (e.g. a reasoning-phase detach).
-    r->sloHeapPos = -1;
-    Request* last = sloHeap.back();
-    sloHeap.pop_back();
-    if (last != r) {
-        auto i = static_cast<std::size_t>(pos);
-        sloHeap[i] = last;
-        last->sloHeapPos = pos;
-        sloHeapSiftUp(i);
-        sloHeapSiftDown(static_cast<std::size_t>(last->sloHeapPos));
-    }
-}
-
-void
-Instance::sloNoteExact(Request* r)
-{
-    // Entries keyed exactly against the current offset need
-    // compensation if the offset bumps this iteration; the flag
-    // dedupes (a landing followed by a first decode would otherwise
-    // enter twice and spuriously defeat the bump).
-    if (r->sloHeapPos >= 0 && !r->sloExactPending) {
-        r->sloExactPending = true;
-        sloExactScratch.push_back(r);
-    }
-}
-
-void
-Instance::sloHeapFix(Request* r)
-{
-    bool member = r->phase() == Phase::Answering && !r->finished();
-    if (!member) {
-        sloHeapErase(r);
-        return;
-    }
-    double key = sloKeyOf(r) - sloOffset;
-    if (r->sloHeapPos < 0) {
-        ++sloRekeys;
-        r->sloKey = key;
-        sloHeap.push_back(r);
-        sloHeapSiftUp(sloHeap.size() - 1);
-        return;
-    }
-    if (key == r->sloKey)
-        return;
-    ++sloRekeys;
-    bool up = key < r->sloKey;
-    r->sloKey = key;
-    auto i = static_cast<std::size_t>(r->sloHeapPos);
-    if (up)
-        sloHeapSiftUp(i);
-    else
-        sloHeapSiftDown(i);
-}
-
-void
-Instance::sloHeapAdvance()
-{
-    if (sloAdvanced > 0) {
-        std::size_t exact_live = 0;
-        for (const auto* r : sloExactScratch) {
-            if (r->sloHeapPos >= 0)
-                ++exact_live;
-        }
-        if (!classCfg.enabled &&
-            sloAdvanced + exact_live == sloHeap.size()) {
-            // Every heap member either advanced one answer token
-            // (flip bound moves by exactly one tpot) or was re-keyed
-            // exactly this iteration: advance the shared offset once
-            // and compensate the exact re-keys, so the steady batch
-            // pays O(1) instead of one sift per member per token.
-            // With SLO classes on the per-request tpot targets are
-            // mixed, so a single shared bump is unsound and the Floyd
-            // rebuild below handles every advance exactly.
-            sloOffset += slo.tpotTarget;
-            ++sloRekeys;
-            for (auto* r : sloExactScratch) {
-                if (r->sloHeapPos < 0)
-                    continue;
-                r->sloKey -= slo.tpotTarget;
-                sloHeapSiftUp(static_cast<std::size_t>(r->sloHeapPos));
-            }
-        } else {
-            // Mixed population (some members — preempted or swapped
-            // answering requests — did not advance): recompute every
-            // key against the offset and restore the heap with one
-            // bottom-up (Floyd) pass — O(members), contiguous, no
-            // per-token bookkeeping.
-            for (auto* r : sloHeap)
-                r->sloKey = sloKeyOf(r) - sloOffset;
-            for (std::size_t i = sloHeap.size() / 2; i-- > 0;)
-                sloHeapSiftDown(i);
-            for (std::size_t i = 0; i < sloHeap.size(); ++i)
-                sloHeap[i]->sloHeapPos =
-                    static_cast<std::int32_t>(i);
-            sloRekeys += sloHeap.size();
-        }
-    }
-    sloAdvanced = 0;
-    for (auto* r : sloExactScratch)
-        r->sloExactPending = false;
-    sloExactScratch.clear();
-}
-
-bool
-Instance::sloAtRiskViolated(std::size_t i, Time now) const
-{
-    if (i >= sloHeap.size() || sloHeap[i]->sloKey + sloOffset > now)
-        return false; // Heap order prunes the whole subtree.
-    if (sloViolated(sloHeap[i], now))
-        return true;
-    return sloAtRiskViolated(2 * i + 1, now) ||
-           sloAtRiskViolated(2 * i + 2, now);
-}
-
 bool
 Instance::answeringSloOk(Time now, Time* slo_risk_at) const
 {
-    // Min-deadline heap: the top key is the earliest time any
-    // answering request's verdict could flip, so the common decision
-    // is a single comparison. Only requests inside their conservative
-    // one-tpot risk window are ever re-checked exactly (the per-
-    // request check itself is exact — the keys only gate when it
-    // runs, and their one-tpot slack dwarfs the offset encoding's
-    // rounding drift).
-    if (sloHeap.empty()) {
-        if (slo_risk_at != nullptr)
-            *slo_risk_at = kTimeInfinity;
-        return true;
-    }
-    double top = sloHeap.front()->sloKey + sloOffset;
-    if (now >= top && sloAtRiskViolated(0, now)) {
-        if (slo_risk_at != nullptr)
-            *slo_risk_at = kTimeInfinity; // Sticky until dirty.
-        return false;
-    }
-    if (slo_risk_at != nullptr)
-        *slo_risk_at = top;
-    return true;
-}
-
-bool
-Instance::answeringSloOkScan(Time now, Time* slo_risk_at) const
-{
-    // Reference O(hosted) walk the heap replaced; shares the exact
-    // per-request check and the flip-bound formula with the heap so
-    // the two can never drift. Audits and tests call this to
-    // cross-check the maintained heap.
-    Time risk = kTimeInfinity;
-    for (const auto* r : sched->hosted()) {
-        if (r->phase() != Phase::Answering || r->finished())
-            continue;
-        if (sloViolated(r, now)) {
-            if (slo_risk_at != nullptr)
-                *slo_risk_at = kTimeInfinity; // Sticky until dirty.
-            return false;
-        }
-        risk = std::min(risk, sloKeyOf(r));
-    }
-    if (slo_risk_at != nullptr)
-        *slo_risk_at = risk;
-    return true;
+    return monitor.answeringSloOk(now, slo_risk_at);
 }
 
 void
 Instance::verifySloHeap(Time now) const
 {
-    std::size_t members = 0;
-    for (const auto* r : sched->hosted()) {
-        bool member = r->phase() == Phase::Answering && !r->finished();
-        if (!member) {
-            if (r->sloHeapPos >= 0) {
-                panic("SLO heap holds non-answering request " +
-                      std::to_string(r->id()) + " on instance " +
-                      std::to_string(instanceId));
-            }
-            continue;
-        }
-        ++members;
-        auto pos = static_cast<std::size_t>(r->sloHeapPos);
-        if (r->sloHeapPos < 0 || pos >= sloHeap.size() ||
-            sloHeap[pos] != r) {
-            panic("SLO heap lost answering request " +
-                  std::to_string(r->id()) + " on instance " +
-                  std::to_string(instanceId));
-        }
-        // The offset encoding trades bit-exact keys for O(1) steady
-        // advances; the drift is bounded by summation rounding, far
-        // inside the key's built-in one-tpot conservatism.
-        double drift = (r->sloKey + sloOffset) - sloKeyOf(r);
-        if (drift > 0.25 * tpotOf(r) ||
-            drift < -0.25 * tpotOf(r)) {
-            panic("SLO heap key stale for request " +
-                  std::to_string(r->id()) + " on instance " +
-                  std::to_string(instanceId) + " (drift " +
-                  std::to_string(drift) + ")");
-        }
-    }
-    if (members != sloHeap.size()) {
-        panic("SLO heap size " + std::to_string(sloHeap.size()) +
-              " != answering population " + std::to_string(members) +
-              " on instance " + std::to_string(instanceId));
-    }
-    for (std::size_t i = 1; i < sloHeap.size(); ++i) {
-        if (sloHeap[(i - 1) / 2]->sloKey > sloHeap[i]->sloKey)
-            panic("SLO heap order violated on instance " +
-                  std::to_string(instanceId));
-    }
-    Time heap_risk = kTimeInfinity;
-    Time scan_risk = kTimeInfinity;
-    bool heap_ok = answeringSloOk(now, &heap_risk);
-    bool scan_ok = answeringSloOkScan(now, &scan_risk);
-    bool risk_close =
-        heap_risk == scan_risk ||
-        (heap_risk - scan_risk < 0.25 * slo.tpotTarget &&
-         scan_risk - heap_risk < 0.25 * slo.tpotTarget);
-    if (heap_ok != scan_ok || !risk_close) {
-        panic("SLO heap verdict diverged from reference walk on "
-              "instance " +
-              std::to_string(instanceId) + " at t=" +
-              std::to_string(now));
-    }
+    monitor.verify(sched->hosted(), now, instanceId);
 }
 
 core::InstanceSnapshot
@@ -958,7 +628,8 @@ Instance::registerStats(obs::StatRegistry& reg,
     reg.counter(prefix + ".plan.repairs", &planRepairs);
     reg.counter(prefix + ".plan.full_walks",
                 [this] { return planBuilds - planRepairs; });
-    reg.counter(prefix + ".slo.rekeys", &sloRekeys);
+    reg.counter(prefix + ".slo.rekeys",
+                [this] { return monitor.numRekeys(); });
     reg.counter(prefix + ".queue.compactions", [this] {
         return sched->numEvictQueueCompactions();
     });

@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/cluster/slo_monitor.hh"
 #include "src/core/cluster_view.hh"
 #include "src/core/intra_scheduler.hh"
 #include "src/model/kv_pool.hh"
@@ -165,7 +166,7 @@ class Instance
      */
     void setSloClassConfig(const qoe::SloClassConfig& c)
     {
-        classCfg = c;
+        monitor.setClassConfig(c);
     }
 
     /**
@@ -187,18 +188,8 @@ class Instance
 
     /** @} */
 
-    /**
-     * Paper t_i: all answering requests are keeping the user's
-     * expected pace (token pacer not starved).
-     *
-     * @param slo_risk_at Optional out-param: earliest time a *true*
-     *        verdict could flip to false with no further state change
-     *        on this instance (kTimeInfinity when it cannot, e.g. no
-     *        live answering requests or already false — false is
-     *        sticky until an instance event). Conservative by at
-     *        least one tpot so floating-point rounding can never make
-     *        a cached verdict disagree with a fresh recomputation.
-     */
+    /** Paper t_i: all answering requests are keeping the user's
+     *  expected pace (SloMonitor::answeringSloOk). */
     bool answeringSloOk(Time now, Time* slo_risk_at = nullptr) const;
 
     /** Monitor snapshot for the placement algorithms. @p slo_risk_at
@@ -265,9 +256,8 @@ class Instance
     /** Non-reused boundaries that fell through to the O(material)
      *  buildPlan walk: numPlanBuilds() - numPlanRepairs(). */
     std::uint64_t numFullWalks() const { return planBuilds - planRepairs; }
-    /** SLO-heap re-key operations (emission / admission / landing /
-     *  removal fixups). */
-    std::uint64_t numSloHeapRekeys() const { return sloRekeys; }
+    /** SLO-monitor re-keys: stored-key writes plus offset bumps. */
+    std::uint64_t numSloHeapRekeys() const { return monitor.numRekeys(); }
     /** @} */
 
     /**
@@ -288,13 +278,8 @@ class Instance
     void registerStats(obs::StatRegistry& reg,
                        const std::string& prefix);
 
-    /**
-     * Debug hook (cluster view audits): recompute every hosted
-     * request's SLO-heap membership and key from scratch and panic on
-     * any divergence from the maintained heap, then cross-check the
-     * heap-based answeringSloOk verdict against the reference
-     * O(hosted) walk at @p now.
-     */
+    /** Debug hook (cluster view audits): SloMonitor::verify over the
+     *  hosted set at @p now. */
     void verifySloHeap(Time now) const;
 
   private:
@@ -336,11 +321,6 @@ class Instance
     const model::PerfModel& perf;
     std::unique_ptr<core::IntraScheduler> sched;
     model::KvPool kvPool;
-    qoe::SloConfig slo;
-
-    /** Per-class SLO targets (disabled by default: every per-request
-     *  target collapses to the global SloConfig). */
-    qoe::SloClassConfig classCfg;
 
     InstanceCallbacks callbacks;
     model::Link pcie;
@@ -413,87 +393,6 @@ class Instance
      *  registerStats wires it). */
     stats::Summary* batchDist = nullptr;
 
-    /** @name Min-deadline SLO heap (see answeringSloOk)
-     *
-     * Intrusive binary min-heap over the hosted answering requests,
-     * keyed by the earliest time each one's TPOT/TTFAT verdict could
-     * flip (Request::sloKey; position in Request::sloHeapPos). The
-     * paper's t_i monitor check then peeks the heap top in O(1)
-     * instead of walking every hosted request on each dirty snapshot
-     * refresh. Keys move only with token progress or membership —
-     * emission, phase transition, admission, landing, detach, finish
-     * — so plan application (swaps) never re-keys.
-     */
-    /** @{ */
-
-    /** Effective per-request TPOT target: the class's (Batch's for
-     *  best-effort) when classes are on, the global otherwise. */
-    Time tpotOf(const workload::Request* r) const;
-
-    /** Effective per-request TTFAT target (same selection rule). */
-    Time ttfatOf(const workload::Request* r) const;
-
-    /** Conservative flip-time key for an answering request (exact
-     *  formula shared with the reference walk). */
-    double sloKeyOf(const workload::Request* r) const;
-
-    /** Exact verdict for one request at @p now (shared with the
-     *  reference walk). */
-    bool sloViolated(const workload::Request* r, Time now) const;
-
-    /** Membership + key fixup after any event that can move them. */
-    void sloHeapFix(workload::Request* r);
-
-    /** Record an exactly-keyed heap entry for offset compensation
-     *  (deduped via Request::sloExactPending). */
-    void sloNoteExact(workload::Request* r);
-
-    /**
-     * Bulk per-iteration key advance: when every heap member either
-     * emitted one answer token (flip bound += exactly one tpot) or
-     * was exactly re-keyed this iteration, a single bump of sloOffset
-     * advances the whole heap in O(1) (the exact re-keys are
-     * compensated); otherwise the advanced members are re-keyed
-     * individually. Consumes the two scratch lists the emission loop
-     * filled.
-     */
-    void sloHeapAdvance();
-
-    void sloHeapErase(workload::Request* r);
-    void sloHeapSiftUp(std::size_t i);
-    void sloHeapSiftDown(std::size_t i);
-
-    /** DFS over the heap's {key <= now} rooted subtree, exactly
-     *  re-checking each at-risk request. */
-    bool sloAtRiskViolated(std::size_t i, Time now) const;
-
-    /** Reference O(hosted) implementation of answeringSloOk (kept
-     *  for audits and tests; shares sloKeyOf/sloViolated). */
-    bool answeringSloOkScan(Time now, Time* slo_risk_at) const;
-
-    std::vector<workload::Request*> sloHeap;
-
-    /**
-     * Shared key offset: stored keys are relative (real flip bound =
-     * Request::sloKey + sloOffset), so the dominant steady decode
-     * iteration — every answering request advances one token, every
-     * flip bound moves one tpot — is one addition instead of one
-     * sift per batch member. The encoding's rounding drift is bounded
-     * far inside the key's built-in one-tpot conservatism (the exact
-     * per-request check never consults keys).
-     */
-    double sloOffset = 0.0;
-
-    /** Per-iteration bookkeeping for sloHeapAdvance: how many
-     *  members advanced one answer token, and which were exactly
-     *  re-keyed (inserts / formula switches). */
-    std::size_t sloAdvanced = 0;
-    std::vector<workload::Request*> sloExactScratch;
-
-    std::uint64_t sloRekeys = 0;
-
-    /** @} */
-
     /** Run the deferred-deadline list through the cluster's policy at
      *  the iteration boundary (completeIteration, after the step's
      *  effects settle and stepInFlight clears). */
@@ -510,6 +409,10 @@ class Instance
      *  (unbounded growth); completeIteration() starts the next
      *  iteration itself once every expiry has settled. */
     bool drainingDeadlines = false;
+
+    /** The t_i monitor; the engine reports every event that moves an
+     *  answering request's membership or flip bound. */
+    SloMonitor monitor;
 };
 
 } // namespace cluster

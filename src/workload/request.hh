@@ -388,22 +388,21 @@ class Request
     /** @} */
 
     /**
-     * Intrusive min-deadline heap slot on the hosting Instance's SLO
-     * heap (-1 = not at risk / not answering). The heap tracks, per
-     * answering request, the earliest time its TPOT/TTFAT verdict
-     * could flip, so the monitor's answeringSloOk is a heap peek
-     * instead of an O(hosted) walk.
+     * Intrusive slot in one of the hosting instance's SLO-monitor
+     * heaps (-1 = not answering). The heaps track, per answering
+     * request, the earliest time its TPOT/TTFAT verdict could flip,
+     * so the monitor's answeringSloOk is a peek at the heap tops
+     * instead of an O(hosted) walk (see cluster::SloMonitor).
      */
     std::int32_t sloHeapPos = -1;
 
-    /** Cached conservative flip-time key for the SLO heap, relative
-     *  to the instance's shared offset (valid while sloHeapPos >=
-     *  0). */
+    /** Cached conservative flip-time key, relative to the holding
+     *  heap's offset (valid while sloHeapPos >= 0). */
     double sloKey = 0.0;
 
-    /** Already recorded for offset compensation this iteration (see
-     *  Instance::sloNoteExact). */
-    bool sloExactPending = false;
+    /** Which SLO-monitor heap holds the request: 0 = parked, 1.. =
+     *  pacing (valid while sloHeapPos >= 0). */
+    std::int8_t sloHeapId = -1;
 
     /** Index of the owning RequestArena chunk inside the Cluster's
      *  arena (-1 outside a cluster run); drives chunk recycling. */

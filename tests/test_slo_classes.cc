@@ -370,6 +370,9 @@ TEST_F(ClassBehavior, ChaosGridInvariantsAndReplay)
         params(cfg, SloClass::Standard).relativeDeadline = 6.0;
 
         RunContext ctx(cfg);
+        // Audit the per-class pacing heaps and best-effort target
+        // switches against the reference walk at every decision.
+        ctx.cluster().enableViewAudit();
         ctx.submit(trace);
         ctx.run();
         auto result = ctx.result();
@@ -469,6 +472,7 @@ TEST_F(ClassBehavior, DemoteOnExpiryKeepsWorkAliveAsBestEffort)
     params(cfg, SloClass::Standard).relativeDeadline = 0.0;
 
     RunContext ctx(cfg);
+    ctx.cluster().enableViewAudit();
     ctx.submit(trace);
     ctx.run();
     auto result = ctx.result();
