@@ -9,10 +9,12 @@ Loads a trace file (e.g. the nightly ``bench_chaos_goodput
     eviction/phase/migration/slo, plus fault/retry from the fault
     layer's crash/drain/straggler/link-failure and backoff-retry
     events);
-  * events in the ``admission`` and ``slo`` categories use their known
-    name vocabulary, and the SLO-class instants (``class_shed``,
-    ``deadline_exceeded``, ``demoted``) each carry a ``request`` arg
-    identifying which request was shed/expired/demoted;
+  * events in the ``plan``, ``admission`` and ``slo`` categories use
+    their known name vocabulary, and the SLO-class instants
+    (``class_shed``, ``deadline_exceeded``, ``demoted``) each carry a
+    ``request`` arg identifying which request was shed/expired/demoted;
+  * every ``full_walk`` instant carries a ``reason`` arg naming why
+    verbatim plan reuse declined, from core's ``PlanDecline`` names;
   * timestamps are monotonically non-decreasing per (pid, tid) track
     in file order (recording order is simulation order, so any
     decrease means the ring or the export reordered events);
@@ -49,17 +51,23 @@ KNOWN_CATEGORIES = {
 
 KNOWN_PHASES = {"i", "X", "b", "e"}
 
-# Name vocabulary for the categories with a pinned schema. The
-# SLO-class subsystem owns these: admission carries per-instance
-# admits plus class-aware sheds, slo carries the monitor verdicts plus
-# the deadline outcomes.
+# Name vocabulary for the categories with a pinned schema: a plan
+# boundary either reuses the last plan or walks; admission carries
+# per-instance admits plus class-aware sheds; slo carries the monitor
+# verdicts plus the deadline outcomes.
 KNOWN_NAMES_BY_CATEGORY = {
+    "plan": {"reuse", "full_walk"},
     "admission": {"admit", "class_shed"},
     "slo": {"ok", "violated", "deadline_exceeded", "demoted"},
 }
 
 # Instants that must identify their request in args.
 REQUEST_ARG_NAMES = {"class_shed", "deadline_exceeded", "demoted"}
+
+# Instants that must say why plan reuse declined, and the reasons they
+# may give (core::planDeclineNames()).
+REASON_ARG_NAMES = {"full_walk"}
+KNOWN_REASONS = {"none", "inactive", "state_changed", "veto", "budget"}
 
 
 def fail(errors, message, limit=20):
@@ -110,6 +118,15 @@ def validate(doc, min_categories):
                         errors,
                         f"{where}: '{name}' without an integer "
                         "'request' arg",
+                    )
+            if name in REASON_ARG_NAMES:
+                args = e.get("args")
+                reason = args.get("reason") if isinstance(args, dict) else None
+                if reason not in KNOWN_REASONS:
+                    fail(
+                        errors,
+                        f"{where}: '{name}' with reason {reason!r} "
+                        f"(known: {sorted(KNOWN_REASONS)})",
                     )
         if ph not in KNOWN_PHASES:
             fail(errors, f"{where}: unknown phase '{ph}'")

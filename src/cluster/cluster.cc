@@ -129,10 +129,6 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
     });
     registry.counter("cluster.plan.builds",
                      [this] { return totalPlanBuilds(); });
-    registry.counter("cluster.plan.repairs",
-                     [this] { return totalPlanRepairs(); });
-    registry.counter("cluster.plan.full_walks",
-                     [this] { return totalFullWalks(); });
     registry.counter("cluster.slo.rekeys",
                      [this] { return totalSloHeapRekeys(); });
     // Failure accounting: registered unconditionally (all-zero rows
@@ -964,24 +960,6 @@ Cluster::totalPlanBuilds() const
     std::uint64_t n = 0;
     for (const auto& inst : instances)
         n += inst->numPlanBuilds();
-    return n;
-}
-
-std::uint64_t
-Cluster::totalPlanRepairs() const
-{
-    std::uint64_t n = 0;
-    for (const auto& inst : instances)
-        n += inst->numPlanRepairs();
-    return n;
-}
-
-std::uint64_t
-Cluster::totalFullWalks() const
-{
-    std::uint64_t n = 0;
-    for (const auto& inst : instances)
-        n += inst->numFullWalks();
     return n;
 }
 

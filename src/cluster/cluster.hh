@@ -212,14 +212,6 @@ class Cluster
     /** Sum of scheduler plan builds across instances. */
     std::uint64_t totalPlanBuilds() const;
 
-    /** Sum of O(delta) plan repairs across instances (subset of
-     *  totalPlanBuilds()). */
-    std::uint64_t totalPlanRepairs() const;
-
-    /** Sum of full O(material) plan walks across instances:
-     *  totalPlanBuilds() - totalPlanRepairs(). */
-    std::uint64_t totalFullWalks() const;
-
     /** Sum of SLO-heap re-key operations across instances. */
     std::uint64_t totalSloHeapRekeys() const;
 

@@ -254,31 +254,16 @@ Instance::startIteration()
                            obs::TraceName::PlanReuse, instanceId,
                            sim.now());
         }
-    } else if (sched->repairPlan(inflight, kvPool)) {
-        // O(delta) middle path: verbatim reuse declined but the dirty
-        // set was small and benign, so the previous plan was patched
-        // in place. Counts as a build (it is a non-reused boundary)
-        // and as a repair.
-        ++planBuilds;
-        ++planRepairs;
-        if (trace != nullptr) {
-            // The reason arg answers "why not verbatim reuse".
-            trace->instant(obs::TraceCat::Plan,
-                           obs::TraceName::PlanRepair, instanceId,
-                           sim.now(), obs::TraceArg::Reason,
-                           static_cast<std::int64_t>(
-                               sched->lastReuseDecline()));
-        }
     } else {
         sched->buildPlan(kvPool, inflight);
         ++planBuilds;
         if (trace != nullptr) {
-            // The reason arg answers "why not the O(delta) repair".
+            // The reason arg answers "why not verbatim reuse".
             trace->instant(obs::TraceCat::Plan,
                            obs::TraceName::PlanFullWalk, instanceId,
                            sim.now(), obs::TraceArg::Reason,
                            static_cast<std::int64_t>(
-                               sched->lastRepairDecline()));
+                               sched->lastReuseDecline()));
         }
     }
     // Plan construction itself can mutate monitor-visible state
@@ -625,9 +610,8 @@ Instance::registerStats(obs::StatRegistry& reg,
     reg.counter(prefix + ".engine.swap_ins", &swapIns);
     reg.counter(prefix + ".plan.reuses", &planReuses);
     reg.counter(prefix + ".plan.builds", &planBuilds);
-    reg.counter(prefix + ".plan.repairs", &planRepairs);
-    reg.counter(prefix + ".plan.full_walks",
-                [this] { return planBuilds - planRepairs; });
+    // Every build is a full walk; the repo benchmark reads this name.
+    reg.counter(prefix + ".plan.full_walks", &planBuilds);
     reg.counter(prefix + ".slo.rekeys",
                 [this] { return monitor.numRekeys(); });
     reg.counter(prefix + ".queue.compactions", [this] {

@@ -245,17 +245,8 @@ class Instance
      *  the scheduler's steady-state fast path. */
     std::uint64_t numPlanReuses() const { return planReuses; }
     /** Full scheduler plan builds (non-reused boundaries, including
-     *  boundaries whose plan came back idle). Repaired boundaries
-     *  count here too (a repair is still a non-reused boundary);
-     *  numFullWalks() isolates the walks. */
+     *  boundaries whose plan came back idle). */
     std::uint64_t numPlanBuilds() const { return planBuilds; }
-    /** Non-reused boundaries satisfied by patching the previous plan
-     *  by its dirty set (IntraScheduler::repairPlan) instead of a
-     *  full material walk. Subset of numPlanBuilds(). */
-    std::uint64_t numPlanRepairs() const { return planRepairs; }
-    /** Non-reused boundaries that fell through to the O(material)
-     *  buildPlan walk: numPlanBuilds() - numPlanRepairs(). */
-    std::uint64_t numFullWalks() const { return planBuilds - planRepairs; }
     /** SLO-monitor re-keys: stored-key writes plus offset bumps. */
     std::uint64_t numSloHeapRekeys() const { return monitor.numRekeys(); }
     /** @} */
@@ -384,7 +375,6 @@ class Instance
     std::uint64_t swapIns = 0;
     std::uint64_t planReuses = 0;
     std::uint64_t planBuilds = 0;
-    std::uint64_t planRepairs = 0;
 
     /** Cluster-owned trace sink (may be null — the common case). */
     obs::TraceSink* trace = nullptr;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <functional>
 #include <string>
 
 #include "src/common/log.hh"
@@ -16,15 +15,11 @@ namespace core
 namespace
 {
 const char* const kPlanDeclineNames[] = {
-    "none",           // PlanDecline::None
-    "inactive",       // PlanDecline::Inactive
-    "state_changed",  // PlanDecline::StateChanged
-    "veto",           // PlanDecline::Veto
-    "budget",         // PlanDecline::Budget
-    "waiting_work",   // PlanDecline::WaitingWork
-    "swapped_members",// PlanDecline::SwappedMembers
-    "bailed",         // PlanDecline::Bailed
-    "batch_limit",    // PlanDecline::BatchLimit
+    "none",          // PlanDecline::None
+    "inactive",      // PlanDecline::Inactive
+    "state_changed", // PlanDecline::StateChanged
+    "veto",          // PlanDecline::Veto
+    "budget",        // PlanDecline::Budget
 };
 } // namespace
 
@@ -95,11 +90,6 @@ IntraScheduler::enableIncremental()
     incremental = true;
     stateChanged = true;
     lastPlanReusable = false;
-    // The plan-repair force twin backs off only the repair leg;
-    // queues, counters, and plan reuse stay incremental.
-    repairDisabled = std::getenv("PASCAL_FORCE_REPAIR") != nullptr ||
-                     limits.forcePlanRepair;
-    lastPlanRepairable = false;
 }
 
 void
@@ -121,8 +111,6 @@ IntraScheduler::add(workload::Request* req)
     req->schedInResidentList = false;
     req->schedEvictNode = nullptr;
     req->schedEvictDirty = false;
-    req->schedRepairState = kRepairNone;
-    req->schedRepairSplice = false;
     req->schedPlanStamp = 0;
     req->schedCountedPrewarm = false;
     req->schedCountedWaiting = false;
@@ -149,12 +137,6 @@ IntraScheduler::add(workload::Request* req)
     syncCounters(req);
     noteStateChanged();
     onHostedAdded(req);
-    // Journal entries for material landings are made by noteResidency
-    // (called above, before the state resets): it is the single point
-    // where a request gains KV on this instance — migration landings
-    // here, prefill/prewarm allocations in the engine. WaitingNew
-    // landings need no entry: a non-empty waiting set fails repair
-    // eligibility by itself.
 }
 
 void
@@ -189,38 +171,6 @@ IntraScheduler::remove(workload::Request* req)
         req->schedCountedFreshAns = false;
         req->schedDemotionPending = false;
         noteStateChanged();
-        if (repairActive()) {
-            if (req->schedRepairState == kRepairInsert) {
-                // Landed and departed within one lineage: cancel the
-                // pending insert instead of journaling an erase (the
-                // member never joined the batch).
-                for (auto it = repairJournal.rbegin();
-                     it != repairJournal.rend(); ++it) {
-                    if (it->req == req && it->op == kRepairInsert) {
-                        it->op = kRepairNone;
-                        break;
-                    }
-                }
-                req->schedRepairState = kRepairNone;
-            } else if (req->schedInResidentList) {
-                // Departing batch member: record its histogram bucket
-                // now — the entry must stay valid even if the request
-                // is re-hosted (and keeps growing) elsewhere. Having
-                // executed planAge + 1 times since its bucket was
-                // recorded, its build-time offset is kv - planAge - 1
-                // (mod block).
-                req->schedRepairState = kRepairNone;
-                std::int64_t block =
-                    static_cast<std::int64_t>(lastBlockSize);
-                std::int64_t v =
-                    static_cast<std::int64_t>(req->kvTokens()) -
-                    static_cast<std::int64_t>(planAge) - 1;
-                repairJournal.push_back(
-                    {req, kRepairErase,
-                     static_cast<std::uint32_t>(((v % block) + block) %
-                                                block)});
-            }
-        }
         // Queue unlink first (it reads schedInResidentList to keep
         // its material count exact), then the early-exit structures.
         onHostedRemoved(req);
@@ -261,22 +211,6 @@ IntraScheduler::noteResidency(workload::Request* req)
             // Deferred link: the eviction-order key is read at the
             // next build's repair(), after any same-boundary re-keys.
             evictOrder.insert(req);
-            if (repairActive()) {
-                if (req->exec == workload::ExecState::ResidentGpu &&
-                    req->schedRepairState == kRepairNone) {
-                    // GPU KV appeared mid-lineage (migration landing,
-                    // prefill or prewarm allocation during an
-                    // excursion): patchable — merge it into the
-                    // decode batch at its rank at the next boundary.
-                    req->schedRepairState = kRepairInsert;
-                    repairJournal.push_back({req, kRepairInsert, 0});
-                } else if (req->exec ==
-                           workload::ExecState::SwappedCpu) {
-                    // A swapped landing needs a swap-in decision the
-                    // patch path cannot make; only a full walk can.
-                    repairBail = true;
-                }
-            }
         }
         if (req->schedNode != nullptr) {
             // Flipped in place while linked (prefill/prewarm
@@ -379,10 +313,6 @@ void
 IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
 {
     out.reset();
-    // A walk does not by itself end a patchable lineage: whether it
-    // does depends on the plan it produces (see the excursion test
-    // below), so the journal is cleared at the end, not here.
-    bool lineage_alive = repairActive();
     if (incremental) {
         lastKeptResidents.clear();
         lastDecodeCapped.clear();
@@ -397,19 +327,6 @@ IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
         out.swapIn.empty() && out.swapOut.empty() &&
         !out.decode.empty() &&
         lastDecodeCapped.size() == out.decode.size();
-    if (lineage_alive && out.decode.empty() && out.swapIn.empty() &&
-        out.swapOut.empty() &&
-        (!out.prefill.empty() || !out.prewarm.empty())) {
-        // Prefill/prewarm excursion: the walk only admits new prompts
-        // — no decode member runs this iteration, so every basis
-        // member's KV (and with it the lineage's histogram, age and
-        // journal) is untouched, and the lineage stays patchable. The
-        // newly resident members journal their own inserts from
-        // noteResidency when the engine applies this plan, exactly
-        // like migration landings.
-        lastPlanRepairable = true;
-        return;
-    }
     planAge = 0;
     if (lastPlanReusable && lastHighBudgetCap < 0) {
         auto block = static_cast<std::size_t>(pool.blockSize());
@@ -419,17 +336,6 @@ IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
                 r->kvTokens() % pool.blockSize())];
         }
     }
-    clearRepairJournal();
-    // A patchable lineage: uncapped pure decode with every material
-    // member selected (no kept residents), so the histogram is the
-    // whole budget story and membership deltas are the whole batch
-    // story. The force twin keeps the journal dark instead.
-    lastPlanRepairable = !repairDisabled && lastPlanReusable &&
-                         lastHighBudgetCap < 0 &&
-                         lastKeptResidents.empty();
-    if (lastPlanRepairable)
-        basisDecode.assign(out.decode.begin(), out.decode.end());
-    lastBlockSize = pool.blockSize();
 }
 
 bool
@@ -481,189 +387,6 @@ IntraScheduler::noteKeyChanged(workload::Request* req)
     if (!incremental || !req->schedInResidentList)
         return;
     evictOrder.markDirty(req);
-    if (repairActive() && req->schedRepairState == kRepairNone) {
-        // First key move of this lineage; later moves ride the same
-        // entry (the merge reads keys at patch time), and a pending
-        // insert already re-reads its key too.
-        req->schedRepairState = kRepairRekey;
-        repairJournal.push_back({req, kRepairRekey, 0});
-    }
-}
-
-void
-IntraScheduler::clearRepairJournal()
-{
-    for (auto& e : repairJournal) {
-        // Erase entries' requests may already be journaled by a new
-        // host — their state belongs to that scheduler now. (A
-        // request that round-tripped back shows up in a later entry
-        // of our own journal and is cleared through it.)
-        if (e.op != kRepairErase && isHosted(e.req))
-            e.req->schedRepairState = kRepairNone;
-    }
-    repairJournal.clear();
-    repairBail = false;
-    lastPlanRepairable = false;
-}
-
-bool
-IntraScheduler::repairPlan(IterationPlan& prev,
-                           const model::KvPool& pool)
-{
-    repairDecline = PlanDecline::None;
-    if (!repairActive()) {
-        repairDecline = repairBail ? PlanDecline::Bailed
-                                   : PlanDecline::Inactive;
-        return false;
-    }
-    // Deferred plan-time decisions (PASCAL's demotions) fire at every
-    // boundary in recompute mode; reusePlan's veto only reaches them
-    // when its earlier gates pass, so re-run them here. Idempotent,
-    // and any applied demotion journals its own re-key.
-    applyDeferredDecisions();
-    if (repairBail || !waitingPrompts.empty() ||
-        waitingPrewarmCount > 0 ||
-        pool.numTracked() != pool.numGpuResident()) {
-        repairDecline =
-            repairBail ? PlanDecline::Bailed
-            : (!waitingPrompts.empty() || waitingPrewarmCount > 0)
-                ? PlanDecline::WaitingWork
-                : PlanDecline::SwappedMembers;
-        return false;
-    }
-
-    // Fold the journal into the histogram and collect the patch. At
-    // this boundary the lineage has run planAge times and is about to
-    // run again (k-th execution), so a member whose KV is kv now
-    // behaves like a build-time member with offset kv - k (mod B).
-    const std::uint64_t k = planAge + 1;
-    const std::int64_t block = static_cast<std::int64_t>(lastBlockSize);
-    repairPatch.clear();
-    eraseScratch.clear();
-    std::int64_t batch = static_cast<std::int64_t>(basisDecode.size());
-    for (auto& e : repairJournal) {
-        switch (e.op) {
-          case kRepairErase:
-            // Self-contained: bucket recorded at remove time, member
-            // guaranteed present in the basis (repairable builds
-            // select every material member). Never dereferenced — the
-            // departed request's arena slot may already host an
-            // unrelated arrival — so the splice goes by pointer
-            // identity.
-            --blockOffsetHist[e.histIdx];
-            eraseScratch.push_back(e.req);
-            --batch;
-            break;
-          case kRepairRekey: {
-            // Stale once the member departed (its state was reset at
-            // remove; a new host may even have re-journaled it).
-            if (e.req->schedRepairState != kRepairRekey ||
-                !isHosted(e.req))
-                break;
-            e.req->schedRepairState = kRepairNone;
-            e.req->schedRepairSplice = true;
-            repairPatch.push_back(e.req);
-            // No histogram move: the member stays in the batch and
-            // keeps growing one token per iteration.
-            break;
-          }
-          case kRepairInsert: {
-            if (e.req->schedRepairState != kRepairInsert ||
-                !isHosted(e.req))
-                break;
-            e.req->schedRepairState = kRepairNone;
-            std::int64_t v =
-                static_cast<std::int64_t>(e.req->kvTokens()) -
-                static_cast<std::int64_t>(k);
-            ++blockOffsetHist[static_cast<std::size_t>(
-                ((v % block) + block) % block)];
-            repairPatch.push_back(e.req);
-            ++batch;
-            break;
-          }
-          default:
-            break; // Cancelled insert.
-        }
-    }
-    repairJournal.clear();
-
-    // Exact budget + cap check over the patched batch: under the
-    // eligibility conditions every material member is in the batch,
-    // so the full walk's admission total is exactly
-    // gpuUsed + block * crossings — if it fits, the walk admits
-    // everyone in eviction-priority order with no evictions, which is
-    // precisely the merged batch below.
-    const std::uint64_t kb = k % static_cast<std::uint64_t>(block);
-    const std::size_t cross_idx = static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(block) - kb) %
-        static_cast<std::uint64_t>(block));
-    const std::uint64_t crossings = blockOffsetHist[cross_idx];
-    if (batch <= 0 ||
-        batch > static_cast<std::int64_t>(limits.maxBatchSize) ||
-        pool.gpuUsed() + static_cast<TokenCount>(block) *
-                             static_cast<TokenCount>(crossings) >
-            pool.gpuCapacity()) {
-        repairDecline =
-            (batch <= 0 ||
-             batch > static_cast<std::int64_t>(limits.maxBatchSize))
-                ? PlanDecline::BatchLimit
-                : PlanDecline::Budget;
-        // Bail to the full walk: clear the transient splice marks —
-        // every flagged member is in the patch (erases are flagless)
-        // — and let buildPlan rebuild the moot half-patched
-        // histogram.
-        for (auto* r : repairPatch)
-            r->schedRepairSplice = false;
-        lastPlanRepairable = false;
-        return false;
-    }
-
-    // Splice + ordered merge against the scheduler-held basis (the
-    // caller's plan may be a prefill excursion whose decode is
-    // empty): patch members re-enter at their current
-    // ResidentEvictOrder rank; surviving members are already sorted
-    // under their (unmoved) keys.
-    std::sort(repairPatch.begin(), repairPatch.end(),
-              ResidentEvictOrder{});
-    std::less<const workload::Request*> addr_less{};
-    std::sort(eraseScratch.begin(), eraseScratch.end(), addr_less);
-    decodeScratch.clear();
-    ResidentEvictOrder less{};
-    auto pi = repairPatch.begin();
-    for (auto* r : basisDecode) {
-        if (r->schedRepairSplice) {
-            r->schedRepairSplice = false;
-            continue;
-        }
-        if (!eraseScratch.empty() &&
-            std::binary_search(eraseScratch.begin(),
-                               eraseScratch.end(),
-                               static_cast<const workload::Request*>(r),
-                               addr_less))
-            continue;
-        while (pi != repairPatch.end() && less(*pi, r))
-            decodeScratch.push_back(*pi++);
-        decodeScratch.push_back(r);
-    }
-    while (pi != repairPatch.end())
-        decodeScratch.push_back(*pi++);
-    prev.reset();
-    prev.decode.swap(decodeScratch);
-    basisDecode.assign(prev.decode.begin(), prev.decode.end());
-
-    // The patched plan is byte-for-byte what buildPlan would emit, so
-    // the lineage continues — and is again a reusable pure-decode
-    // plan, even when the boundary followed an excursion. Kept
-    // residents are cleared: the patched batch holds every material
-    // member, so there is nothing for the engine to restamp.
-    // (lastDecodeCapped is left stale on purpose — it is only ever
-    // consulted when lastHighBudgetCap >= 0, which a repairable
-    // lineage excludes.)
-    lastPlanReusable = true;
-    lastKeptResidents.clear();
-    stateChanged = false;
-    ++planAge;
-    return true;
 }
 
 bool

@@ -35,7 +35,8 @@
  *    across iterations, repairing only requests whose ordering key
  *    actually changed. In the dominant decode-only steady state
  *    reusePlan() lets the instance run the previous IterationPlan
- *    verbatim, skipping plan construction entirely.
+ *    verbatim, skipping plan construction entirely; every other
+ *    boundary is a full buildPlan() walk.
  *
  * Incremental mode relies on the *dirty-set contract*: every mutation
  * of a hosted request's scheduler-visible state must reach the
@@ -137,22 +138,17 @@ maybeSkipWaiting(It& it)
 }
 
 /**
- * Why a plan-boundary fast path declined, recorded per boundary for
- * the telemetry layer: reusePlan()'s decline reason annotates the
- * repair trace event, repairPlan()'s annotates the full-walk event.
- * Purely observational — never consulted by scheduling decisions.
+ * Why reusePlan() declined, recorded per boundary for the telemetry
+ * layer: it annotates the full-walk trace event. Purely observational
+ * — never consulted by scheduling decisions.
  */
 enum class PlanDecline : std::uint8_t
 {
-    None = 0,       //!< The path ran (or was never consulted).
-    Inactive,       //!< Fast path off (recompute mode / force twin).
-    StateChanged,   //!< Membership/key/queue change since last build.
-    Veto,           //!< Policy veto (PASCAL's deferred demotion).
-    Budget,         //!< Paged-memory revalidation failed.
-    WaitingWork,    //!< Waiting admission candidates exist.
-    SwappedMembers, //!< Tracked KV not fully GPU-resident.
-    Bailed,         //!< Lineage bailed (unjournalable mutation).
-    BatchLimit,     //!< Patched batch empty or over maxBatchSize.
+    None = 0,     //!< The plan was reused (or reuse never consulted).
+    Inactive,     //!< Fast path off (recompute mode / force twin).
+    StateChanged, //!< Membership/key/queue change since last build.
+    Veto,         //!< Policy veto (PASCAL's deferred demotion).
+    Budget,       //!< Paged-memory revalidation failed.
 };
 
 /** Stable lowercase name of @p d (trace "reason" arg rendering). */
@@ -223,33 +219,10 @@ class IntraScheduler
      * observed since, and (d) re-walking the recorded selection
      * against the pool shows every decode member still fits and every
      * kept resident still holds its memory. (d) is O(batch) integer
-     * arithmetic — no sorting, no allocation.
+     * arithmetic — no sorting, no allocation. When it returns false
+     * the caller walks: buildPlan().
      */
     bool reusePlan(const IterationPlan& prev, const model::KvPool& pool);
-
-    /**
-     * Delta fast path when reusePlan() declines: patch @p prev (the
-     * previous iteration's plan) by the journaled dirty set instead
-     * of re-walking every material queue. Departed / demoted-and-
-     * re-keyed members are spliced out of the decode batch, landed
-     * arrivals and re-keyed members are merged back in at their
-     * ResidentEvictOrder rank, and the paged-memory budget check
-     * re-runs over the maintained block-offset histogram (patched by
-     * the same deltas) — O(delta log delta + batch) with no queue
-     * walk and no allocation once warm.
-     *
-     * Eligibility mirrors the conditions under which the patched
-     * batch provably equals what buildPlan() would produce: the
-     * previous plan must be an uncapped pure-decode plan with no kept
-     * residents (every material member in the batch), no waiting
-     * admission candidates, no swapped members, and the patched
-     * batch must fit the capacity exactly as the full walk would
-     * conclude. Anything else returns false
-     * and the caller falls back to buildPlan(). Disabled (always
-     * false) by SchedLimits::forcePlanRepair / PASCAL_FORCE_REPAIR —
-     * the plan-repair force twin.
-     */
-    bool repairPlan(IterationPlan& prev, const model::KvPool& pool);
 
     /** Notification that @p req crossed the reasoning->answering
      *  boundary and stays on this instance. */
@@ -334,10 +307,6 @@ class IntraScheduler
     /** Why the last reusePlan() call declined (None if it reused). */
     PlanDecline lastReuseDecline() const { return reuseDecline; }
 
-    /** Why the last repairPlan() call declined (None if it
-     *  repaired). */
-    PlanDecline lastRepairDecline() const { return repairDecline; }
-
     /** Lazy-erase compactions of the maintained eviction-order
      *  structure (stat registry: <instance>.queue.compactions). */
     std::uint64_t numEvictQueueCompactions() const
@@ -421,22 +390,10 @@ class IntraScheduler
      * ResidentEvictOrder key moved (quantum consumption, queue-tag
      * transfer, demotion) — always in addition to marking their own
      * queues dirty. Keeps the maintained eviction-order structure
-     * exact and journals the member for the plan-repair splice/merge
-     * when a repairable lineage is active.
-     * No-op for non-material members (their keys are re-read at
-     * admission) and in recompute mode.
+     * exact. No-op for non-material members (their keys are re-read
+     * at admission) and in recompute mode.
      */
     void noteKeyChanged(workload::Request* req);
-
-    /**
-     * Plan-boundary hook run by repairPlan() before it patches:
-     * apply any decisions your reuseVeto() would have taken (PASCAL's
-     * deferred demotions), so a boundary that skips reusePlan's veto
-     * (because stateChanged was already set) still applies them at
-     * the same point recompute mode does. Must journal its own key
-     * changes via noteKeyChanged().
-     */
-    virtual void applyDeferredDecisions() {}
 
     /** Recompute @p req's contribution to the maintained monitor
      *  counters from its live state. */
@@ -884,85 +841,8 @@ class IntraScheduler
 
     /** @} */
 
-    /** @name Plan-repair journal (the dirty set of the active plan
-     *  lineage; see repairPlan()) */
-    /** @{ */
-
-    /** Journal ops, also stored in Request::schedRepairState (which
-     *  dedupes per-request journaling per lineage). */
-    static constexpr std::uint8_t kRepairNone = 0;
-    static constexpr std::uint8_t kRepairRekey = 1;
-    static constexpr std::uint8_t kRepairInsert = 2;
-    static constexpr std::uint8_t kRepairErase = 3; //!< Entry-only.
-
-    struct RepairEntry
-    {
-        workload::Request* req;
-        std::uint8_t op;
-        /** Erase only: the member's block-offset histogram bucket,
-         *  recorded at remove time (its KV may move afterwards). */
-        std::uint32_t histIdx;
-    };
-
-    /** True while mutations must be journaled: the last build left a
-     *  repairable lineage that has not bailed. */
-    bool
-    repairActive() const
-    {
-        return incremental && lastPlanRepairable && !repairBail;
-    }
-
-    /** Reset the journal and per-request journal states (end of every
-     *  lineage-ending buildPlan). */
-    void clearRepairJournal();
-
-    std::vector<RepairEntry> repairJournal;
-
-    /** Something unjournalable happened (a swapped-in migration
-     *  landing): the lineage cannot be repaired, only rebuilt. */
-    bool repairBail = false;
-
-    /** The last buildPlan produced a patchable plan: uncapped pure
-     *  decode with every material member selected. */
-    bool lastPlanRepairable = false;
-
-    /** forcePlanRepair / PASCAL_FORCE_REPAIR: the repair fast path is
-     *  disabled and every non-reused boundary pays the full walk. */
-    bool repairDisabled = false;
-
-    /** Pool block size at the last build (remove() has no pool). */
-    TokenCount lastBlockSize = 1;
-
-    /** Scratch: re-keyed + inserted members, sorted then merged. */
-    std::vector<workload::Request*> repairPatch;
-
-    /** Scratch: merge target for the patched decode batch. */
-    std::vector<workload::Request*> decodeScratch;
-
-    /**
-     * The lineage's decode basis: the batch of the last full build or
-     * repair, in plan order. Kept scheduler-side (not read from the
-     * caller's plan) because a prefill-only excursion build overwrites
-     * the in-flight plan while the lineage — whose decode members sat
-     * out the prefill iteration with their KV untouched — stays
-     * patchable.
-     */
-    std::vector<workload::Request*> basisDecode;
-
-    /**
-     * Scratch: departed members' pointer identities for the splice.
-     * Erased entries are never dereferenced — the request may have
-     * finished and had its arena slot recycled for an unrelated
-     * arrival by the time the journal is folded — so the merge skips
-     * basis members by pointer identity instead of a flag.
-     */
-    std::vector<const workload::Request*> eraseScratch;
-
-    /** @} */
-
-    /** Telemetry: why the last reuse / repair attempt declined. */
+    /** Telemetry: why the last reuse attempt declined. */
     PlanDecline reuseDecline = PlanDecline::None;
-    PlanDecline repairDecline = PlanDecline::None;
 
     /** Any membership/key/queue change since the last buildPlan. */
     bool stateChanged = true;
@@ -990,13 +870,10 @@ class IntraScheduler
     std::vector<std::uint32_t> blockOffsetHist;
 
     /**
-     * Iterations the current plan lineage has run since its last full
-     * build: incremented by every verbatim reuse and every successful
-     * repair, reset by buildPlan. Anchors the histogram phase — at a
-     * boundary with planAge = a, every surviving decode member has
-     * executed exactly a + 1 times since its histogram bucket was
-     * recorded, which is what the repair journal's erase/insert
-     * bucket arithmetic relies on.
+     * Verbatim reuses since the last buildPlan (reset there). Anchors
+     * the histogram phase: at a boundary with planAge = a, every
+     * decode member has executed exactly a + 1 times since its
+     * histogram bucket was recorded.
      */
     std::uint64_t planAge = 0;
     /** @} */

@@ -135,20 +135,6 @@ struct SchedLimits
      */
     bool forceAccrue = false;
 
-    /**
-     * Debug mode mirroring forceResort for incremental plan repair:
-     * when a plan is dirtied by a bounded delta (departures,
-     * demotions, phase transitions, landings), the fast path patches
-     * the previous decode batch by the journaled dirty set instead of
-     * re-walking every material queue. This flag (or the
-     * PASCAL_FORCE_REPAIR environment variable) disables the patch
-     * path so every non-reused boundary pays the full greedy walk —
-     * the pre-optimization cost model. Results must be byte-identical
-     * either way; the plan-repair invariance tests pin the full 2^4
-     * force-mode matrix field by field.
-     */
-    bool forcePlanRepair = false;
-
     /** Validate; calls fatal() on nonsense values. */
     void validate() const;
 };

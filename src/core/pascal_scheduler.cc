@@ -108,12 +108,6 @@ PascalScheduler::reuseVeto()
 }
 
 void
-PascalScheduler::applyDeferredDecisions()
-{
-    processPendingDemotions();
-}
-
-void
 PascalScheduler::onMaterialChanged(workload::Request* req, int delta)
 {
     (void)delta;

@@ -94,10 +94,6 @@ class PascalScheduler : public IntraScheduler
                            bool quanta_changed) override;
     /** Applies pending demotions; vetoes the reuse if any fired. */
     bool reuseVeto() override;
-    /** Plan-repair boundary: apply pending demotions (journaled as
-     *  re-keys) so the patch path demotes exactly when recompute
-     *  mode's plan-time applyDemotion scan would. */
-    void applyDeferredDecisions() override;
     void onMaterialChanged(workload::Request* req,
                            int delta) override;
     /** @} */

@@ -2,7 +2,7 @@
  * @file
  * Gem5-style statistics registry: typed Counter/Gauge/Distribution
  * handles registered by hierarchical dotted name
- * ("instance.3.plan.repairs", "cluster.view.refreshes").
+ * ("instance.3.plan.builds", "cluster.view.refreshes").
  *
  * Registration is non-owning for counters: components keep their
  * plain std::uint64_t members and hand the registry a pointer, so the

@@ -43,8 +43,6 @@ traceNameStr(TraceName name)
         return "iteration";
       case TraceName::PlanReuse:
         return "reuse";
-      case TraceName::PlanRepair:
-        return "repair";
       case TraceName::PlanFullWalk:
         return "full_walk";
       case TraceName::Admit:

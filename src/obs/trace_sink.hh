@@ -14,10 +14,8 @@
  *   iteration / iteration      "X"  one engine step, dur = step time,
  *                                   arg batch = decode batch size
  *   plan      / reuse          "i"  boundary ran the previous plan
- *             / repair         "i"  O(delta) patch; arg reason = why
- *                                   verbatim reuse declined
  *             / full_walk      "i"  full greedy walk; arg reason =
- *                                   why the repair path declined
+ *                                   why verbatim reuse declined
  *   admission / admit          "i"  request admitted, arg req
  *   eviction  / evict          "i"  request swapped out, arg req
  *   phase     / stay|migrate   "i"  reasoning->answering decision
@@ -84,7 +82,6 @@ enum class TraceName : std::uint8_t
 {
     Iteration,
     PlanReuse,
-    PlanRepair,
     PlanFullWalk,
     Admit,
     Evict,

@@ -362,14 +362,6 @@ class Request
     /** Awaiting re-insertion into the eviction-order queue. */
     bool schedEvictDirty = false;
 
-    /** Plan-repair journal state for the active plan lineage
-     *  (core::IntraScheduler repair ops; 0 = not journaled). */
-    std::uint8_t schedRepairState = 0;
-
-    /** Transient mark used by repairPlan's splice-and-merge to drop
-     *  patched members from the surviving decode batch. */
-    bool schedRepairSplice = false;
-
     /** Queued-prewarm membership in the scheduler's waitingPrewarm
      *  counter (startInAnswering arrivals bypass prefill caps, so the
      *  walk may only stop early when none remain). */

@@ -209,22 +209,21 @@ TEST_F(ArrivalBurst, ViewAuditCleanUnderBurstsAndSloHeap)
     EXPECT_GT(result.aggregate.numFinished, 0u);
 }
 
-TEST_F(ForceModeMatrix, AllSixteenCornersByteIdentical)
+TEST_F(ForceModeMatrix, AllEightCornersByteIdentical)
 {
-    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE} x {FORCE_REPAIR}:
-    // every debug corner recomputes something the fast path maintains
-    // incrementally, so all sixteen runs must agree byte-for-byte.
+    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE}: every debug
+    // corner recomputes something the fast path maintains
+    // incrementally, so all eight runs must agree byte-for-byte.
     auto trace = burstTrace(555, 220);
     SystemConfig base =
         stormConfig(SchedulerType::Pascal, predictorNamed("oracle"));
 
     std::vector<cluster::RunResult> results;
-    for (int mask = 0; mask < 16; ++mask) {
+    for (int mask = 0; mask < 8; ++mask) {
         SystemConfig cfg = base;
         cfg.forceViewRebuild = (mask & 1) != 0;
         cfg.limits.forceResort = (mask & 2) != 0;
         cfg.limits.forceAccrue = (mask & 4) != 0;
-        cfg.limits.forcePlanRepair = (mask & 8) != 0;
         results.push_back(cluster::RunContext::execute(cfg, trace));
     }
     for (std::size_t i = 1; i < results.size(); ++i) {

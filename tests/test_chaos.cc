@@ -263,22 +263,21 @@ TEST_F(Chaos, ShedFloorRejectsArrivalsWhileCapacityIsDown)
 
 TEST_F(Chaos, ForceModeMatrixByteIdenticalUnderFaults)
 {
-    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE} x {FORCE_REPAIR}
-    // with the fault schedule live: the failover path (crash detach,
-    // backoff re-placement, KV restore, link-failure aborts) must be
-    // invisible to every debug recompute mode, so all 16 corners agree
+    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE} with the fault
+    // schedule live: the failover path (crash detach, backoff
+    // re-placement, KV restore, link-failure aborts) must be invisible
+    // to every debug recompute mode, so all 8 corners agree
     // byte-for-byte.
     auto trace = chaosTrace(313, 100);
     SystemConfig base = chaosConfig(SchedulerType::Pascal,
                                     predictorNamed("oracle"), 3);
 
     std::vector<RunResult> results;
-    for (int mask = 0; mask < 16; ++mask) {
+    for (int mask = 0; mask < 8; ++mask) {
         SystemConfig cfg = base;
         cfg.forceViewRebuild = (mask & 1) != 0;
         cfg.limits.forceResort = (mask & 2) != 0;
         cfg.limits.forceAccrue = (mask & 4) != 0;
-        cfg.limits.forcePlanRepair = (mask & 8) != 0;
         results.push_back(RunContext::execute(cfg, trace));
     }
     EXPECT_GT(results[0].numCrashes, 0u);

@@ -2,7 +2,7 @@
  * @file
  * Telemetry determinism tests: telemetry is a pure observer. Traced
  * runs stay byte-identical to telemetry-off runs across the whole
- * 2^4 force-recompute matrix and the scheduler x predictor grid, a
+ * 2^3 force-recompute matrix and the scheduler x predictor grid, a
  * 4-thread SweepRunner dumps/traces byte-identically to a serial one,
  * and streaming mode leaves every simulation-level field untouched.
  */
@@ -82,7 +82,7 @@ predictorNamed(const std::string& kind)
 
 TEST_F(TelemetryDeterminism, TracedForceMatrixMatchesPlainBaseline)
 {
-    // All 2^4 force-recompute corners, each run WITH tracing enabled,
+    // All 2^3 force-recompute corners, each run WITH tracing enabled,
     // must stay byte-identical to the plain telemetry-off fast path:
     // telemetry may not perturb the simulation even in the debug
     // modes that reshuffle plan/view/accrual recomputation.
@@ -91,13 +91,12 @@ TEST_F(TelemetryDeterminism, TracedForceMatrixMatchesPlainBaseline)
         constrained(SchedulerType::Pascal, predictorNamed("oracle"));
     auto baseline = cluster::RunContext::execute(base, trace);
 
-    for (int mask = 0; mask < 16; ++mask) {
+    for (int mask = 0; mask < 8; ++mask) {
         SCOPED_TRACE("force mask " + std::to_string(mask));
         SystemConfig cfg = base;
         cfg.forceViewRebuild = (mask & 1) != 0;
         cfg.limits.forceResort = (mask & 2) != 0;
         cfg.limits.forceAccrue = (mask & 4) != 0;
-        cfg.limits.forcePlanRepair = (mask & 8) != 0;
         cfg.telemetry.traceEnabled = true;
         auto traced = cluster::RunContext::execute(cfg, trace);
         EXPECT_FALSE(traced.traceJson.empty());

@@ -152,10 +152,6 @@ TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
 
     EXPECT_DOUBLE_EQ(counter_value("cluster.plan.builds"),
                      static_cast<double>(clu.totalPlanBuilds()));
-    // Every non-reused boundary is either a repair or a full walk.
-    EXPECT_DOUBLE_EQ(counter_value("cluster.plan.repairs") +
-                         counter_value("cluster.plan.full_walks"),
-                     counter_value("cluster.plan.builds"));
     EXPECT_DOUBLE_EQ(counter_value("cluster.slo.rekeys"),
                      static_cast<double>(clu.totalSloHeapRekeys()));
     EXPECT_DOUBLE_EQ(counter_value("cluster.view.refreshes"),
@@ -168,13 +164,13 @@ TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
     // Per-instance stats exist for every instance and roll up to the
     // hand-wired totals.
     double iterations = 0.0;
-    double repairs = 0.0;
+    double full_walks = 0.0;
     for (int i = 0; i < cfg.numInstances; ++i) {
         const std::string prefix =
             "instance." + std::to_string(i);
         iterations +=
             counter_value(prefix + ".engine.iterations");
-        repairs += counter_value(prefix + ".plan.repairs");
+        full_walks += counter_value(prefix + ".plan.full_walks");
         EXPECT_NE(obs::findStat(dump, prefix + ".kv.gpu_capacity"),
                   nullptr);
         const obs::StatValue* batch =
@@ -185,7 +181,10 @@ TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
     }
     EXPECT_DOUBLE_EQ(iterations,
                      static_cast<double>(result.totalIterations));
-    EXPECT_DOUBLE_EQ(repairs, counter_value("cluster.plan.repairs"));
+    // Every non-reused boundary is a full walk.
+    EXPECT_DOUBLE_EQ(full_walks, counter_value("cluster.plan.builds"));
+    EXPECT_DOUBLE_EQ(full_walks,
+                     static_cast<double>(clu.totalPlanBuilds()));
 
     // Two snapshots of an idle cluster are identical, row for row.
     EXPECT_EQ(clu.dumpStats(), clu.dumpStats());

@@ -92,7 +92,7 @@ TEST_F(TraceSinkUnit, ReasonArgRendersThroughTheTable)
     static const char* const kReasons[] = {"none", "state_changed"};
     TraceSink sink(8);
     sink.setReasonTable(kReasons, 2);
-    sink.instant(TraceCat::Plan, TraceName::PlanRepair, 1, 0.5,
+    sink.instant(TraceCat::Plan, TraceName::PlanReuse, 1, 0.5,
                  TraceArg::Reason, 1);
     // Out-of-table codes fall back to the numeric value.
     sink.instant(TraceCat::Plan, TraceName::PlanFullWalk, 1, 0.6,

@@ -25,7 +25,6 @@
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 #include "src/core/pascal_scheduler.hh"
-#include "src/obs/stat_registry.hh"
 #include "src/workload/generator.hh"
 #include "tests/run_result_util.hh"
 #include "tests/scheduler_test_util.hh"
@@ -49,15 +48,6 @@ class QuietLogs : public ::testing::Test
 using PlanReuseInvariance = QuietLogs;
 using PlanReuseFastPath = QuietLogs;
 
-/** A cluster-level counter from the run's stat dump. */
-double
-clusterCounter(const cluster::RunResult& result, const std::string& name)
-{
-    const obs::StatValue* stat = obs::findStat(result.statsDump, name);
-    EXPECT_NE(stat, nullptr) << "missing stat " << name;
-    return stat != nullptr ? stat->value : -1.0;
-}
-
 /**
  * A reasoning-heavy trace on a memory-constrained deployment:
  * arrivals, completions, phase transitions, migrations, swaps, and
@@ -73,16 +63,69 @@ churnTrace(std::uint64_t seed, int n = 140)
     return workload::generateTrace(profile, n, 12.0, rng);
 }
 
+/**
+ * The transition-storm shape scaled for CI: short phases at a
+ * moderate rate, so on a pool with headroom plan boundaries are
+ * dirtied by arrivals, departures, phase transitions, demotions and
+ * migration landings rather than by swap traffic.
+ */
+workload::Trace
+transitionTrace(std::uint64_t seed, int n = 400)
+{
+    Rng rng(seed);
+    auto profile = workload::DatasetProfile::alpacaEval();
+    profile.prompt = {64.0, 0.4, 32, 128};
+    profile.reasoning = {25.0, 0.5, 16, 60};
+    profile.answering = {45.0, 0.5, 16, 120};
+    return workload::generateTrace(profile, n, 60.0, rng);
+}
+
+/**
+ * Sustained memory pressure: on a 3072-token pool only a fraction of
+ * the material set fits, so kept/evicted membership oscillates
+ * boundary to boundary (swap thrash) and most plans carry swap
+ * traffic.
+ */
+workload::Trace
+swapThrashTrace(std::uint64_t seed, int n = 250)
+{
+    Rng rng(seed);
+    auto profile = workload::DatasetProfile::alpacaEval();
+    profile.prompt = {96.0, 0.5, 32, 192};
+    profile.reasoning = {200.0, 0.7, 32, 800};
+    profile.answering = {80.0, 0.6, 16, 300};
+    return workload::generateTrace(profile, n, 30.0, rng);
+}
+
+/** One input of the scheduler x predictor grids: a trace and the
+ *  per-instance KV pool it runs on. */
+struct GridInput
+{
+    const char* name;
+    workload::Trace trace;
+    TokenCount capacity;
+};
+
+/** The churn trace on a tight pool, plus the transition storm with
+ *  headroom and the swap thrash. */
+std::vector<GridInput>
+gridInputs(std::uint64_t churn_seed)
+{
+    return {{"churn", churnTrace(churn_seed), 4096},
+            {"transition", transitionTrace(77), 32768},
+            {"thrash", swapThrashTrace(78), 3072}};
+}
+
 SystemConfig
 constrained(SchedulerType sched, predict::PredictorConfig pred,
-            PlacementType placement)
+            PlacementType placement, TokenCount capacity = 4096)
 {
     SystemConfig cfg;
     cfg.scheduler = sched;
     cfg.placement = placement;
     cfg.predictor = pred;
     cfg.numInstances = 2;
-    cfg.gpuKvCapacityTokens = 4096; // Tight: forces swaps/evictions.
+    cfg.gpuKvCapacityTokens = capacity; // 4096 forces swaps.
     cfg.kvBlockSizeTokens = 16;
     cfg.limits.demoteThresholdTokens = 600; // Demotions actually fire.
     cfg.limits.demoteLookaheadTokens = 128;
@@ -195,20 +238,22 @@ TEST_F(PlanReuseInvariance, ReactiveSchedulersAcrossPredictors)
     // Reactive policies ignore predictions for ordering, but wiring a
     // predictor still exercises the predictive-placement snapshots
     // under incremental bookkeeping.
-    auto trace = churnTrace(1234);
-    for (SchedulerType sched :
-         {SchedulerType::Fcfs, SchedulerType::Rr,
-          SchedulerType::Pascal}) {
-        for (const std::string kind : {"none", "oracle", "noisy"}) {
-            SCOPED_TRACE("scheduler " +
-                         std::to_string(static_cast<int>(sched)) +
-                         " predictor " + kind);
-            auto pred = predictorNamed(kind);
-            auto placement = kind == "none"
-                                 ? PlacementType::Pascal
-                                 : PlacementType::PascalPredictive;
-            expectModesIdentical(constrained(sched, pred, placement),
-                                 trace);
+    for (const GridInput& input : gridInputs(1234)) {
+        for (SchedulerType sched :
+             {SchedulerType::Fcfs, SchedulerType::Rr,
+              SchedulerType::Pascal}) {
+            for (const std::string kind : {"none", "oracle", "noisy"}) {
+                SCOPED_TRACE(std::string(input.name) + " scheduler " +
+                             std::to_string(static_cast<int>(sched)) +
+                             " predictor " + kind);
+                auto pred = predictorNamed(kind);
+                auto placement = kind == "none"
+                                     ? PlacementType::Pascal
+                                     : PlacementType::PascalPredictive;
+                expectModesIdentical(
+                    constrained(sched, pred, placement, input.capacity),
+                    input.trace);
+            }
         }
     }
 }
@@ -220,19 +265,21 @@ TEST_F(PlanReuseInvariance, SpeculativeSchedulersAcrossPredictors)
     // which must not change a byte. Static predictors re-key only the
     // executed members, online learners (profile, rank) also the idle
     // ones.
-    auto trace = churnTrace(777);
-    for (SchedulerType sched :
-         {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
-        for (const std::string kind :
-             {"oracle", "noisy", "profile", "rank"}) {
-            SCOPED_TRACE("scheduler " +
-                         std::to_string(static_cast<int>(sched)) +
-                         " predictor " + kind);
-            auto pred = predictorNamed(kind);
-            expectModesIdentical(
-                constrained(sched, pred,
-                            PlacementType::PascalPredictive),
-                trace);
+    for (const GridInput& input : gridInputs(777)) {
+        for (SchedulerType sched :
+             {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
+            for (const std::string kind :
+                 {"oracle", "noisy", "profile", "rank"}) {
+                SCOPED_TRACE(std::string(input.name) + " scheduler " +
+                             std::to_string(static_cast<int>(sched)) +
+                             " predictor " + kind);
+                auto pred = predictorNamed(kind);
+                expectModesIdentical(
+                    constrained(sched, pred,
+                                PlacementType::PascalPredictive,
+                                input.capacity),
+                    input.trace);
+            }
         }
     }
 }
@@ -378,125 +425,24 @@ TEST_F(PlanReuseFastPath, ForceResortEnvAndLimitDisableIncremental)
     EXPECT_FALSE(sched.incrementalEnabled());
 }
 
-/**
- * The bench's transition-storm shape scaled for CI: short phases at a
- * moderate rate on a pool with headroom, so plan boundaries are
- * dirtied by arrivals, departures, phase transitions, demotions and
- * migration landings — exactly the bounded deltas the O(delta) plan
- * repair patches — rather than by swap traffic.
- */
-workload::Trace
-transitionTrace(std::uint64_t seed, int n = 400)
+TEST_F(PlanReuseInvariance, AllEightForceCornersByteIdentical)
 {
-    Rng rng(seed);
-    auto profile = workload::DatasetProfile::alpacaEval();
-    profile.prompt = {64.0, 0.4, 32, 128};
-    profile.reasoning = {25.0, 0.5, 16, 60};
-    profile.answering = {45.0, 0.5, 16, 120};
-    return workload::generateTrace(profile, n, 60.0, rng);
-}
-
-/**
- * Sustained memory pressure: the pool fits only a fraction of the
- * material set, so kept/evicted membership oscillates boundary to
- * boundary (swap thrash) and most plans carry swap traffic — the
- * regime plan repair must recognise as out of scope and decline
- * byte-identically, every time.
- */
-workload::Trace
-swapThrashTrace(std::uint64_t seed, int n = 250)
-{
-    Rng rng(seed);
-    auto profile = workload::DatasetProfile::alpacaEval();
-    profile.prompt = {96.0, 0.5, 32, 192};
-    profile.reasoning = {200.0, 0.7, 32, 800};
-    profile.answering = {80.0, 0.6, 16, 300};
-    return workload::generateTrace(profile, n, 30.0, rng);
-}
-
-SystemConfig
-repairConfig(SchedulerType sched, predict::PredictorConfig pred,
-             TokenCount capacity)
-{
-    SystemConfig cfg;
-    cfg.scheduler = sched;
-    cfg.placement = pred.type == predict::PredictorType::None
-                        ? PlacementType::Pascal
-                        : PlacementType::PascalPredictive;
-    cfg.predictor = pred;
-    cfg.numInstances = 2;
-    cfg.gpuKvCapacityTokens = capacity;
-    cfg.kvBlockSizeTokens = 16;
-    cfg.limits.demoteThresholdTokens = 700;
-    return cfg;
-}
-
-TEST_F(PlanReuseInvariance, PlanRepairGridByteIdentical)
-{
-    // The repair fast path vs its force twin across the full
-    // scheduler x predictor grid, on both regression shapes: the
-    // repair-friendly transition storm and the repair-hostile swap
-    // thrash. forcePlanRepair keeps the journal dark so every
-    // non-reused boundary pays the full walk — byte-identity proves
-    // the patched plans equal the walked ones everywhere.
-    struct GridPoint
-    {
-        SchedulerType sched;
-        std::string predictor;
-    };
-    std::vector<GridPoint> grid;
-    for (SchedulerType sched :
-         {SchedulerType::Fcfs, SchedulerType::Rr,
-          SchedulerType::Pascal}) {
-        for (const char* kind : {"none", "oracle", "noisy", "profile"})
-            grid.push_back({sched, kind});
-    }
-    for (SchedulerType sched :
-         {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
-        // Speculative schedulers require a predictor (see
-        // SpeculativeWithoutPredictorStillRejected).
-        for (const char* kind : {"oracle", "noisy", "profile"})
-            grid.push_back({sched, kind});
-    }
-
-    auto transition = transitionTrace(77);
-    auto thrash = swapThrashTrace(78);
-    for (const auto& point : grid) {
-        SCOPED_TRACE(std::string("scheduler ") +
-                     std::to_string(static_cast<int>(point.sched)) +
-                     " predictor " + point.predictor);
-        for (const workload::Trace* trace : {&transition, &thrash}) {
-            SystemConfig cfg =
-                repairConfig(point.sched, predictorNamed(point.predictor),
-                             trace == &thrash ? 3072 : 32768);
-            cfg.limits.forcePlanRepair = false;
-            auto fast = cluster::RunContext::execute(cfg, *trace);
-            cfg.limits.forcePlanRepair = true;
-            auto reference = cluster::RunContext::execute(cfg, *trace);
-            test::expectIdentical(fast, reference);
-        }
-    }
-}
-
-TEST_F(PlanReuseInvariance, AllSixteenForceCornersByteIdentical)
-{
-    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE} x {FORCE_REPAIR}:
-    // every corner disables (or eagerly verifies) a different
-    // maintained structure, so all 16 runs recompute different
-    // subsets of the same state and must agree byte-for-byte. The
-    // all-ones corner is the seed's cost model; mask 0 is the
-    // production fast path.
+    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE}: every corner
+    // disables (or eagerly verifies) a different maintained
+    // structure, so all 8 runs recompute different subsets of the
+    // same state and must agree byte-for-byte. The all-ones corner is
+    // the seed's cost model; mask 0 is the production fast path.
     auto trace = transitionTrace(555, 300);
-    SystemConfig base = repairConfig(SchedulerType::Pascal,
-                                     predictorNamed("oracle"), 8192);
+    SystemConfig base =
+        constrained(SchedulerType::Pascal, predictorNamed("oracle"),
+                    PlacementType::PascalPredictive, 8192);
 
     std::vector<cluster::RunResult> results;
-    for (int mask = 0; mask < 16; ++mask) {
+    for (int mask = 0; mask < 8; ++mask) {
         SystemConfig cfg = base;
         cfg.forceViewRebuild = (mask & 1) != 0;
         cfg.limits.forceResort = (mask & 2) != 0;
         cfg.limits.forceAccrue = (mask & 4) != 0;
-        cfg.limits.forcePlanRepair = (mask & 8) != 0;
         results.push_back(cluster::RunContext::execute(cfg, trace));
     }
     for (std::size_t i = 1; i < results.size(); ++i) {
@@ -505,32 +451,15 @@ TEST_F(PlanReuseInvariance, AllSixteenForceCornersByteIdentical)
     }
 }
 
-TEST_F(PlanReuseFastPath, RepairsOutnumberFullWalksOnTransitionStorm)
-{
-    if (std::getenv("PASCAL_FORCE_RESORT") ||
-        std::getenv("PASCAL_FORCE_REPAIR"))
-        GTEST_SKIP() << "fast path globally disabled by env";
-    // On the transition-heavy shape the dominant non-reused boundary
-    // carries only bounded deltas, so the O(delta) patch — not the
-    // full walk — must satisfy most of them.
-    SystemConfig cfg = repairConfig(SchedulerType::Pascal,
-                                    predictorNamed("none"), 32768);
-    auto result =
-        cluster::RunContext::execute(cfg, transitionTrace(99, 500));
-    double repairs = clusterCounter(result, "cluster.plan.repairs");
-    EXPECT_GT(repairs, 0.0);
-    EXPECT_GT(repairs, clusterCounter(result, "cluster.plan.full_walks"));
-}
-
 TEST_F(PlanReuseFastPath, PredictorKeyedSchedulersAlwaysRecompute)
 {
     if (std::getenv("PASCAL_FORCE_RESORT") != nullptr)
         GTEST_SKIP() << "fast path globally disabled by env";
     // Predicted remaining work moves with every token, so SRPT and
-    // PASCAL-Spec never maintain queues: no plan is reused or
-    // repaired. Wiring a predictor only for predictive placement
-    // leaves reactive PASCAL's queues unkeyed, and it keeps the
-    // incremental fast path.
+    // PASCAL-Spec never maintain queues: no plan is reused. Wiring a
+    // predictor only for predictive placement leaves reactive
+    // PASCAL's queues unkeyed, and it keeps the incremental fast
+    // path.
     auto trace = transitionTrace(99, 500);
     struct Case
     {
@@ -545,46 +474,22 @@ TEST_F(PlanReuseFastPath, PredictorKeyedSchedulersAlwaysRecompute)
                      std::to_string(static_cast<int>(c.sched)) +
                      " predictor " + c.predictor);
         SystemConfig cfg =
-            repairConfig(c.sched, predictorNamed(c.predictor), 32768);
-        ASSERT_EQ(cfg.placement, PlacementType::PascalPredictive);
+            constrained(c.sched, predictorNamed(c.predictor),
+                        PlacementType::PascalPredictive, 32768);
         cluster::RunContext ctx(cfg);
         ctx.submit(trace);
         ctx.run();
         std::uint64_t reuses = 0;
-        std::uint64_t repairs = 0;
         for (const auto& inst : ctx.cluster().getInstances()) {
             EXPECT_EQ(inst->scheduler().incrementalEnabled(), !c.keyed);
             reuses += inst->numPlanReuses();
-            repairs += inst->numPlanRepairs();
         }
         if (c.keyed) {
             EXPECT_EQ(reuses, 0u);
-            EXPECT_EQ(repairs, 0u);
         } else {
             EXPECT_GT(reuses, 0u);
         }
     }
-}
-
-TEST_F(PlanReuseFastPath, ForcePlanRepairKeepsTheJournalDark)
-{
-    if (std::getenv("PASCAL_FORCE_RESORT") ||
-        std::getenv("PASCAL_FORCE_REPAIR"))
-        GTEST_SKIP() << "fast path globally disabled by env";
-    // The force twin must not merely decline at the repair gate but
-    // never journal at all: with forcePlanRepair set, every non-reused
-    // boundary is a full walk.
-    SystemConfig cfg = repairConfig(SchedulerType::Pascal,
-                                    predictorNamed("none"), 32768);
-    auto trace = transitionTrace(101, 300);
-    cfg.limits.forcePlanRepair = true;
-    auto forced = cluster::RunContext::execute(cfg, trace);
-    EXPECT_EQ(clusterCounter(forced, "cluster.plan.repairs"), 0.0);
-    EXPECT_GT(clusterCounter(forced, "cluster.plan.full_walks"), 0.0);
-    cfg.limits.forcePlanRepair = false;
-    auto fast = cluster::RunContext::execute(cfg, trace);
-    EXPECT_GT(clusterCounter(fast, "cluster.plan.repairs"), 0.0);
-    test::expectIdentical(fast, forced);
 }
 
 } // namespace
