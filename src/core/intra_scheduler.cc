@@ -82,14 +82,17 @@ IntraScheduler::nextSortStamp()
 void
 IntraScheduler::enableIncremental()
 {
-    if (resortForced || keysUsePredictions())
+    if (resortForced)
         return;
     if (!requests.empty())
         panic("enableIncremental: must be called before requests are "
               "added");
-    incremental = true;
     stateChanged = true;
     lastPlanReusable = false;
+    if (keysUsePredictions())
+        keyedReuse = true;
+    else
+        incremental = true;
 }
 
 void
@@ -97,6 +100,7 @@ IntraScheduler::add(workload::Request* req)
 {
     if (req == nullptr)
         panic("IntraScheduler::add(nullptr)");
+    stateChanged = true;
     req->schedHostedPos = requests.size();
     requests.push_back(req);
     req->schedPrevHosted = hostedLast;
@@ -135,7 +139,6 @@ IntraScheduler::add(workload::Request* req)
     req->schedScore = 0.0;
     req->schedCachedQuanta = req->quantaConsumed;
     syncCounters(req);
-    noteStateChanged();
     onHostedAdded(req);
 }
 
@@ -149,6 +152,7 @@ IntraScheduler::remove(workload::Request* req)
               (instanceId == kNoInstance ? std::string("?")
                                          : std::to_string(instanceId)));
     }
+    stateChanged = true;
     requests[pos] = requests.back();
     requests[pos]->schedHostedPos = pos;
     requests.pop_back();
@@ -170,7 +174,6 @@ IntraScheduler::remove(workload::Request* req)
         req->schedCountedReasoning = false;
         req->schedCountedFreshAns = false;
         req->schedDemotionPending = false;
-        noteStateChanged();
         // Queue unlink first (it reads schedInResidentList to keep
         // its material count exact), then the early-exit structures.
         onHostedRemoved(req);
@@ -202,6 +205,7 @@ IntraScheduler::unlinkMaterial(workload::Request* req)
 void
 IntraScheduler::noteResidency(workload::Request* req)
 {
+    stateChanged = true;
     bool material =
         req->exec == workload::ExecState::ResidentGpu ||
         req->exec == workload::ExecState::SwappedCpu;
@@ -313,15 +317,18 @@ void
 IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
 {
     out.reset();
-    if (incremental) {
+    const bool reuse_on = incremental || keyedReuse;
+    if (reuse_on) {
         lastKeptResidents.clear();
         lastDecodeCapped.clear();
+        lastDecodeKeys.clear();
         lastHighBudgetCap = -1;
     }
     planInto(pool, out);
-    if (!incremental)
+    if (!reuse_on)
         return;
     stateChanged = false;
+    lastPredictorVersion = predictorVersion();
     lastPlanReusable =
         out.prefill.empty() && out.prewarm.empty() &&
         out.swapIn.empty() && out.swapOut.empty() &&
@@ -343,18 +350,19 @@ IntraScheduler::reusePlan(const IterationPlan& prev,
                           const model::KvPool& pool)
 {
     reuseDecline = PlanDecline::None;
-    if (!incremental) {
+    if (!incremental && !keyedReuse) {
         reuseDecline = PlanDecline::Inactive;
         return false;
     }
-    if (!lastPlanReusable || stateChanged) {
+    if (!lastPlanReusable || stateChanged ||
+        (keyedReuse && !keyedOrderHolds(prev))) {
         reuseDecline = PlanDecline::StateChanged;
         return false;
     }
     // Deferred plan-time decisions (demotion) fire exactly here, the
     // same point recompute mode applies them, so their timing relative
     // to snapshots and callbacks is identical in both modes.
-    if (reuseVeto()) {
+    if (reuseVeto(prev)) {
         reuseDecline = PlanDecline::Veto;
         return false;
     }
@@ -378,6 +386,40 @@ IntraScheduler::reusePlan(const IterationPlan& prev,
         return false;
     }
     ++planAge;
+    return true;
+}
+
+bool
+IntraScheduler::keyedOrderHolds(const IterationPlan& prev)
+{
+    // Only the members ran since the build, so only their keys can
+    // have moved: an idle request's prediction is a pure function of
+    // its own progress and the predictor state.
+    if (predictorVersion() != lastPredictorVersion)
+        return false;
+    for (std::size_t i = 0; i < prev.decode.size(); ++i) {
+        workload::Request* r = prev.decode[i];
+        const DecodeKeys& rec = lastDecodeKeys[i];
+        if (r->exec != workload::ExecState::ResidentGpu ||
+            r->phase() != rec.phase ||
+            r->quantaConsumed != rec.quanta ||
+            r->schedClassRank != rec.classRank)
+            return false;
+        // A key that only fell moves its member up: every request
+        // the walk skipped keeps at least the members it had ahead,
+        // each now charging no less, so it still does not fit.
+        double key = queueKey(r);
+        if (key > rec.score)
+            return false;
+        r->schedScore = key;
+    }
+    // Members may still overtake each other (ties at a clamp, unequal
+    // noise factors), and the decode list order drives the engine's
+    // callback order.
+    for (std::size_t i = 1; i < prev.decode.size(); ++i) {
+        if (!keysInOrder(prev.decode[i - 1], prev.decode[i]))
+            return false;
+    }
     return true;
 }
 
@@ -478,6 +520,7 @@ IntraScheduler::finishGreedySelect(const model::KvPool& pool,
             unselected_residents.push_back(r);
         out.decode.clear();
         lastDecodeCapped.clear();
+        lastDecodeKeys.clear();
     } else {
         // Prewarmed requests join the decode batch immediately: their
         // KV allocation is free of charge. Under chunked prefill the

@@ -17,17 +17,20 @@
  *    re-sorts the priority order from scratch. Simple, and the
  *    reference behaviour the invariance tests compare against.
  *    Predictor-keyed schedulers (keysUsePredictions(): SRPT and
- *    PASCAL-Spec) always run here. A predicted remaining length moves
- *    with every generated token, so every executed member re-keys
- *    every iteration and no plan is ever reused; an online learner
- *    (profile, rank) also re-keys every hosted request at each
- *    completion. Their sorts are warm-started (warmSort()): members
- *    whose key did not move since the last plan keep their order, so
- *    a plan costs one prediction per schedulable request plus a sort
- *    of the re-keyed ones, where maintained queues would pay a relink
- *    per executed token. The force-resort mode sorts from scratch.
- *    README ("Predictor-keyed policies always recompute") lists where
- *    this was measured against maintained queues.
+ *    PASCAL-Spec) always build here. A predicted remaining length moves
+ *    with every generated token, so maintained queues would relink
+ *    every executed member every iteration; an online learner
+ *    (profile, rank) also re-keys every hosted request when its served
+ *    predictions change. Their sorts are warm-started (warmSort()):
+ *    members keep their last order while it holds, so a plan costs
+ *    one prediction per schedulable request plus a sort of the
+ *    members that moved. The force-resort mode sorts from scratch.
+ *    They still reuse plans: between predictor version bumps a
+ *    running member's key never increases and an idle request's key
+ *    never moves, so reusePlan() re-keys only the last plan's decode
+ *    members and proves the walk would pick them again (README,
+ *    "Predictor-keyed policies reuse plans between predictor
+ *    changes").
  *
  *  - Incremental mode (enabled by the owning Instance via
  *    enableIncremental()): the scheduler maintains its priority
@@ -49,7 +52,8 @@
  *  - onPhaseTransition()       reasoning->answering staying home.
  *
  * Incremental keys never read the predictor, so predictor updates need
- * no notification. Code that mutates requests behind the scheduler's
+ * no notification (keyed plan reuse compares LengthPredictor::version()
+ * instead). Code that mutates requests behind the scheduler's
  * back (unit tests poking exec states directly) must simply leave
  * incremental mode off.
  * Subclasses hook the notifications via onHostedAdded/onHostedRemoved/
@@ -145,9 +149,10 @@ maybeSkipWaiting(It& it)
 enum class PlanDecline : std::uint8_t
 {
     None = 0,     //!< The plan was reused (or reuse never consulted).
-    Inactive,     //!< Fast path off (recompute mode / force twin).
-    StateChanged, //!< Membership/key/queue change since last build.
-    Veto,         //!< Policy veto (PASCAL's deferred demotion).
+    Inactive,     //!< Fast path off (never enabled, or the force twin).
+    StateChanged, //!< Membership/residency/key/queue change, or a
+                  //!< predictor version bump, since the last build.
+    Veto,         //!< Policy veto (PASCAL's demotion rule fired).
     Budget,       //!< Paged-memory revalidation failed.
 };
 
@@ -213,13 +218,22 @@ class IntraScheduler
      * Steady-state fast path: true if @p prev (the plan built by the
      * last buildPlan() and since executed once) is still *exactly*
      * what buildPlan() would produce, in which case the instance runs
-     * it again verbatim. Holds when (a) incremental mode is on, (b)
-     * the previous plan was pure decode (no prefill / prewarm /
-     * swaps), (c) no membership, key, or demotion change was
-     * observed since, and (d) re-walking the recorded selection
-     * against the pool shows every decode member still fits and every
-     * kept resident still holds its memory. (d) is O(batch) integer
-     * arithmetic — no sorting, no allocation. When it returns false
+     * it again verbatim. Holds when (a) the fast path is on
+     * (enableIncremental()), (b) the previous plan was pure decode (no
+     * prefill / prewarm / swaps), (c) no membership, residency, key,
+     * or demotion change was observed since, and (d) re-walking the
+     * recorded selection against the pool shows every decode member
+     * still fits and every kept resident still holds its memory. (d)
+     * is O(batch) integer arithmetic — no sorting, no allocation.
+     *
+     * Predictor-keyed schedulers build in recompute mode, so for them
+     * (c) is checked here, in O(batch): the predictor version is
+     * unchanged, every decode member keeps its build-time phase,
+     * quanta, class rank and GPU residency, its re-read key
+     * (queueKey()) is at most its build-time key, and members of one
+     * queue are still in the policy's order (keysInOrder()). Idle
+     * requests' keys are frozen and the budget ahead of them only
+     * shrinks, so none can overtake a member. When it returns false
      * the caller walks: buildPlan().
      */
     bool reusePlan(const IterationPlan& prev, const model::KvPool& pool);
@@ -258,10 +272,12 @@ class IntraScheduler
     const SchedLimits& schedLimits() const { return limits; }
 
     /**
-     * Switch on incremental maintenance. Must be called before any
-     * request is added. Ignored when keysUsePredictions() (see the
-     * file comment), when SchedLimits::forceResort is set, or when the
-     * PASCAL_FORCE_RESORT environment variable was set at construction.
+     * Switch on the fast path: incremental maintenance plus plan
+     * reuse. Must be called before any request is added. A
+     * keysUsePredictions() scheduler keeps building in recompute mode
+     * and gets plan reuse only (see the file comment). Ignored when
+     * SchedLimits::forceResort is set or the PASCAL_FORCE_RESORT
+     * environment variable was set at construction.
      */
     void enableIncremental();
 
@@ -287,7 +303,8 @@ class IntraScheduler
     }
 
     /** True if ordering keys come from the predictor; such a
-     *  scheduler never enters incremental mode. */
+     *  scheduler never enters incremental mode, and its plans are
+     *  reused only while the predictor version holds. */
     virtual bool keysUsePredictions() const { return false; }
 
     /**
@@ -359,13 +376,47 @@ class IntraScheduler
     }
 
     /**
-     * Last gate before verbatim plan reuse; runs any deferred
-     * decisions that recompute mode would take at plan time (PASCAL's
-     * demotion rule). Return true to veto the reuse. May mutate
-     * scheduler state (an applied demotion both vetoes and updates
-     * the queues).
+     * Last gate before verbatim plan reuse of @p prev; runs any
+     * deferred decisions that recompute mode would take at plan time
+     * (PASCAL's demotion rule). Return true to veto the reuse. May
+     * mutate scheduler state (an applied demotion both vetoes and
+     * updates the queues).
      */
-    virtual bool reuseVeto() { return false; }
+    virtual bool
+    reuseVeto(const IterationPlan& prev)
+    {
+        (void)prev;
+        return false;
+    }
+
+    /**
+     * Predictor-derived ordering key cached into schedScore
+     * (ascending = served first). Only called when
+     * keysUsePredictions(): by the policy's plan build, and by
+     * reusePlan() to re-key the last plan's decode members.
+     */
+    virtual double
+    queueKey(const workload::Request* req) const
+    {
+        (void)req;
+        return 0.0;
+    }
+
+    /**
+     * Keyed plan reuse: true if @p a (ahead of @p b in the last plan's
+     * decode list) still precedes @p b in the policy's order under
+     * their current schedScore keys, or if they sit in different
+     * queues. The default proves nothing, so a keyed policy that does
+     * not override it never reuses a plan.
+     */
+    virtual bool
+    keysInOrder(const workload::Request* a,
+                const workload::Request* b) const
+    {
+        (void)a;
+        (void)b;
+        return false;
+    }
 
     /**
      * A linked member's materiality flipped in place (a
@@ -436,9 +487,10 @@ class IntraScheduler
      * The ranges are templated so the skip-list queues are consumed
      * in place — no O(n) copy into a scratch order per plan.
      *
-     * In incremental mode the walk also records the reuse-validation
-     * state (per-decode-member budget caps and the kept residents)
-     * that reusePlan() re-checks each steady-state iteration.
+     * The walk also records the reuse-validation state (per-decode-
+     * member budget caps, keyed reuse's key fields, and the kept
+     * residents) that reusePlan() re-checks each steady-state
+     * iteration.
      *
      * @param cap_high Charge the high range against
      *        @p high_budget_cap as well as the global budget
@@ -487,6 +539,7 @@ class IntraScheduler
             lastKeptResidents; // Reused buffer; doubles as the record.
         unselected_residents.clear();
         lastDecodeCapped.clear();
+        lastDecodeKeys.clear();
         lastHighBudgetCap = cap_high ? high_budget_cap : -1;
 
         // True once no waiting candidate can join the batch. Every
@@ -616,7 +669,7 @@ class IntraScheduler
                 }
                 admitted = true;
                 out.decode.push_back(r);
-                lastDecodeCapped.push_back(capped ? 1 : 0);
+                recordDecode(r, capped);
                 break;
               }
               case workload::ExecState::SwappedCpu: {
@@ -631,7 +684,7 @@ class IntraScheduler
                 admitted = true;
                 out.swapIn.push_back(r);
                 out.decode.push_back(r);
-                lastDecodeCapped.push_back(capped ? 1 : 0);
+                recordDecode(r, capped);
                 break;
               }
               default:
@@ -692,12 +745,14 @@ class IntraScheduler
      * std::sort of @p items by @p order, warm-started from the last
      * sort of the same queue (@p memo). @p order must be a strict total
      * order over (schedClassRank, quantaConsumed, schedScore) and the
-     * immutable arrival and id. Members whose three mutable fields are
-     * unchanged since that sort keep their relative order, so only new
-     * and re-keyed members are sorted and then merged in: O(n + k log
-     * k) for k changed members, and the same result as std::sort
-     * because the order is total. The force-resort debug mode sorts
-     * from scratch instead.
+     * immutable arrival and id. Members keep their last relative order
+     * while it still holds: one whose three mutable fields are
+     * unchanged since that sort (an anchor) always does, and a
+     * re-keyed one does while it still sorts between the last member
+     * kept and the next anchor. Only new and displaced members are
+     * sorted and then merged in: O(n + k log k) for k of them, and the
+     * same result as std::sort because the order is total. The
+     * force-resort debug mode sorts from scratch instead.
      */
     template <typename Order>
     void
@@ -711,20 +766,46 @@ class IntraScheduler
         sortSlots.assign(memo.size, nullptr);
         sortChanged.clear();
         for (auto* r : items) {
-            if (memo.stamp != 0 && r->sortStamp == memo.stamp &&
-                r->sortClassRank == r->schedClassRank &&
-                r->sortQuanta == r->quantaConsumed &&
-                r->sortScore == r->schedScore) {
+            if (memo.stamp != 0 && r->sortStamp == memo.stamp)
                 sortSlots[r->sortRank] = r;
-            } else {
+            else
                 sortChanged.push_back(r);
+        }
+        auto anchor = [](const workload::Request* r) {
+            return r != nullptr && r->sortClassRank == r->schedClassRank &&
+                   r->sortQuanta == r->quantaConsumed &&
+                   r->sortScore == r->schedScore;
+        };
+        // Compacts the kept run to the front in place: writes land at
+        // or behind the slot being read, never on the next anchor.
+        const std::size_t slots = sortSlots.size();
+        std::size_t kept = 0;
+        std::size_t next_anchor = 0;
+        for (std::size_t i = 0; i < slots; ++i) {
+            workload::Request* r = sortSlots[i];
+            if (r == nullptr)
+                continue;
+            if (!anchor(r)) {
+                if (next_anchor <= i) {
+                    next_anchor = i + 1;
+                    while (next_anchor < slots &&
+                           !anchor(sortSlots[next_anchor]))
+                        ++next_anchor;
+                }
+                if ((kept > 0 && !order(sortSlots[kept - 1], r)) ||
+                    (next_anchor < slots &&
+                     !order(r, sortSlots[next_anchor]))) {
+                    sortChanged.push_back(r);
+                    continue;
+                }
             }
+            sortSlots[kept++] = r;
         }
         std::sort(sortChanged.begin(), sortChanged.end(), order);
-        auto kept_end =
-            std::remove(sortSlots.begin(), sortSlots.end(), nullptr);
-        std::merge(sortSlots.begin(), kept_end, sortChanged.begin(),
-                   sortChanged.end(), items.begin(), order);
+        std::merge(sortSlots.begin(),
+                   sortSlots.begin() + static_cast<std::ptrdiff_t>(kept),
+                   sortChanged.begin(), sortChanged.end(), items.begin(),
+                   order);
         memo.stamp = nextSortStamp();
         memo.size = items.size();
         for (std::size_t i = 0; i < items.size(); ++i) {
@@ -799,6 +880,29 @@ class IntraScheduler
     bool revalidate(const IterationPlan& prev,
                     const model::KvPool& pool) const;
 
+    /** Keyed reuse, check (c) of reusePlan(): re-keys @p prev's decode
+     *  members (updating their schedScore) and proves the walk would
+     *  still select them in the same order. */
+    bool keyedOrderHolds(const IterationPlan& prev);
+
+    /** Current predictor version (0 without a predictor). */
+    std::uint64_t
+    predictorVersion() const
+    {
+        return lengthPredictor != nullptr ? lengthPredictor->version()
+                                          : 0;
+    }
+
+    void
+    recordDecode(const workload::Request* r, bool capped)
+    {
+        lastDecodeCapped.push_back(capped ? 1 : 0);
+        if (keyedReuse) {
+            lastDecodeKeys.push_back({r->schedScore, r->quantaConsumed,
+                                      r->phase(), r->schedClassRank});
+        }
+    }
+
     /** Recompute-mode counter scans. */
     int scanReasoning() const;
     int scanFreshAnswering() const;
@@ -844,7 +948,13 @@ class IntraScheduler
     /** Telemetry: why the last reuse attempt declined. */
     PlanDecline reuseDecline = PlanDecline::None;
 
-    /** Any membership/key/queue change since the last buildPlan. */
+    /** Plan reuse for a predictor-keyed scheduler in recompute mode
+     *  (set by enableIncremental()). */
+    bool keyedReuse = false;
+
+    /** Any membership/residency/key/queue change since the last
+     *  buildPlan. add(), remove() and noteResidency() raise it in
+     *  both modes. */
     bool stateChanged = true;
 
     /** Last plan qualifies for verbatim reuse (pure decode). */
@@ -852,9 +962,27 @@ class IntraScheduler
 
     /** @name Reuse-validation record of the last greedy walk */
     /** @{ */
+
     std::vector<workload::Request*> lastKeptResidents;
     std::vector<std::uint8_t> lastDecodeCapped;
     TokenCount lastHighBudgetCap = -1; //!< -1: no high-queue cap.
+
+    /** Keyed reuse: a decode member's key fields as the walk saw
+     *  them. */
+    struct DecodeKeys
+    {
+        double score = 0.0;         //!< schedScore.
+        int quanta = 0;             //!< quantaConsumed.
+        workload::Phase phase = workload::Phase::Reasoning;
+        std::uint8_t classRank = 0; //!< schedClassRank.
+    };
+
+    /** Parallel to lastDecodeCapped (keyed reuse only). */
+    std::vector<DecodeKeys> lastDecodeKeys;
+
+    /** Predictor version the last plan was built under (keyed
+     *  reuse). */
+    std::uint64_t lastPredictorVersion = 0;
 
     /**
      * O(1) steady-state budget check (uncapped walks only): histogram

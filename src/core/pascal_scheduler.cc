@@ -28,12 +28,6 @@ PascalScheduler::shouldDemote(const workload::Request* req) const
     return req->kvTokens() > limits.demoteThresholdTokens;
 }
 
-double
-PascalScheduler::queueKey(const workload::Request*) const
-{
-    return 0.0; // Pure round robin: quantaConsumed then arrival.
-}
-
 OrderedQueue<PascalQueueOrder>&
 PascalScheduler::queueOf(const workload::Request* r)
 {
@@ -102,9 +96,25 @@ PascalScheduler::processPendingDemotions()
 }
 
 bool
-PascalScheduler::reuseVeto()
+PascalScheduler::reuseVeto(const IterationPlan& prev)
 {
-    return processPendingDemotions();
+    if (incrementalEnabled())
+        return processPendingDemotions();
+    // Keyed reuse: only the batch members' demotion inputs (KV, and
+    // the prediction) moved since the build applied the rule.
+    for (const auto* r : prev.decode) {
+        if (isHighPriority(r) && shouldDemote(r))
+            return true;
+    }
+    return false;
+}
+
+bool
+PascalScheduler::keysInOrder(const workload::Request* a,
+                             const workload::Request* b) const
+{
+    return isHighPriority(a) != isHighPriority(b) ||
+           PascalQueueOrder{}(a, b);
 }
 
 void

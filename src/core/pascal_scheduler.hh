@@ -18,8 +18,9 @@
  * In incremental mode both queues are OrderedQueues repaired only for
  * requests whose quantaConsumed key or phase/demotion membership
  * changed, and the demotion rule is re-checked only for requests whose
- * KV moved since the last plan. Predictor-keyed variants always
- * recompute (see IntraScheduler's file comment).
+ * KV moved since the last plan. Predictor-keyed variants build in
+ * recompute mode and reuse plans between predictor changes (see
+ * IntraScheduler's file comment).
  */
 
 #ifndef PASCAL_CORE_PASCAL_SCHEDULER_HH
@@ -92,8 +93,10 @@ class PascalScheduler : public IntraScheduler
     void onHostedRemoved(workload::Request* req) override;
     void onRequestExecuted(workload::Request* req,
                            bool quanta_changed) override;
-    /** Applies pending demotions; vetoes the reuse if any fired. */
-    bool reuseVeto() override;
+    /** Incremental mode: applies pending demotions and vetoes the
+     *  reuse if any fired. Keyed reuse: vetoes if a high-queue member
+     *  of @p prev would now demote (the build applies it). */
+    bool reuseVeto(const IterationPlan& prev) override;
     void onMaterialChanged(workload::Request* req,
                            int delta) override;
     /** @} */
@@ -105,15 +108,9 @@ class PascalScheduler : public IntraScheduler
      */
     virtual bool shouldDemote(const workload::Request* req) const;
 
-    /**
-     * Within-queue priority key consulted after quantaConsumed and
-     * before arrival/id (ascending = served first). The paper's pure
-     * round-robin uses a constant; speculative variants return a
-     * predicted-remaining-length score. Only called when
-     * keysUsePredictions() is true, which keeps the reactive policy's
-     * score level inert.
-     */
-    virtual double queueKey(const workload::Request* req) const;
+    /** Same queue and PascalQueueOrder, or different queues. */
+    bool keysInOrder(const workload::Request* a,
+                     const workload::Request* b) const override;
 
   private:
     /**

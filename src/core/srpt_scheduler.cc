@@ -56,12 +56,25 @@ SrptScheduler::planInto(const model::KvPool& pool, IterationPlan& out)
     orderScratch.clear();
     for (auto* r : requests) {
         if (schedulable(r)) {
-            r->schedScore = lengthPredictor->rankScore(*r);
+            r->schedScore = queueKey(r);
             orderScratch.push_back(r);
         }
     }
     warmSort(orderScratch, orderMemo, SrptOrder{});
     greedySelectInto(orderScratch, pool, /*stop_at_unfit=*/false, out);
+}
+
+double
+SrptScheduler::queueKey(const workload::Request* req) const
+{
+    return lengthPredictor->rankScore(*req);
+}
+
+bool
+SrptScheduler::keysInOrder(const workload::Request* a,
+                           const workload::Request* b) const
+{
+    return SrptOrder{}(a, b);
 }
 
 } // namespace core

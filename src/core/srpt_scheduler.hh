@@ -14,9 +14,11 @@
  * Like FCFS, SRPT needs no token quantum: priorities come entirely
  * from the predictions, so quantum accounting is disabled.
  *
- * Rank scores move with the request's own progress, so SRPT always
- * plans in recompute mode: one prediction per schedulable request and
- * one sort per plan (see IntraScheduler's file comment).
+ * Rank scores move with the request's own progress, so SRPT builds in
+ * recompute mode (one prediction per schedulable request and one
+ * warm-started sort per plan) and reuses a plan between predictor
+ * changes while its batch keeps its order (see IntraScheduler's file
+ * comment).
  */
 
 #ifndef PASCAL_CORE_SRPT_SCHEDULER_HH
@@ -46,6 +48,13 @@ class SrptScheduler : public IntraScheduler
      *  requests blind). */
     void planInto(const model::KvPool& pool,
                   IterationPlan& out) override;
+
+    /** The predictor's rank score. */
+    double queueKey(const workload::Request* req) const override;
+
+    /** SRPT order over the cached rank scores. */
+    bool keysInOrder(const workload::Request* a,
+                     const workload::Request* b) const override;
 
   private:
     SortMemo orderMemo;

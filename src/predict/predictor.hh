@@ -135,18 +135,20 @@ class LengthPredictor
     }
 
     /**
-     * Monotone state version. Advances whenever the predictor's
-     * internal state — and therefore its predictions for requests
-     * that did not themselves progress — may have changed. The
-     * cluster's predictive placement view rebuilds every instance's
-     * snapshot when it moves. Stateless predictors (oracle, noisy
-     * oracle) never bump it: their estimates are pure functions of the
-     * request's own progress.
+     * Monotone state version. Advances whenever a served prediction
+     * for a request that did not itself progress may have changed;
+     * while it holds, every prediction is a pure function of the
+     * request's own progress. The cluster's predictive placement view
+     * rebuilds every instance's snapshot when it moves, and keyed
+     * schedulers reuse a plan only while it holds. Stateless
+     * predictors (oracle, noisy oracle) never bump it; the profile
+     * predictor bumps it only when a served quantile changes.
      */
     std::uint64_t version() const { return versionCounter; }
 
   protected:
-    /** Online learners call this whenever they update state. */
+    /** Online learners call this whenever their served predictions
+     *  may have changed. */
     void bumpVersion() { ++versionCounter; }
 
   private:

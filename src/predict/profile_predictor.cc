@@ -39,45 +39,24 @@ RunningQuantile::quantile(double q) const
 
 DatasetProfilePredictor::DatasetProfilePredictor(double quantile,
                                                  int warmup_completions)
-    : q(quantile), warmup(warmup_completions)
+    : q(quantile), warmup(warmup_completions),
+      fallback{kPriorReasoningTokens, kPriorAnswerTokens}
 {}
 
-const RunningQuantile*
-DatasetProfilePredictor::pick(const std::string& dataset,
-                              bool reasoning) const
+const DatasetProfilePredictor::Served&
+DatasetProfilePredictor::servedFor(const workload::Request& req) const
 {
-    auto it = perDataset.find(dataset);
-    if (it != perDataset.end()) {
-        const RunningQuantile& own =
-            reasoning ? it->second.reasoning : it->second.answering;
-        if (own.count() >= static_cast<std::size_t>(warmup))
-            return &own;
+    const std::string& dataset = req.spec().dataset;
+    for (const ServedEntry& e : servedTable) {
+        if (e.dataset == dataset)
+            return e.served;
     }
-    const RunningQuantile& all =
-        reasoning ? global.reasoning : global.answering;
-    return all.count() > 0 ? &all : nullptr;
+    return fallback;
 }
 
 double
-DatasetProfilePredictor::expectedReasoningTokens(
-    const workload::Request& req) const
-{
-    const RunningQuantile* stats = pick(req.spec().dataset, true);
-    return stats != nullptr ? stats->quantile(q)
-                            : kPriorReasoningTokens;
-}
-
-double
-DatasetProfilePredictor::expectedAnswerTokens(
-    const workload::Request& req) const
-{
-    const RunningQuantile* stats = pick(req.spec().dataset, false);
-    return stats != nullptr ? stats->quantile(q) : kPriorAnswerTokens;
-}
-
-double
-DatasetProfilePredictor::predictRemainingReasoningTokens(
-    const workload::Request& req) const
+DatasetProfilePredictor::remainingReasoning(const workload::Request& req,
+                                            const Served& s) const
 {
     if (req.spec().startInAnswering ||
         req.phase() != workload::Phase::Reasoning) {
@@ -86,9 +65,15 @@ DatasetProfilePredictor::predictRemainingReasoningTokens(
     // The request is observably still reasoning, so at least one more
     // reasoning token is coming even when it has outlived the
     // quantile.
-    double expected = expectedReasoningTokens(req);
     double generated = static_cast<double>(req.reasoningGenerated());
-    return std::max(expected - generated, 1.0);
+    return std::max(s.reasoning - generated, 1.0);
+}
+
+double
+DatasetProfilePredictor::predictRemainingReasoningTokens(
+    const workload::Request& req) const
+{
+    return remainingReasoning(req, servedFor(req));
 }
 
 double
@@ -98,13 +83,13 @@ DatasetProfilePredictor::predictRemainingTokens(
     switch (req.phase()) {
       case workload::Phase::Finished:
         return 0.0;
-      case workload::Phase::Reasoning:
-        return predictRemainingReasoningTokens(req) +
-               expectedAnswerTokens(req);
+      case workload::Phase::Reasoning: {
+        const Served& s = servedFor(req);
+        return remainingReasoning(req, s) + s.answering;
+      }
       case workload::Phase::Answering: {
-        double expected = expectedAnswerTokens(req);
         double generated = static_cast<double>(req.answerGenerated());
-        return std::max(expected - generated, 1.0);
+        return std::max(servedFor(req).answering - generated, 1.0);
       }
     }
     return 0.0;
@@ -113,9 +98,11 @@ DatasetProfilePredictor::predictRemainingTokens(
 void
 DatasetProfilePredictor::observeCompletion(const workload::Request& req)
 {
-    bumpVersion(); // Quantiles move: downstream keys must re-rank.
     const workload::RequestSpec& spec = req.spec();
-    Lengths& own = perDataset[spec.dataset];
+    auto [own_it, inserted] = perDataset.try_emplace(spec.dataset);
+    Lengths& own = own_it->second;
+    if (inserted) // It served the fallback until now.
+        servedTable.push_back({spec.dataset, &own, fallback});
     // startInAnswering requests never decode reasoning tokens here, so
     // their (zero-length) reasoning phase would only skew the
     // reasoning quantile downward for requests that do reason.
@@ -125,6 +112,29 @@ DatasetProfilePredictor::observeCompletion(const workload::Request& req)
     }
     own.answering.add(static_cast<double>(spec.answerTokens));
     global.answering.add(static_cast<double>(spec.answerTokens));
+
+    // Re-serve every dataset: the fallback moved with the global
+    // statistics. Keys must re-rank only if a served value changed.
+    const Served next_fallback = {
+        global.reasoning.count() > 0 ? global.reasoning.quantile(q)
+                                     : kPriorReasoningTokens,
+        global.answering.count() > 0 ? global.answering.quantile(q)
+                                     : kPriorAnswerTokens};
+    bool changed = !(next_fallback == fallback);
+    fallback = next_fallback;
+    const auto warm = static_cast<std::size_t>(warmup);
+    for (ServedEntry& e : servedTable) {
+        const Served s = {e.stats->reasoning.count() >= warm
+                              ? e.stats->reasoning.quantile(q)
+                              : fallback.reasoning,
+                          e.stats->answering.count() >= warm
+                              ? e.stats->answering.quantile(q)
+                              : fallback.answering};
+        changed = changed || !(s == e.served);
+        e.served = s;
+    }
+    if (changed)
+        bumpVersion();
 }
 
 std::size_t

@@ -12,6 +12,10 @@
  * already generated". Until a dataset has seen warmupCompletions
  * finishes it falls back to the all-dataset statistics, and before any
  * completion at all to fixed chat-scale priors.
+ *
+ * The served expectations (per dataset, plus the fallback) are
+ * recomputed once per completion, so a query is one table lookup plus
+ * arithmetic, and the version moves only when a served value does.
  */
 
 #ifndef PASCAL_PREDICT_PROFILE_PREDICTOR_HH
@@ -77,22 +81,39 @@ class DatasetProfilePredictor : public LengthPredictor
     std::size_t observations(const std::string& dataset) const;
 
   private:
+    /** Expected total (reasoning, answering) lengths a query serves. */
+    struct Served
+    {
+        double reasoning = 0.0;
+        double answering = 0.0;
+
+        bool
+        operator==(const Served& o) const
+        {
+            return reasoning == o.reasoning && answering == o.answering;
+        }
+    };
+
     struct Lengths
     {
         RunningQuantile reasoning;
         RunningQuantile answering;
     };
 
-    /** Expected total reasoning length for @p req's dataset. */
-    double expectedReasoningTokens(const workload::Request& req) const;
+    /** One dataset's row of the served table. */
+    struct ServedEntry
+    {
+        std::string dataset;
+        const Lengths* stats = nullptr; //!< Its perDataset node (stable).
+        Served served;
+    };
 
-    /** Expected total answering length for @p req's dataset. */
-    double expectedAnswerTokens(const workload::Request& req) const;
+    /** What @p req's dataset serves: its own row, else the fallback. */
+    const Served& servedFor(const workload::Request& req) const;
 
-    /** The dataset's stats if warmed up, else global, else nullptr
-     *  (caller applies the fixed prior). */
-    const RunningQuantile* pick(const std::string& dataset,
-                                bool reasoning) const;
+    /** Remaining reasoning given @p s (0 once answering). */
+    double remainingReasoning(const workload::Request& req,
+                              const Served& s) const;
 
     double q;
     int warmup;
@@ -100,6 +121,18 @@ class DatasetProfilePredictor : public LengthPredictor
     /** std::map: deterministic iteration and no rehash jitter. */
     std::map<std::string, Lengths> perDataset;
     Lengths global;
+
+    /**
+     * The served table, refreshed once per completion: a dataset
+     * takes, field by field, its own quantile once warmed up and the
+     * fallback before that. A flat scan, because traces carry a
+     * handful of datasets and a query compares a length first.
+     */
+    std::vector<ServedEntry> servedTable;
+
+    /** Served for unseen datasets: the global quantile, or the fixed
+     *  prior before any sample. */
+    Served fallback;
 };
 
 } // namespace predict

@@ -10,13 +10,20 @@
  * {FCFS, RR, PASCAL, SRPT, PASCAL-Spec} x predictor grid in both
  * modes and compare every metric field exactly, plus unit-level
  * checks of the maintained monitor counters and the fast-path
- * engagement itself (including which policies never engage it:
- * predictor-keyed SRPT and PASCAL-Spec always recompute).
+ * engagement itself: reactive policies run incremental queues, while
+ * predictor-keyed SRPT and PASCAL-Spec build in recompute mode and
+ * reuse a plan only while the predictor version holds and the batch
+ * keeps its order. Scripted decode runs pin the ways such a batch
+ * stops being the walk's answer (a tie at the profile's clamp, unequal
+ * noise factors, a lookahead demotion, a rising key): each must
+ * decline.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +32,10 @@
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 #include "src/core/pascal_scheduler.hh"
+#include "src/core/pascal_spec_scheduler.hh"
+#include "src/core/srpt_scheduler.hh"
+#include "src/predict/oracle_predictor.hh"
+#include "src/predict/profile_predictor.hh"
 #include "src/workload/generator.hh"
 #include "tests/run_result_util.hh"
 #include "tests/scheduler_test_util.hh"
@@ -132,14 +143,36 @@ constrained(SchedulerType sched, predict::PredictorConfig pred,
     return cfg;
 }
 
-void
+/** True when PASCAL_FORCE_RESORT turns the fast path off globally. */
+bool
+fastPathForcedOff()
+{
+    return std::getenv("PASCAL_FORCE_RESORT") != nullptr;
+}
+
+/** Plans the run reused, summed over its instances. */
+std::uint64_t
+planReuses(const cluster::RunContext& ctx)
+{
+    std::uint64_t reuses = 0;
+    for (const auto& inst : ctx.cluster().getInstances())
+        reuses += inst->numPlanReuses();
+    return reuses;
+}
+
+/** Runs @p trace with the fast path and with the force-resort twin,
+ *  expects identical results, and returns the fast run's reuses. */
+std::uint64_t
 expectModesIdentical(SystemConfig cfg, const workload::Trace& trace)
 {
     cfg.limits.forceResort = false;
-    auto fast = cluster::RunContext::execute(cfg, trace);
+    cluster::RunContext fast(cfg);
+    fast.submit(trace);
+    fast.run();
     cfg.limits.forceResort = true;
     auto reference = cluster::RunContext::execute(cfg, trace);
-    test::expectIdentical(fast, reference);
+    test::expectIdentical(fast.result(), reference);
+    return planReuses(fast);
 }
 
 predict::PredictorConfig
@@ -260,25 +293,32 @@ TEST_F(PlanReuseInvariance, ReactiveSchedulersAcrossPredictors)
 
 TEST_F(PlanReuseInvariance, SpeculativeSchedulersAcrossPredictors)
 {
-    // SRPT and PASCAL-Spec always recompute; forceResort makes them
-    // sort from scratch instead of warm-starting from the last sort,
-    // which must not change a byte. Static predictors re-key only the
-    // executed members, online learners (profile, rank) also the idle
-    // ones.
-    for (const GridInput& input : gridInputs(777)) {
-        for (SchedulerType sched :
-             {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
-            for (const std::string kind :
-                 {"oracle", "noisy", "profile", "rank"}) {
+    // SRPT and PASCAL-Spec build in recompute mode; forceResort makes
+    // them sort from scratch instead of warm-starting from the last
+    // sort, and never reuse a plan, which must not change a byte.
+    // Static predictors re-key only the executed members, online
+    // learners (profile, rank) also the idle ones. Every cell must
+    // actually reuse, or the identity would hold vacuously.
+    for (SchedulerType sched :
+         {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
+        for (const std::string kind :
+             {"oracle", "noisy", "profile", "rank"}) {
+            std::uint64_t reuses = 0;
+            for (const GridInput& input : gridInputs(777)) {
                 SCOPED_TRACE(std::string(input.name) + " scheduler " +
                              std::to_string(static_cast<int>(sched)) +
                              " predictor " + kind);
                 auto pred = predictorNamed(kind);
-                expectModesIdentical(
+                reuses += expectModesIdentical(
                     constrained(sched, pred,
                                 PlacementType::PascalPredictive,
                                 input.capacity),
                     input.trace);
+            }
+            if (!fastPathForcedOff()) {
+                EXPECT_GT(reuses, 0u)
+                    << "scheduler " << static_cast<int>(sched)
+                    << " predictor " << kind;
             }
         }
     }
@@ -451,12 +491,13 @@ TEST_F(PlanReuseInvariance, AllEightForceCornersByteIdentical)
     }
 }
 
-TEST_F(PlanReuseFastPath, PredictorKeyedSchedulersAlwaysRecompute)
+TEST_F(PlanReuseFastPath, PredictorKeyedSchedulersReusePlans)
 {
-    if (std::getenv("PASCAL_FORCE_RESORT") != nullptr)
+    if (fastPathForcedOff())
         GTEST_SKIP() << "fast path globally disabled by env";
-    // Predicted remaining work moves with every token, so SRPT and
-    // PASCAL-Spec never maintain queues: no plan is reused. Wiring a
+    // SRPT and PASCAL-Spec never maintain queues, but between
+    // predictor changes a running member's key only falls and an idle
+    // request's key holds, so their plans are reused. Wiring a
     // predictor only for predictive placement leaves reactive
     // PASCAL's queues unkeyed, and it keeps the incremental fast
     // path.
@@ -479,17 +520,265 @@ TEST_F(PlanReuseFastPath, PredictorKeyedSchedulersAlwaysRecompute)
         cluster::RunContext ctx(cfg);
         ctx.submit(trace);
         ctx.run();
-        std::uint64_t reuses = 0;
-        for (const auto& inst : ctx.cluster().getInstances()) {
+        for (const auto& inst : ctx.cluster().getInstances())
             EXPECT_EQ(inst->scheduler().incrementalEnabled(), !c.keyed);
-            reuses += inst->numPlanReuses();
+        EXPECT_GT(planReuses(ctx), 0u);
+    }
+}
+
+/** One plan boundary of a scripted decode run. */
+struct Boundary
+{
+    std::vector<RequestId> decode; //!< The plan's decode order.
+    std::vector<bool> demoted;     //!< Per request, after planning.
+    bool reused = false;
+    core::PlanDecline decline = core::PlanDecline::None;
+};
+
+/** Builds a run's requests (GPU-resident, not yet hosted) in a
+ *  harness, given the scheduler's token quantum. */
+using MakeRequests = std::function<std::vector<workload::Request*>(
+    SchedulerHarness&, TokenCount)>;
+
+/**
+ * Drives @p sched through the engine's boundary protocol on a pool of
+ * @p capacity tokens: reuse the last plan if reusePlan() allows, else
+ * build, apply its swaps, then run the decode batch one token and
+ * report it. The requests are long enough that none finishes or
+ * leaves its phase.
+ */
+std::vector<Boundary>
+driveDecodeRun(core::IntraScheduler& sched, const MakeRequests& make,
+               int boundaries, TokenCount capacity)
+{
+    SchedulerHarness h(capacity);
+    const TokenCount quantum = sched.schedLimits().quantum;
+    sched.enableIncremental();
+    std::vector<workload::Request*> reqs = make(h, quantum);
+    for (auto* r : reqs)
+        sched.add(r);
+    core::IterationPlan plan;
+    std::vector<Boundary> run;
+    for (int b = 0; b < boundaries; ++b) {
+        Boundary rec;
+        rec.reused = sched.reusePlan(plan, h.pool);
+        rec.decline = sched.lastReuseDecline();
+        if (!rec.reused)
+            sched.buildPlan(h.pool, plan);
+        EXPECT_TRUE(plan.prefill.empty() && plan.prewarm.empty());
+        for (auto* r : plan.swapOut) {
+            h.swapOut(r);
+            sched.noteResidency(r);
         }
-        if (c.keyed) {
-            EXPECT_EQ(reuses, 0u);
-        } else {
-            EXPECT_GT(reuses, 0u);
+        for (auto* r : plan.swapIn) {
+            h.pool.moveToGpu(r->kvSlot);
+            r->exec = workload::ExecState::ResidentGpu;
+            sched.noteResidency(r);
+        }
+        for (const auto* r : plan.decode)
+            rec.decode.push_back(r->id());
+        for (const auto* r : reqs)
+            rec.demoted.push_back(r->demoted);
+        for (auto* r : plan.decode) {
+            h.decodeTokens(r, 1, static_cast<Time>(b), quantum);
+            sched.noteExecuted(r);
+        }
+        run.push_back(rec);
+    }
+    return run;
+}
+
+/**
+ * Runs @p make on a fast scheduler and on its force-resort twin (both
+ * from @p build, on a pool of @p capacity tokens) and expects every
+ * boundary to match. The twin's batch
+ * must change at some boundary inside a reuse streak of the fast run
+ * (new order, or a demotion), and the fast run must decline there for
+ * @p why.
+ */
+void
+expectReuseDeclinesLikeTwin(
+    const std::function<std::unique_ptr<core::IntraScheduler>(
+        core::SchedLimits)>& build,
+    core::SchedLimits limits, const MakeRequests& make,
+    core::PlanDecline why, TokenCount capacity = 1 << 20)
+{
+    constexpr int kBoundaries = 16;
+    limits.forceResort = false;
+    auto fast_sched = build(limits);
+    auto fast = driveDecodeRun(*fast_sched, make, kBoundaries, capacity);
+    limits.forceResort = true;
+    auto twin_sched = build(limits);
+    auto twin = driveDecodeRun(*twin_sched, make, kBoundaries, capacity);
+
+    int changed_at = -1;
+    for (int b = 0; b < kBoundaries; ++b) {
+        SCOPED_TRACE("boundary " + std::to_string(b));
+        EXPECT_EQ(fast[b].decode, twin[b].decode);
+        EXPECT_EQ(fast[b].demoted, twin[b].demoted);
+        EXPECT_FALSE(twin[b].reused);
+        if (changed_at < 0 && b > 0 &&
+            (twin[b].decode != twin[b - 1].decode ||
+             twin[b].demoted != twin[b - 1].demoted)) {
+            changed_at = b;
         }
     }
+    ASSERT_GT(changed_at, 1) << "the twin's batch never changed";
+    if (fastPathForcedOff())
+        return;
+    EXPECT_TRUE(fast[changed_at - 1].reused);
+    EXPECT_FALSE(fast[changed_at].reused);
+    EXPECT_EQ(fast[changed_at].decline, why);
+}
+
+TEST_F(PlanReuseFastPath, ClampTieReorderDeclines)
+{
+    // Profile served lengths (10 reasoning, 5 answering): a request
+    // that has outlived the reasoning median predicts max(., 1) + 5.
+    // b clamps first and runs ahead of a; once a clamps too they tie,
+    // and the earlier arrival (a) takes the lead.
+    predict::DatasetProfilePredictor profile(0.5, 1);
+    workload::RequestSpec spec;
+    spec.id = 99;
+    spec.promptTokens = 8;
+    spec.reasoningTokens = 10;
+    spec.answerTokens = 5;
+    profile.observeCompletion(workload::Request(spec));
+
+    expectReuseDeclinesLikeTwin(
+        [&](core::SchedLimits limits) {
+            auto s = std::make_unique<core::SrptScheduler>(limits);
+            s->setPredictor(&profile);
+            return std::unique_ptr<core::IntraScheduler>(std::move(s));
+        },
+        core::SchedLimits{},
+        [](SchedulerHarness& h, TokenCount quantum) {
+            auto* a = h.make(1, 0.0, 32, 400, 50);
+            auto* b = h.make(2, 1.0, 32, 400, 50);
+            h.makeResident(a, quantum);
+            h.makeResident(b, quantum);
+            h.decodeTokens(a, 4, 0.0, quantum); // Key 10.
+            h.decodeTokens(b, 7, 0.0, quantum); // Key 7.
+            return std::vector<workload::Request*>{a, b};
+        },
+        core::PlanDecline::StateChanged);
+}
+
+/** Ranks a request by id, plus 1000 once it has generated 13 tokens:
+ *  a running key that rises, which no shipped predictor does between
+ *  version bumps. */
+class RisingKeyPredictor : public predict::LengthPredictor
+{
+  public:
+    std::string name() const override { return "rising"; }
+
+    double
+    predictRemainingTokens(const workload::Request& req) const override
+    {
+        return static_cast<double>(req.id()) +
+               (req.generated() >= 13 ? 1000.0 : 0.0);
+    }
+
+    double
+    predictRemainingReasoningTokens(
+        const workload::Request& req) const override
+    {
+        (void)req;
+        return 0.0;
+    }
+};
+
+TEST_F(PlanReuseFastPath, RisingKeyDeclines)
+{
+    // b and a fill the 300-token pool, and the swapped-out x (key
+    // 1001) waits behind them. When a's key rises past x's, the walk
+    // swaps x in and a out; a already ran last, so the member order
+    // cannot tell.
+    RisingKeyPredictor rising;
+    expectReuseDeclinesLikeTwin(
+        [&](core::SchedLimits limits) {
+            auto s = std::make_unique<core::SrptScheduler>(limits);
+            s->setPredictor(&rising);
+            return std::unique_ptr<core::IntraScheduler>(std::move(s));
+        },
+        core::SchedLimits{},
+        [](SchedulerHarness& h, TokenCount quantum) {
+            auto* x = h.make(1, 0.0, 99, 400, 50);
+            auto* b = h.make(2, 1.0, 99, 400, 50);
+            auto* a = h.make(3, 2.0, 99, 400, 50);
+            h.makeResident(x, quantum);
+            h.decodeTokens(x, 12, 0.0, quantum); // KV 112, key 1001.
+            h.swapOut(x);
+            h.makeResident(b, quantum);         // KV 100, key 2.
+            h.makeResident(a, quantum);
+            h.decodeTokens(a, 9, 0.0, quantum); // KV 109, key 3.
+            return std::vector<workload::Request*>{x, b, a};
+        },
+        core::PlanDecline::StateChanged, 300);
+}
+
+TEST_F(PlanReuseFastPath, NoisyOracleReorderDeclines)
+{
+    // Keys are factor x remaining, so the member with the larger noise
+    // factor falls faster and overtakes one it started just behind.
+    predict::NoisyOraclePredictor noisy(0.5, 7);
+    RequestId fast_id = 1;
+    RequestId slow_id = 2;
+    while (noisy.noiseFactor(fast_id) < 1.5 * noisy.noiseFactor(slow_id))
+        ++fast_id;
+    const double f_fast = noisy.noiseFactor(fast_id);
+    const double f_slow = noisy.noiseFactor(slow_id);
+    // Behind by between one and two f_fast, so the first reuse still
+    // holds and the overtake follows within a few tokens.
+    const auto fast_left =
+        static_cast<TokenCount>(f_slow * 400.0 / f_fast) + 2;
+
+    expectReuseDeclinesLikeTwin(
+        [&](core::SchedLimits limits) {
+            auto s = std::make_unique<core::SrptScheduler>(limits);
+            s->setPredictor(&noisy);
+            return std::unique_ptr<core::IntraScheduler>(std::move(s));
+        },
+        core::SchedLimits{},
+        [&](SchedulerHarness& h, TokenCount quantum) {
+            auto* a = h.make(fast_id, 0.0, 32, 0, fast_left, true);
+            auto* b = h.make(slow_id, 1.0, 32, 0, 400, true);
+            h.makeResident(a, quantum);
+            h.makeResident(b, quantum);
+            return std::vector<workload::Request*>{a, b};
+        },
+        core::PlanDecline::StateChanged);
+}
+
+TEST_F(PlanReuseFastPath, LookaheadDemotionDeclines)
+{
+    // a reasons toward a 2064-token KV, far past the 600 threshold:
+    // PASCAL-Spec demotes it the moment its KV enters the 128-token
+    // lookahead window (KV 473), mid-way through a run of reused
+    // plans, which moves it behind the answering request c.
+    predict::OraclePredictor oracle;
+    core::SchedLimits limits;
+    limits.quantum = 100000; // No rollover inside the run.
+    limits.demoteThresholdTokens = 600;
+    limits.demoteLookaheadTokens = 128;
+
+    expectReuseDeclinesLikeTwin(
+        [&](core::SchedLimits l) {
+            auto s = std::make_unique<core::PascalSpecScheduler>(l);
+            s->setPredictor(&oracle);
+            return std::unique_ptr<core::IntraScheduler>(std::move(s));
+        },
+        limits,
+        [](SchedulerHarness& h, TokenCount quantum) {
+            auto* a = h.make(1, 0.0, 64, 2000, 50);
+            auto* b = h.make(2, 1.0, 64, 300, 50);
+            auto* c = h.make(3, 2.0, 64, 0, 500, true);
+            for (auto* r : {a, b, c})
+                h.makeResident(r, quantum);
+            h.decodeTokens(a, 403, 0.0, quantum); // KV 468.
+            return std::vector<workload::Request*>{a, b, c};
+        },
+        core::PlanDecline::Veto);
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the length-prediction subsystem (src/predict/):
  * oracle exactness, noisy-oracle determinism and bias, profile
- * quantile learning with warmup fallbacks, pairwise-rank win rates,
+ * quantile learning with warmup fallbacks, the profile's per-completion
+ * served-value cache and its version contract, pairwise-rank win rates,
  * the factory, and the phase edge cases every predictor must survive
  * (startInAnswering / reasoningTokens == 0, finished requests).
  */
@@ -11,7 +12,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/log.hh"
@@ -213,6 +217,137 @@ TEST(ProfilePredictor, StartInAnsweringSkewsNoReasoningQuantile)
         profile.predictRemainingReasoningTokens(fig5_fresh), 0.0);
     EXPECT_DOUBLE_EQ(profile.predictRemainingTokens(fig5_fresh),
                      200.0);
+}
+
+TEST(ProfilePredictor, VersionMovesOnlyWithServedValues)
+{
+    // Every answer is 50 tokens, so only reasoning medians can move.
+    predict::DatasetProfilePredictor profile(0.5, 2);
+    auto probe_a = makeRequest(1, 64, 5000, 50, "a");
+    auto probe_b = makeRequest(2, 64, 5000, 50, "b");
+    auto observe = [&](const std::string& ds, TokenCount reasoning) {
+        auto before = profile.version();
+        profile.observeCompletion(makeRequest(9, 64, reasoning, 50, ds));
+        return profile.version() != before;
+    };
+
+    EXPECT_TRUE(observe("a", 100)); // Priors give way to (100, 50).
+    EXPECT_DOUBLE_EQ(profile.predictRemainingTokens(probe_b), 150.0);
+    // The same lengths again: every served value stays put, including
+    // a's own median taking over from the identical global one.
+    EXPECT_FALSE(observe("a", 100));
+    EXPECT_FALSE(observe("a", 100));
+    // b is still warming up and the global median holds at 100.
+    EXPECT_FALSE(observe("b", 300));
+    EXPECT_DOUBLE_EQ(profile.predictRemainingTokens(probe_b), 150.0);
+    // b crosses warmupCompletions: its own median (300) is served.
+    EXPECT_TRUE(observe("b", 300));
+    EXPECT_DOUBLE_EQ(profile.predictRemainingTokens(probe_b), 350.0);
+    EXPECT_DOUBLE_EQ(profile.predictRemainingTokens(probe_a), 150.0);
+    // {100, 300, 300}: b's median holds; {100, 100, 300, 300}: it
+    // moves to 200.
+    EXPECT_FALSE(observe("b", 100));
+    EXPECT_TRUE(observe("b", 100));
+    EXPECT_DOUBLE_EQ(profile.predictRemainingTokens(probe_b), 250.0);
+}
+
+TEST(ProfilePredictor, CachedPredictionsMatchRunningQuantilesBitwise)
+{
+    // Reference: the per-query selection the cache replaces, read
+    // straight from RunningQuantile (own stats once warmed up, else
+    // global, else the 600/500 priors).
+    constexpr int kWarmup = 8;
+    for (double q : {0.5, 0.9}) {
+        SCOPED_TRACE("quantile " + std::to_string(q));
+        predict::DatasetProfilePredictor profile(q, kWarmup);
+        std::map<std::string, std::pair<predict::RunningQuantile,
+                                        predict::RunningQuantile>>
+            own;
+        predict::RunningQuantile all_reasoning;
+        predict::RunningQuantile all_answering;
+        auto expected = [&](const std::string& ds, bool reasoning) {
+            auto it = own.find(ds);
+            if (it != own.end()) {
+                const auto& stats =
+                    reasoning ? it->second.first : it->second.second;
+                if (stats.count() >= static_cast<std::size_t>(kWarmup))
+                    return stats.quantile(q);
+            }
+            const auto& all = reasoning ? all_reasoning : all_answering;
+            if (all.count() > 0)
+                return all.quantile(q);
+            return reasoning ? 600.0 : 500.0;
+        };
+        // "z" never completes, so it always reads the fallback.
+        const std::vector<std::string> datasets = {"x", "y", "z"};
+        auto served = [&]() {
+            std::vector<double> out;
+            for (const auto& ds : datasets) {
+                out.push_back(expected(ds, true));
+                out.push_back(expected(ds, false));
+            }
+            return out;
+        };
+
+        std::vector<Request> probes;
+        std::vector<std::string> probe_ds;
+        for (const auto& ds : datasets) {
+            for (TokenCount progress : {0, 150, 1100}) {
+                probes.push_back(makeRequest(1, 64, 1000, 1000, ds));
+                advance(probes.back(), progress);
+                probe_ds.push_back(ds);
+            }
+            probes.push_back(makeRequest(2, 64, 0, 1000, ds, true));
+            advance(probes.back(), 30);
+            probe_ds.push_back(ds);
+        }
+
+        Rng rng(2027);
+        for (int i = 0; i < 400; ++i) {
+            const std::string ds = rng.bernoulli(0.7) ? "x" : "y";
+            const bool fig5 = rng.bernoulli(0.1);
+            const TokenCount reasoning =
+                fig5 ? 0 : static_cast<TokenCount>(rng.uniformInt(1, 60)) * 10;
+            const TokenCount answer =
+                static_cast<TokenCount>(rng.uniformInt(1, 30)) * 10;
+            const auto before = served();
+            const auto version = profile.version();
+            profile.observeCompletion(
+                makeRequest(100 + i, 64, reasoning, answer, ds, fig5));
+            if (!fig5) {
+                own[ds].first.add(static_cast<double>(reasoning));
+                all_reasoning.add(static_cast<double>(reasoning));
+            }
+            own[ds].second.add(static_cast<double>(answer));
+            all_answering.add(static_cast<double>(answer));
+            EXPECT_EQ(profile.version() != version, served() != before)
+                << "after completion " << i;
+
+            for (std::size_t p = 0; p < probes.size(); ++p) {
+                const Request& r = probes[p];
+                const double exp_answer = expected(probe_ds[p], false);
+                double want_reasoning = 0.0;
+                double want_total = 0.0;
+                if (r.phase() == workload::Phase::Reasoning) {
+                    want_reasoning = std::max(
+                        expected(probe_ds[p], true) -
+                            static_cast<double>(r.reasoningGenerated()),
+                        1.0);
+                    want_total = want_reasoning + exp_answer;
+                } else {
+                    want_total = std::max(
+                        exp_answer -
+                            static_cast<double>(r.answerGenerated()),
+                        1.0);
+                }
+                ASSERT_EQ(profile.predictRemainingReasoningTokens(r),
+                          want_reasoning)
+                    << "probe " << p << " after completion " << i;
+                ASSERT_EQ(profile.predictRemainingTokens(r), want_total)
+                    << "probe " << p << " after completion " << i;
+            }
+        }
+    }
 }
 
 TEST(RunningQuantile, MatchesSortedReferenceBitwise)
