@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "src/common/log.hh"
@@ -54,11 +53,6 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
     };
     classesOn = cfg.sloClasses.enabled;
 
-    predictiveView = cfg.placement == PlacementType::PascalPredictive &&
-                     predictor != nullptr;
-    forceViewRebuild = cfg.forceViewRebuild ||
-                       std::getenv("PASCAL_FORCE_VIEW") != nullptr;
-
     if (cfg.telemetry.traceEnabled) {
         trace =
             std::make_unique<obs::TraceSink>(cfg.telemetry.traceCapacity);
@@ -75,11 +69,6 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
     instances.reserve(cfg.numInstances);
     ingress.reserve(cfg.numInstances);
     view.resize(cfg.numInstances);
-    sloRiskAt.assign(cfg.numInstances, kTimeInfinity);
-    viewDirtyFlags.assign(cfg.numInstances, 0);
-    // Dedup flags bound the list to one entry per instance, so it
-    // never reallocates under the instances' feet.
-    viewDirtyList.reserve(cfg.numInstances);
     for (InstanceId i = 0; i < cfg.numInstances; ++i) {
         instances.push_back(std::make_unique<Instance>(
             i, sim, perf, makeScheduler(cfg.scheduler, cfg.limits),
@@ -88,8 +77,6 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
         instances.back()->setPredictor(
             predictor.get(),
             cfg.placement == PlacementType::PascalPredictive);
-        instances.back()->setViewDirtyHook(&viewDirtyFlags[i],
-                                           &viewDirtyList);
         ingress.push_back(std::make_unique<model::Link>(
             sim, cfg.hardware.effFabricBandwidth(),
             "fabric-ingress-" + std::to_string(i)));
@@ -127,10 +114,18 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
     registry.counter("cluster.recycled_chunks", [this] {
         return static_cast<std::uint64_t>(requests.numRecycledChunks());
     });
-    registry.counter("cluster.plan.builds",
-                     [this] { return totalPlanBuilds(); });
-    registry.counter("cluster.slo.rekeys",
-                     [this] { return totalSloHeapRekeys(); });
+    registry.counter("cluster.plan.builds", [this] {
+        std::uint64_t n = 0;
+        for (const auto& inst : instances)
+            n += inst->numPlanBuilds();
+        return n;
+    });
+    registry.counter("cluster.slo.rekeys", [this] {
+        std::uint64_t n = 0;
+        for (const auto& inst : instances)
+            n += inst->numSloHeapRekeys();
+        return n;
+    });
     // Failure accounting: registered unconditionally (all-zero rows
     // when the fault layer is off) so dashboards and the bench JSON
     // emitters see a stable schema.
@@ -199,91 +194,25 @@ Cluster::submitTrace(const workload::Trace& trace)
     }
 }
 
-void
-Cluster::refreshSnapshot(InstanceId id, Time now)
-{
-    const bool was_ok =
-        view[static_cast<std::size_t>(id)].answeringSloOk;
-    view[static_cast<std::size_t>(id)] =
-        instances[static_cast<std::size_t>(id)]->snapshot(
-            now, &sloRiskAt[static_cast<std::size_t>(id)]);
-    viewDirtyFlags[static_cast<std::size_t>(id)] = 0;
-    ++viewRefreshes;
-    if (trace != nullptr && viewPrimed &&
-        view[static_cast<std::size_t>(id)].answeringSloOk != was_ok) {
-        // The paper's t_i verdict flipped for this instance — the
-        // signal the adaptive placement override keys off.
-        trace->instant(obs::TraceCat::Slo,
-                       view[static_cast<std::size_t>(id)].answeringSloOk
-                           ? obs::TraceName::SloOk
-                           : obs::TraceName::SloViolated,
-                       id, now);
-    }
-}
-
 const core::ClusterView&
 Cluster::buildView(Time now)
 {
     ++viewBuilds;
-    bool refreshed = false;
-    if (forceViewRebuild || !viewPrimed ||
-        (predictiveView &&
-         predictor->version() != viewPredictorVersion)) {
-        // Full rebuild: debug mode, first decision, or the shared
-        // online predictor learned something (which silently moves
-        // every instance's predicted footprint).
-        for (InstanceId i = 0;
-             i < static_cast<InstanceId>(instances.size()); ++i)
-            refreshSnapshot(i, now);
-        viewDirtyList.clear();
-        viewPrimed = true;
-        refreshed = true;
-    } else {
-        for (InstanceId id : viewDirtyList) {
-            // Stale list entries can outlive their flag (a full
-            // rebuild clears flags wholesale): the flag is the truth.
-            if (viewDirtyFlags[static_cast<std::size_t>(id)] != 0) {
-                refreshSnapshot(id, now);
-                refreshed = true;
-            }
-        }
-        viewDirtyList.clear();
-        if (now >= minSloRiskAt) {
-            // A cached "answering SLO ok" can sour purely by time
-            // passing (mid-step): re-check every at-risk row.
-            for (InstanceId i = 0;
-                 i < static_cast<InstanceId>(instances.size()); ++i) {
-                if (view[static_cast<std::size_t>(i)].answeringSloOk &&
-                    now >= sloRiskAt[static_cast<std::size_t>(i)]) {
-                    refreshSnapshot(i, now);
-                    refreshed = true;
-                }
-            }
-        }
-    }
-    if (refreshed) {
-        minSloRiskAt = kTimeInfinity;
-        for (std::size_t i = 0; i < view.size(); ++i) {
-            if (view[i].answeringSloOk)
-                minSloRiskAt = std::min(minSloRiskAt, sloRiskAt[i]);
-        }
-    }
-    if (predictiveView)
-        viewPredictorVersion = predictor->version();
-
-    if (viewAudit) {
-        for (std::size_t i = 0; i < instances.size(); ++i) {
-            // The snapshot's t_i verdict rides the maintained SLO
-            // heap; prove the heap itself matches a from-scratch
-            // recomputation before trusting the snapshot compare.
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+        if (viewAudit)
             instances[i]->verifySloHeap(now);
-            core::InstanceSnapshot fresh = instances[i]->snapshot(now);
-            if (fresh != view[i]) {
-                panic("incremental ClusterView diverged from fresh "
-                      "snapshot of instance " +
-                      std::to_string(instances[i]->id()) +
-                      " at t=" + std::to_string(now));
-            }
+        const bool was_ok = view[i].answeringSloOk;
+        view[i] = instances[i]->snapshot(now);
+        ++viewRefreshes;
+        if (trace != nullptr && viewBuilds > 1 &&
+            view[i].answeringSloOk != was_ok) {
+            // The paper's t_i verdict flipped for this instance — the
+            // signal the adaptive placement override keys off.
+            trace->instant(obs::TraceCat::Slo,
+                           view[i].answeringSloOk
+                               ? obs::TraceName::SloOk
+                               : obs::TraceName::SloViolated,
+                           instances[i]->id(), now);
         }
     }
     return view;
@@ -400,7 +329,7 @@ Cluster::onPhaseTransition(workload::Request* req, InstanceId from)
     if (target == from) {
         // Stay home: the intra-instance scheduler requeues the request
         // into its answering-phase (low-priority) machinery.
-        instances[from]->stayHomeTransition(req);
+        instances[from]->scheduler().onPhaseTransition(req);
         return;
     }
     migrate(req, from, target);
@@ -951,24 +880,6 @@ Cluster::totalIterations() const
     std::uint64_t n = 0;
     for (const auto& inst : instances)
         n += inst->numIterations();
-    return n;
-}
-
-std::uint64_t
-Cluster::totalPlanBuilds() const
-{
-    std::uint64_t n = 0;
-    for (const auto& inst : instances)
-        n += inst->numPlanBuilds();
-    return n;
-}
-
-std::uint64_t
-Cluster::totalSloHeapRekeys() const
-{
-    std::uint64_t n = 0;
-    for (const auto& inst : instances)
-        n += inst->numSloHeapRekeys();
     return n;
 }
 

@@ -196,24 +196,13 @@ class Cluster
     }
 
     /**
-     * Debug/test hook: on every incremental buildView(), additionally
-     * recompute every instance's snapshot from scratch and panic on
-     * any field divergence from the maintained view. The cluster-view
-     * property tests churn a multi-instance deployment with this on,
-     * proving the dirty-marking contract covers every event that can
-     * move a snapshot field.
+     * Debug/test hook: at every placement decision, run each
+     * instance's SloMonitor audit (Instance::verifySloHeap) before the
+     * view is built. The cluster-view suites churn a multi-instance
+     * deployment with this on, proving the maintained SLO heaps agree
+     * with a from-scratch recomputation at every decision point.
      */
     void enableViewAudit() { viewAudit = true; }
-
-    /** Incremental-view bookkeeping stats (bench/diagnostics). */
-    std::uint64_t numViewRefreshes() const { return viewRefreshes; }
-    std::uint64_t numViewBuilds() const { return viewBuilds; }
-
-    /** Sum of scheduler plan builds across instances. */
-    std::uint64_t totalPlanBuilds() const;
-
-    /** Sum of SLO-heap re-key operations across instances. */
-    std::uint64_t totalSloHeapRekeys() const;
 
     /** @name Observability (src/obs/) */
     /** @{ */
@@ -336,21 +325,11 @@ class Cluster
     /** @} */
 
     /**
-     * The placement algorithms' cluster view. The cluster keeps one
-     * persistent core::ClusterView and refreshes only the snapshots
-     * of instances that marked themselves dirty since the last
-     * decision (plus any instance whose cached answeringSloOk could
-     * have flipped purely by time passing — see sloRiskAt), making
-     * arrivals and phase transitions O(dirty) instead of
-     * O(instances x hosted). SystemConfig::forceViewRebuild or the
-     * PASCAL_FORCE_VIEW env var restores the full per-decision
-     * rebuild (the reference the equivalence tests compare against).
+     * The placement algorithms' cluster view: every instance's
+     * snapshot taken fresh at @p now, so a decision always sees
+     * current state.
      */
     const core::ClusterView& buildView(Time now);
-
-    /** Refresh one instance's cached snapshot (and its SLO flip
-     *  bound) at @p now. */
-    void refreshSnapshot(InstanceId id, Time now);
 
     sim::Simulator& sim;
     SystemConfig cfg;
@@ -387,17 +366,9 @@ class Cluster
     std::unique_ptr<obs::StreamingMetrics> streaming; //!< Null unless on.
     /** @} */
 
-    /** @name Incremental cluster view state */
+    /** @name Cluster view state */
     /** @{ */
-    core::ClusterView view;
-    std::vector<Time> sloRiskAt;        //!< Per-instance flip bound.
-    std::vector<std::uint8_t> viewDirtyFlags;
-    std::vector<InstanceId> viewDirtyList;
-    Time minSloRiskAt = kTimeInfinity;  //!< min over cached-ok rows.
-    std::uint64_t viewPredictorVersion = 0;
-    bool viewPrimed = false;
-    bool forceViewRebuild = false;
-    bool predictiveView = false; //!< Snapshots carry predictions.
+    core::ClusterView view; //!< Reused storage for buildView().
     bool viewAudit = false;
     std::uint64_t viewRefreshes = 0;
     std::uint64_t viewBuilds = 0;

@@ -97,7 +97,6 @@ void
 Instance::addRequest(Request* req, bool defer_plan)
 {
     admit(req);
-    markViewDirty();
     if (!defer_plan) {
         kick();
         return;
@@ -139,7 +138,6 @@ Instance::landMigration(Request* req)
     }
     sched->add(req);
     monitor.park(req);
-    markViewDirty();
     kick();
 }
 
@@ -160,7 +158,6 @@ Instance::detach(Request* req)
     sched->remove(req);
     monitor.remove(req);
     req->exec = ExecState::InTransit;
-    markViewDirty();
 }
 
 void
@@ -181,7 +178,6 @@ Instance::demoteBestEffort(Request* req)
     // The pacing targets just relaxed to the Batch class's: the SLO
     // monitor key must move with them.
     monitor.park(req);
-    markViewDirty();
 }
 
 void
@@ -266,10 +262,6 @@ Instance::startIteration()
                                sched->lastReuseDecline()));
         }
     }
-    // Plan construction itself can mutate monitor-visible state
-    // (PASCAL applies demotions at the plan boundary), so the
-    // snapshot is stale even if the plan comes back idle.
-    markViewDirty();
     const core::IterationPlan& plan = inflight;
     if (plan.idle())
         return;
@@ -419,14 +411,12 @@ Instance::crash(bool preserve_cpu_kv,
         detach(r);
         orphans.push_back(r);
     }
-    markViewDirty();
 }
 
 void
 Instance::recover()
 {
     up = true;
-    markViewDirty();
     kick();
 }
 
@@ -434,7 +424,6 @@ void
 Instance::setDraining(bool on)
 {
     draining = on;
-    markViewDirty();
 }
 
 void
@@ -483,7 +472,6 @@ Instance::completeIteration(Time step_start)
     const core::IterationPlan& plan = inflight;
     Time now = sim.now();
 
-    markViewDirty();
     if (verifyAccrual)
         verifyAccrualStamps(plan.isPrefillIteration());
 
@@ -520,10 +508,6 @@ Instance::completeIteration(Time step_start)
             r->kvSlot = model::kNoKvSlot;
             r->exec = ExecState::Done;
             sched->remove(r);
-            // Re-mark: an earlier transition in this same loop may
-            // have had its placement decision refresh (and clean)
-            // the cached snapshot this finish just invalidated.
-            markViewDirty();
             if (callbacks.onFinished)
                 callbacks.onFinished(r, instanceId);
         } else if (r->reasoningEnd == now &&
@@ -551,9 +535,9 @@ Instance::completeIteration(Time step_start)
 }
 
 bool
-Instance::answeringSloOk(Time now, Time* slo_risk_at) const
+Instance::answeringSloOk(Time now) const
 {
-    return monitor.answeringSloOk(now, slo_risk_at);
+    return monitor.answeringSloOk(now);
 }
 
 void
@@ -563,12 +547,12 @@ Instance::verifySloHeap(Time now) const
 }
 
 core::InstanceSnapshot
-Instance::snapshot(Time now, Time* slo_risk_at) const
+Instance::snapshot(Time now) const
 {
     core::InstanceSnapshot snap;
     snap.id = instanceId;
     snap.up = up && !draining;
-    snap.answeringSloOk = answeringSloOk(now, slo_risk_at);
+    snap.answeringSloOk = answeringSloOk(now);
     snap.kvFootprintTokens = kvPool.totalFootprintTokens();
     snap.numReasoning = sched->numReasoning();
     snap.numFreshAnswering = sched->numFreshAnswering();

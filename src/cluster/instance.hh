@@ -133,21 +133,6 @@ class Instance
 
     /** @} */
 
-    /**
-     * A hosted request crossed the reasoning->answering boundary and
-     * the placement decision keeps it here: requeue it into the
-     * scheduler's answering-phase machinery. Routed through the
-     * instance (not the scheduler directly) because the requeue
-     * mutates monitor-visible state (the quantum reset makes the
-     * request "fresh" again) after the decision's view refresh.
-     */
-    void
-    stayHomeTransition(workload::Request* req)
-    {
-        sched->onPhaseTransition(req);
-        markViewDirty();
-    }
-
     /** Ensure an iteration is scheduled if there is runnable work. */
     void kick();
 
@@ -190,28 +175,10 @@ class Instance
 
     /** Paper t_i: all answering requests are keeping the user's
      *  expected pace (SloMonitor::answeringSloOk). */
-    bool answeringSloOk(Time now, Time* slo_risk_at = nullptr) const;
+    bool answeringSloOk(Time now) const;
 
-    /** Monitor snapshot for the placement algorithms. @p slo_risk_at
-     *  as in answeringSloOk(). */
-    core::InstanceSnapshot snapshot(Time now,
-                                    Time* slo_risk_at = nullptr) const;
-
-    /**
-     * Wire the cluster's incremental-view dirty marking: whenever an
-     * event can change this instance's snapshot (admission, landing,
-     * detach, plan application, iteration completion), the instance
-     * sets its flag and enqueues its id once. Both pointers must stay
-     * valid for the instance's lifetime; @p list must never reallocate
-     * (the cluster reserves one slot per instance and the flag
-     * dedupes). nullptr disables marking (standalone instances).
-     */
-    void
-    setViewDirtyHook(std::uint8_t* flag, std::vector<InstanceId>* list)
-    {
-        dirtyFlag = flag;
-        dirtyList = list;
-    }
+    /** Monitor snapshot for the placement algorithms. */
+    core::InstanceSnapshot snapshot(Time now) const;
 
     /**
      * Wire the cluster's shared length predictor (not owned; may be
@@ -280,17 +247,6 @@ class Instance
     /** Shared admission body (exec/home/accrual/scheduler/SLO heap). */
     void admit(workload::Request* req);
 
-    /** Mark this instance's cluster-view snapshot stale (no-op when
-     *  no hook is wired). */
-    void
-    markViewDirty()
-    {
-        if (dirtyFlag != nullptr && *dirtyFlag == 0) {
-            *dirtyFlag = 1;
-            dirtyList->push_back(instanceId);
-        }
-    }
-
     /**
      * PASCAL_FORCE_ACCRUE debug walk: recompute every hosted
      * request's standing accrual bucket the way the old eager
@@ -316,10 +272,6 @@ class Instance
     InstanceCallbacks callbacks;
     model::Link pcie;
     const predict::LengthPredictor* predictor = nullptr;
-
-    /** Cluster-owned incremental-view dirty marking (may be null). */
-    std::uint8_t* dirtyFlag = nullptr;
-    std::vector<InstanceId>* dirtyList = nullptr;
 
     /** PASCAL_FORCE_ACCRUE / SchedLimits::forceAccrue: run the eager
      *  stamp-verification walk every iteration. */

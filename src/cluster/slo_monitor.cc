@@ -245,7 +245,7 @@ SloMonitor::atRiskViolated(const Heap& h, std::size_t i, Time now) const
 }
 
 bool
-SloMonitor::answeringSloOk(Time now, Time* slo_risk_at) const
+SloMonitor::answeringSloOk(Time now) const
 {
     // The smallest heap top is the earliest time any answering
     // request's verdict could flip, so the common query is a few
@@ -260,39 +260,24 @@ SloMonitor::answeringSloOk(Time now, Time* slo_risk_at) const
     }
     if (now >= top) {
         for (const Heap& h : heaps) {
-            if (atRiskViolated(h, 0, now)) {
-                if (slo_risk_at != nullptr)
-                    *slo_risk_at = kTimeInfinity; // Sticky until dirty.
+            if (atRiskViolated(h, 0, now))
                 return false;
-            }
         }
     }
-    if (slo_risk_at != nullptr)
-        *slo_risk_at = top;
     return true;
 }
 
 bool
 SloMonitor::answeringSloOkScan(const std::vector<Request*>& hosted,
-                               Time now, Time* slo_risk_at) const
+                               Time now) const
 {
     // Reference O(hosted) walk the heaps replaced; shares the exact
-    // per-request check and the flip-bound formula with them so the
-    // two can never drift. Audits and tests call this to cross-check
-    // the maintained heaps.
-    Time risk = kTimeInfinity;
+    // per-request check with them so the two can never drift. Audits
+    // and tests call this to cross-check the maintained heaps.
     for (const auto* r : hosted) {
-        if (r->phase() != Phase::Answering)
-            continue;
-        if (sloViolated(r, now)) {
-            if (slo_risk_at != nullptr)
-                *slo_risk_at = kTimeInfinity; // Sticky until dirty.
+        if (r->phase() == Phase::Answering && sloViolated(r, now))
             return false;
-        }
-        risk = std::min(risk, sloKeyOf(r));
     }
-    if (slo_risk_at != nullptr)
-        *slo_risk_at = risk;
     return true;
 }
 
@@ -302,7 +287,6 @@ SloMonitor::verify(const std::vector<Request*>& hosted, Time now,
 {
     auto where = [&] { return " on instance " + std::to_string(instance); };
     std::size_t members = 0;
-    Time min_tpot = kTimeInfinity;
     for (const auto* r : hosted) {
         if (r->phase() != Phase::Answering) {
             if (r->sloHeapPos >= 0) {
@@ -312,7 +296,6 @@ SloMonitor::verify(const std::vector<Request*>& hosted, Time now,
             continue;
         }
         ++members;
-        min_tpot = std::min(min_tpot, tpotOf(r));
         auto id = static_cast<std::size_t>(r->sloHeapId);
         auto pos = static_cast<std::size_t>(r->sloHeapPos);
         if (r->sloHeapPos < 0 || r->sloHeapId < 0 || id >= kNumHeaps ||
@@ -353,16 +336,7 @@ SloMonitor::verify(const std::vector<Request*>& hosted, Time now,
               " requests != answering population " +
               std::to_string(members) + where());
     }
-    // The risk bounds may differ by the pacing keys' rounding drift;
-    // the tightest member's tpot scales that tolerance.
-    Time heap_risk = kTimeInfinity;
-    Time scan_risk = kTimeInfinity;
-    bool heap_ok = answeringSloOk(now, &heap_risk);
-    bool scan_ok = answeringSloOkScan(hosted, now, &scan_risk);
-    bool risk_close = heap_risk == scan_risk ||
-                      (heap_risk - scan_risk < 0.25 * min_tpot &&
-                       scan_risk - heap_risk < 0.25 * min_tpot);
-    if (heap_ok != scan_ok || !risk_close) {
+    if (answeringSloOk(now) != answeringSloOkScan(hosted, now)) {
         panic("SLO monitor verdict diverged from reference walk" +
               where() + " at t=" + std::to_string(now));
     }

@@ -110,28 +110,22 @@ class SloMonitor
     /** @} */
 
     /**
-     * Paper t_i: no answering request is starving its token pacer.
-     *
-     * @param slo_risk_at Optional out-param: earliest time a *true*
-     *        verdict could flip to false with no further report
-     *        (kTimeInfinity when it cannot, e.g. no answering
-     *        requests, or already false — false is sticky until an
-     *        instance event). Conservative by at least one tpot, so
-     *        floating-point rounding can never make a cached verdict
-     *        disagree with a fresh recomputation.
+     * Paper t_i: no answering request is starving its token pacer at
+     * @p now. A peek at the heap tops unless some request is inside
+     * its risk window; only those get the exact per-request check.
      */
-    bool answeringSloOk(Time now, Time* slo_risk_at = nullptr) const;
+    bool answeringSloOk(Time now) const;
 
     /** Reference O(hosted) walk of answeringSloOk over @p hosted (kept
-     *  for audits and tests; shares sloKeyOf/sloViolated). */
+     *  for audits and tests; shares sloViolated). */
     bool answeringSloOkScan(const std::vector<workload::Request*>& hosted,
-                            Time now, Time* slo_risk_at = nullptr) const;
+                            Time now) const;
 
     /**
      * Audit: recompute every hosted request's membership and key from
      * scratch and panic on any divergence from the maintained heaps,
-     * then cross-check answeringSloOk (verdict and risk bound) against
-     * the reference walk at @p now. @p instance names the owner in
+     * then cross-check the answeringSloOk verdict against the
+     * reference walk at @p now. @p instance names the owner in
      * the panic message.
      */
     void verify(const std::vector<workload::Request*>& hosted, Time now,

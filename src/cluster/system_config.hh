@@ -99,17 +99,6 @@ struct SystemConfig
     Time maxSimTime = 1e7;
 
     /**
-     * Debug mode mirroring SchedLimits::forceResort for the cluster
-     * path: rebuild every instance snapshot from scratch at every
-     * placement decision instead of refreshing only dirty ones. The
-     * PASCAL_FORCE_VIEW environment variable forces it globally.
-     * Results must be byte-identical either way — the cluster-view
-     * invariance tests run both modes and compare RunResults field by
-     * field.
-     */
-    bool forceViewRebuild = false;
-
-    /**
      * Observability knobs (src/obs/): Perfetto trace recording and
      * streaming metric sketches. The stat registry is always built —
      * it is non-owning pointers over counters the cluster maintains

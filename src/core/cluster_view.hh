@@ -2,7 +2,8 @@
  * @file
  * The instance monitor's view of the cluster (Fig. 6): the per-instance
  * runtime signals that the instance-level scheduler's placement
- * algorithms consume.
+ * algorithms consume. The cluster takes every instance's snapshot
+ * fresh at each placement decision; nothing here is cached.
  */
 
 #ifndef PASCAL_CORE_CLUSTER_VIEW_HH
@@ -57,26 +58,6 @@ struct InstanceSnapshot
     /** Total GPU KV capacity in tokens. */
     TokenCount gpuCapacityTokens = 0;
 };
-
-/** Field-wise equality (incremental-view audits and tests). */
-inline bool
-operator==(const InstanceSnapshot& a, const InstanceSnapshot& b)
-{
-    return a.id == b.id && a.up == b.up &&
-           a.answeringSloOk == b.answeringSloOk &&
-           a.kvFootprintTokens == b.kvFootprintTokens &&
-           a.predictedKvFootprintTokens == b.predictedKvFootprintTokens &&
-           a.numReasoning == b.numReasoning &&
-           a.numFreshAnswering == b.numFreshAnswering &&
-           a.gpuFreeTokens == b.gpuFreeTokens &&
-           a.gpuCapacityTokens == b.gpuCapacityTokens;
-}
-
-inline bool
-operator!=(const InstanceSnapshot& a, const InstanceSnapshot& b)
-{
-    return !(a == b);
-}
 
 /** One snapshot per instance, indexed by instance id. */
 using ClusterView = std::vector<InstanceSnapshot>;

@@ -171,8 +171,16 @@ P2Quantile::value() const
         return 0.0;
     if (n < 5) {
         // Exact nearest-rank until the markers initialise.
+        // Insertion sort over at most 4 samples: a loop the compiler
+        // can bound, unlike std::sort's 16-element insertion path.
         std::array<double, 5> tmp = q;
-        std::sort(tmp.begin(), tmp.begin() + n);
+        for (std::uint64_t i = 1; i < n; ++i) {
+            double x = tmp[i];
+            std::uint64_t j = i;
+            for (; j > 0 && x < tmp[j - 1]; --j)
+                tmp[j] = tmp[j - 1];
+            tmp[j] = x;
+        }
         std::uint64_t rank = static_cast<std::uint64_t>(
             std::ceil(prob * static_cast<double>(n)));
         if (rank == 0)

@@ -11,7 +11,7 @@
  * {FCFS, RR, PASCAL, SRPT, PASCAL-Spec} x predictor grid without
  * tripping, and RunResults — including the per-request phase-time
  * buckets, compared bit-exactly — must be byte-identical across the
- * lazy/verify and incremental/rebuild cluster-view modes.
+ * lazy and verify modes.
  */
 
 #include <gtest/gtest.h>
@@ -89,8 +89,7 @@ predictorNamed(const std::string& kind)
 }
 
 /**
- * Run @p cfg on @p trace in the mode corners — lazy, force-accrue,
- * and force-accrue with a full view rebuild — and require
+ * Run @p cfg on @p trace lazy and force-accrue and require
  * byte-identical RunResults. The force-accrue runs double as
  * correctness proofs: the eager walk panics (failing the test) if any
  * lazily maintained stamp went stale.
@@ -99,16 +98,11 @@ void
 expectAllModesIdentical(SystemConfig cfg, const workload::Trace& trace)
 {
     cfg.limits.forceAccrue = false;
-    cfg.forceViewRebuild = false;
     auto fast = cluster::RunContext::execute(cfg, trace);
 
     cfg.limits.forceAccrue = true;
     auto verified = cluster::RunContext::execute(cfg, trace);
     test::expectIdentical(fast, verified);
-
-    cfg.forceViewRebuild = true;
-    auto reference = cluster::RunContext::execute(cfg, trace);
-    test::expectIdentical(fast, reference);
 }
 
 TEST_F(AccrualInvariance, ReactiveSchedulersAcrossPredictors)
@@ -165,7 +159,6 @@ TEST_F(AccrualInvariance, HorizonCutSettlesInFlightRequestsIdentically)
     auto fast = cluster::RunContext::execute(cfg, trace);
     EXPECT_GT(fast.numUnfinished, 0u);
     cfg.limits.forceAccrue = true;
-    cfg.forceViewRebuild = true;
     auto reference = cluster::RunContext::execute(cfg, trace);
     test::expectIdentical(fast, reference);
 }

@@ -11,6 +11,8 @@
  *     zero GPU tokens once the event queue drains;
  *   - determinism: a same-seed replay is byte-identical, including
  *     the phase-time buckets and failure accounting;
+ *   - audits: seeded random fault x SLO-class configs run clean under
+ *     the per-decision SLO monitor audit and the eager accrual walk;
  *   - dormancy: enabling the fault layer with every rate at zero is
  *     byte-identical to cfg.fault.enabled = false (the pre-fault
  *     code path), across the whole force-mode matrix.
@@ -151,14 +153,17 @@ auditRun(const RunContext& ctx, const RunResult& result,
     }
 }
 
-TEST_F(Chaos, InvariantsAndReplayAcrossSchedulerPredictorGrid)
+struct GridPoint
 {
-    auto trace = chaosTrace(4242);
-    struct GridPoint
-    {
-        SchedulerType sched;
-        std::string predictor;
-    };
+    SchedulerType sched;
+    std::string predictor;
+};
+
+/** The scheduler x predictor grid the chaos sweeps draw from
+ *  (predictor-keyed schedulers need a predictor). */
+std::vector<GridPoint>
+chaosGrid()
+{
     std::vector<GridPoint> grid;
     for (SchedulerType sched :
          {SchedulerType::Fcfs, SchedulerType::Rr,
@@ -171,9 +176,14 @@ TEST_F(Chaos, InvariantsAndReplayAcrossSchedulerPredictorGrid)
         for (const char* kind : {"oracle", "profile"})
             grid.push_back({sched, kind});
     }
+    return grid;
+}
 
+TEST_F(Chaos, InvariantsAndReplayAcrossSchedulerPredictorGrid)
+{
+    auto trace = chaosTrace(4242);
     std::uint64_t total_crashes = 0;
-    for (const auto& point : grid) {
+    for (const auto& point : chaosGrid()) {
         SCOPED_TRACE("scheduler " +
                      std::to_string(static_cast<int>(point.sched)) +
                      " predictor " + point.predictor);
@@ -261,23 +271,80 @@ TEST_F(Chaos, ShedFloorRejectsArrivalsWhileCapacityIsDown)
     EXPECT_LE(result.numShed, result.numTerminalFailures);
 }
 
+TEST_F(Chaos, SeededConfigFuzzUnderAudits)
+{
+    // Each seed draws a fault schedule, an SLO-class policy and a grid
+    // point, then runs with the per-decision SLO monitor audit and the
+    // eager accrual walk on (either panics on a divergence), through
+    // the full invariant audit, and against a same-seed replay.
+    const std::vector<GridPoint> grid = chaosGrid();
+    std::uint64_t crashes = 0, retries = 0, shed = 0, expired = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        const GridPoint& point = grid[rng.pickIndex(grid.size())];
+        SCOPED_TRACE("fuzz seed " + std::to_string(seed) +
+                     " scheduler " +
+                     std::to_string(static_cast<int>(point.sched)) +
+                     " predictor " + point.predictor);
+        SystemConfig cfg = chaosConfig(
+            point.sched, predictorNamed(point.predictor), seed);
+        fault::FaultConfig& f = cfg.fault;
+        f.crashRate = rng.uniformReal(0.0, 0.5);
+        f.decommissionRate = rng.uniformReal(0.0, 0.2);
+        f.stragglerRate = rng.uniformReal(0.0, 0.4);
+        f.linkFailureProb = rng.uniformReal(0.0, 0.4);
+        f.retryBudget = static_cast<int>(rng.uniformInt(0, 8));
+        f.shedFloor = rng.bernoulli(0.3) ? rng.uniformReal(0.3, 0.9) : 0.0;
+        f.preserveCpuKv = rng.bernoulli(0.5);
+        qoe::SloClassConfig& classes = cfg.sloClasses;
+        classes.enabled = rng.bernoulli(0.5);
+        classes.enforceDeadlines = rng.bernoulli(0.7);
+        classes.overloadControl = rng.bernoulli(0.5);
+        classes.shedOnNegativeSlack = rng.bernoulli(0.5);
+        for (auto& c : classes.classes) {
+            c.relativeDeadline =
+                rng.bernoulli(0.2) ? 0.0 : rng.uniformReal(1.0, 20.0);
+            c.demoteOnExpiry = rng.bernoulli(0.5);
+        }
+        cfg.limits.forceAccrue = true;
+        auto trace = chaosTrace(seed);
+        workload::assignSloClasses(trace);
+
+        RunContext ctx(cfg);
+        ctx.cluster().enableViewAudit();
+        ctx.submit(trace);
+        ctx.run();
+        auto result = ctx.result();
+        auditRun(ctx, result, trace.size());
+        test::expectIdentical(result, RunContext::execute(cfg, trace));
+        crashes += result.numCrashes;
+        retries += result.numRetries;
+        shed += result.numShed;
+        for (const auto& c : result.perClass)
+            expired += c.deadlineFailed + c.demoted;
+    }
+    // The draws reach every failover and class-policy path.
+    EXPECT_GT(crashes, 0u);
+    EXPECT_GT(retries, 0u);
+    EXPECT_GT(shed, 0u);
+    EXPECT_GT(expired, 0u);
+}
+
 TEST_F(Chaos, ForceModeMatrixByteIdenticalUnderFaults)
 {
-    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE} with the fault
-    // schedule live: the failover path (crash detach, backoff
-    // re-placement, KV restore, link-failure aborts) must be invisible
-    // to every debug recompute mode, so all 8 corners agree
-    // byte-for-byte.
+    // {FORCE_RESORT} x {FORCE_ACCRUE} with the fault schedule live:
+    // the failover path (crash detach, backoff re-placement, KV
+    // restore, link-failure aborts) must be invisible to every debug
+    // recompute mode, so all 4 corners agree byte-for-byte.
     auto trace = chaosTrace(313, 100);
     SystemConfig base = chaosConfig(SchedulerType::Pascal,
                                     predictorNamed("oracle"), 3);
 
     std::vector<RunResult> results;
-    for (int mask = 0; mask < 8; ++mask) {
+    for (int mask = 0; mask < 4; ++mask) {
         SystemConfig cfg = base;
-        cfg.forceViewRebuild = (mask & 1) != 0;
-        cfg.limits.forceResort = (mask & 2) != 0;
-        cfg.limits.forceAccrue = (mask & 4) != 0;
+        cfg.limits.forceResort = (mask & 1) != 0;
+        cfg.limits.forceAccrue = (mask & 2) != 0;
         results.push_back(RunContext::execute(cfg, trace));
     }
     EXPECT_GT(results[0].numCrashes, 0u);

@@ -1,15 +1,14 @@
 /**
  * @file
- * Incremental ClusterView property tests.
+ * Cluster-view audit tests: the SLO monitor under churn.
  *
- * The cluster keeps one persistent view and refreshes only dirty
- * instance snapshots (plus rows whose cached answering-SLO verdict
- * could flip purely by time passing). Contract, enforced here two
- * ways: (1) with the audit hook on, every placement decision
- * recomputes every snapshot from scratch and panics on any field
- * divergence from the maintained view — run against randomized
- * churn-heavy multi-instance workloads; (2) whole runs must produce
- * byte-identical RunResults against the forceViewRebuild debug mode.
+ * Every placement decision snapshots every instance, and each
+ * snapshot's t_i verdict rides the instance's maintained SloMonitor
+ * heaps. With the audit hook on, every decision first re-derives each
+ * instance's heap membership, keys and order from scratch and checks
+ * the verdict against the reference O(hosted) walk, panicking on any
+ * divergence — run against randomized churn-heavy multi-instance
+ * workloads.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 #include "src/workload/generator.hh"
-#include "tests/run_result_util.hh"
 
 namespace
 {
@@ -40,8 +38,6 @@ class QuietLogs : public ::testing::Test
 };
 
 using ClusterViewAudit = QuietLogs;
-using ClusterViewInvariance = QuietLogs;
-using ClusterViewFastPath = QuietLogs;
 
 workload::Trace
 churnTrace(std::uint64_t seed, int n, double rate)
@@ -66,14 +62,13 @@ churnConfig(SchedulerType sched, PlacementType placement,
     cfg.limits.demoteThresholdTokens = 500;
     cfg.limits.demoteLookaheadTokens = 96;
     // A tight pace makes answeringSloOk actually flip during runs, so
-    // the audit exercises the slo-risk re-check path, not just the
-    // dirty-marking one.
+    // the audit exercises the monitor's at-risk re-check path.
     cfg.slo.tpotTarget = 0.05;
     return cfg;
 }
 
-/** Run with the audit hook: buildView() panics on the first snapshot
- *  divergence, failing the test. */
+/** Run with the audit hook: buildView() panics on the first SLO
+ *  monitor divergence, failing the test. */
 cluster::RunResult
 runAudited(const SystemConfig& cfg, const workload::Trace& trace)
 {
@@ -101,10 +96,10 @@ TEST_F(ClusterViewAudit, ChurnHeavyMultiInstanceSnapshotsStayExact)
 
 TEST_F(ClusterViewAudit, SloHeapMatchesReferenceWalkUnderTtfatLoad)
 {
-    // The snapshot's t_i verdict rides the per-instance min-deadline
-    // SLO heap; the audit re-verifies heap membership, keys, order,
-    // verdict, and risk bound against the reference O(hosted) walk at
-    // every placement decision. startInAnswering requests enter the
+    // The snapshot's t_i verdict rides the per-instance SLO heaps;
+    // the audit re-verifies heap membership, keys, order and verdict
+    // against the reference O(hosted) walk at every placement
+    // decision. startInAnswering requests enter the
     // heap with live TTFAT countdowns at admission — the key path a
     // plain reasoning trace never exercises.
     Rng rng(91);
@@ -119,8 +114,8 @@ TEST_F(ClusterViewAudit, SloHeapMatchesReferenceWalkUnderTtfatLoad)
 TEST_F(ClusterViewAudit, PredictiveSnapshotsTrackOnlineLearner)
 {
     // The profile predictor bumps its version on every completion,
-    // silently moving every instance's predicted KV footprint: the
-    // version gate must invalidate the whole cached view.
+    // so predictive snapshots and PASCAL-Spec's plan reuse both move
+    // under the audited heaps.
     SystemConfig cfg = churnConfig(SchedulerType::PascalSpec,
                                    PlacementType::PascalPredictive, 3);
     cfg.predictor.type = predict::PredictorType::Profile;
@@ -145,12 +140,11 @@ TEST_F(ClusterViewAudit, BaselinePlacementAndMigrationFreeVariants)
 
 TEST_F(ClusterViewAudit, FinishBetweenSameIterationTransitionsRemarks)
 {
-    // Regression: within one completeIteration's handle loop, a
-    // phase transition's placement decision refreshes (and cleans)
-    // the snapshot; a *finish* handled next mutates KV and counters
-    // and must re-mark the instance, or the loop's second transition
-    // places against a stale row. Lockstep lengths force exactly
-    // transition(r0) -> finish(r1) -> transition(r2) in one
+    // Within one completeIteration's handle loop, a phase
+    // transition's placement decision audits the monitor; a *finish*
+    // handled next mutates KV and the answering population before the
+    // loop's second transition decides again. Lockstep lengths force
+    // exactly transition(r0) -> finish(r1) -> transition(r2) in one
     // iteration.
     workload::Trace trace;
     auto spec = [](RequestId id, TokenCount reasoning,
@@ -172,58 +166,11 @@ TEST_F(ClusterViewAudit, FinishBetweenSameIterationTransitionsRemarks)
     cfg.placement = PlacementType::Pascal;
     cfg.numInstances = 1;
     // An impossible pace wedges the early-transitioning request 3
-    // behind its pacer, caching a sticky-false answeringSloOk whose
-    // infinite flip bound disables the time-based re-check — the
-    // staleness can then only be caught by correct dirty marking.
+    // behind its pacer, so the audited verdict is false at every
+    // later decision.
     cfg.slo.tpotTarget = 1e-4;
     auto result = runAudited(cfg, trace);
     EXPECT_EQ(result.aggregate.numFinished, 4u);
-}
-
-TEST_F(ClusterViewInvariance, IncrementalAndRebuildModesByteIdentical)
-{
-    auto trace = churnTrace(5, 140, 18.0);
-    for (SchedulerType sched :
-         {SchedulerType::Fcfs, SchedulerType::Pascal}) {
-        SCOPED_TRACE("scheduler " +
-                     std::to_string(static_cast<int>(sched)));
-        SystemConfig cfg =
-            churnConfig(sched, PlacementType::Pascal, 4);
-        cfg.forceViewRebuild = false;
-        auto fast = cluster::RunContext::execute(cfg, trace);
-        cfg.forceViewRebuild = true;
-        auto reference = cluster::RunContext::execute(cfg, trace);
-        test::expectIdentical(fast, reference);
-    }
-}
-
-TEST_F(ClusterViewFastPath, RefreshesStayBelowFullRebuilds)
-{
-    if (std::getenv("PASCAL_FORCE_VIEW") != nullptr)
-        GTEST_SKIP() << "incremental view globally disabled by env";
-    // On a many-instance deployment most placement decisions touch a
-    // fraction of the cluster: the incremental path must refresh
-    // measurably fewer snapshots than rebuild-everything would.
-    SystemConfig cfg =
-        churnConfig(SchedulerType::Pascal, PlacementType::Pascal, 8);
-    auto trace = churnTrace(13, 200, 25.0);
-    cluster::RunContext ctx(cfg);
-    ctx.submit(trace);
-    ctx.run();
-    const auto& c = ctx.cluster();
-    ASSERT_GT(c.numViewBuilds(), 0u);
-    std::uint64_t rebuild_cost =
-        c.numViewBuilds() * static_cast<std::uint64_t>(cfg.numInstances);
-    EXPECT_LT(c.numViewRefreshes(), rebuild_cost);
-
-    cfg.forceViewRebuild = true;
-    cluster::RunContext slow(cfg);
-    slow.submit(trace);
-    slow.run();
-    EXPECT_EQ(slow.cluster().numViewRefreshes(),
-              slow.cluster().numViewBuilds() *
-                  static_cast<std::uint64_t>(cfg.numInstances));
-    test::expectIdentical(ctx.result(), slow.result());
 }
 
 } // namespace

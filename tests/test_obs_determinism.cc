@@ -82,21 +82,20 @@ predictorNamed(const std::string& kind)
 
 TEST_F(TelemetryDeterminism, TracedForceMatrixMatchesPlainBaseline)
 {
-    // All 2^3 force-recompute corners, each run WITH tracing enabled,
+    // All 2^2 force-recompute corners, each run WITH tracing enabled,
     // must stay byte-identical to the plain telemetry-off fast path:
     // telemetry may not perturb the simulation even in the debug
-    // modes that reshuffle plan/view/accrual recomputation.
+    // modes that reshuffle plan/accrual recomputation.
     auto trace = churnTrace(4242);
     SystemConfig base =
         constrained(SchedulerType::Pascal, predictorNamed("oracle"));
     auto baseline = cluster::RunContext::execute(base, trace);
 
-    for (int mask = 0; mask < 8; ++mask) {
+    for (int mask = 0; mask < 4; ++mask) {
         SCOPED_TRACE("force mask " + std::to_string(mask));
         SystemConfig cfg = base;
-        cfg.forceViewRebuild = (mask & 1) != 0;
-        cfg.limits.forceResort = (mask & 2) != 0;
-        cfg.limits.forceAccrue = (mask & 4) != 0;
+        cfg.limits.forceResort = (mask & 1) != 0;
+        cfg.limits.forceAccrue = (mask & 2) != 0;
         cfg.telemetry.traceEnabled = true;
         auto traced = cluster::RunContext::execute(cfg, trace);
         EXPECT_FALSE(traced.traceJson.empty());

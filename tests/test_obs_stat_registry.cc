@@ -123,8 +123,8 @@ TEST(StatRegistry, StatKindNames)
                  "distribution");
 }
 
-/** A registry snapshot from a real run must agree with every
- *  hand-wired accessor it generalizes. */
+/** A registry snapshot from a real run: the cluster rollups must equal
+ *  the per-instance stats they sum, and agree with RunResult. */
 TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
 {
     Rng rng(321);
@@ -150,27 +150,28 @@ TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
         return stat ? stat->value : -1.0;
     };
 
-    EXPECT_DOUBLE_EQ(counter_value("cluster.plan.builds"),
-                     static_cast<double>(clu.totalPlanBuilds()));
-    EXPECT_DOUBLE_EQ(counter_value("cluster.slo.rekeys"),
-                     static_cast<double>(clu.totalSloHeapRekeys()));
+    // Every decision snapshots every instance.
+    EXPECT_GT(counter_value("cluster.view.builds"), 0.0);
     EXPECT_DOUBLE_EQ(counter_value("cluster.view.refreshes"),
-                     static_cast<double>(clu.numViewRefreshes()));
-    EXPECT_DOUBLE_EQ(counter_value("cluster.view.builds"),
-                     static_cast<double>(clu.numViewBuilds()));
+                     counter_value("cluster.view.builds") *
+                         cfg.numInstances);
     EXPECT_DOUBLE_EQ(counter_value("cluster.migrations"),
                      static_cast<double>(result.totalMigrations));
 
     // Per-instance stats exist for every instance and roll up to the
-    // hand-wired totals.
+    // cluster totals.
     double iterations = 0.0;
     double full_walks = 0.0;
+    double plan_builds = 0.0;
+    double rekeys = 0.0;
     for (int i = 0; i < cfg.numInstances; ++i) {
         const std::string prefix =
             "instance." + std::to_string(i);
         iterations +=
             counter_value(prefix + ".engine.iterations");
         full_walks += counter_value(prefix + ".plan.full_walks");
+        plan_builds += counter_value(prefix + ".plan.builds");
+        rekeys += counter_value(prefix + ".slo.rekeys");
         EXPECT_NE(obs::findStat(dump, prefix + ".kv.gpu_capacity"),
                   nullptr);
         const obs::StatValue* batch =
@@ -181,10 +182,10 @@ TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
     }
     EXPECT_DOUBLE_EQ(iterations,
                      static_cast<double>(result.totalIterations));
+    EXPECT_DOUBLE_EQ(plan_builds, counter_value("cluster.plan.builds"));
+    EXPECT_DOUBLE_EQ(rekeys, counter_value("cluster.slo.rekeys"));
     // Every non-reused boundary is a full walk.
-    EXPECT_DOUBLE_EQ(full_walks, counter_value("cluster.plan.builds"));
-    EXPECT_DOUBLE_EQ(full_walks,
-                     static_cast<double>(clu.totalPlanBuilds()));
+    EXPECT_DOUBLE_EQ(full_walks, plan_builds);
 
     // Two snapshots of an idle cluster are identical, row for row.
     EXPECT_EQ(clu.dumpStats(), clu.dumpStats());

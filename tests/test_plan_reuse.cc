@@ -465,12 +465,12 @@ TEST_F(PlanReuseFastPath, ForceResortEnvAndLimitDisableIncremental)
     EXPECT_FALSE(sched.incrementalEnabled());
 }
 
-TEST_F(PlanReuseInvariance, AllEightForceCornersByteIdentical)
+TEST_F(PlanReuseInvariance, AllFourForceCornersByteIdentical)
 {
-    // {FORCE_VIEW} x {FORCE_RESORT} x {FORCE_ACCRUE}: every corner
-    // disables (or eagerly verifies) a different maintained
-    // structure, so all 8 runs recompute different subsets of the
-    // same state and must agree byte-for-byte. The all-ones corner is
+    // {FORCE_RESORT} x {FORCE_ACCRUE}: every corner disables (or
+    // eagerly verifies) a different maintained structure, so all 4
+    // runs recompute different subsets of the same state and must
+    // agree byte-for-byte. The all-ones corner is
     // the seed's cost model; mask 0 is the production fast path.
     auto trace = transitionTrace(555, 300);
     SystemConfig base =
@@ -478,11 +478,10 @@ TEST_F(PlanReuseInvariance, AllEightForceCornersByteIdentical)
                     PlacementType::PascalPredictive, 8192);
 
     std::vector<cluster::RunResult> results;
-    for (int mask = 0; mask < 8; ++mask) {
+    for (int mask = 0; mask < 4; ++mask) {
         SystemConfig cfg = base;
-        cfg.forceViewRebuild = (mask & 1) != 0;
-        cfg.limits.forceResort = (mask & 2) != 0;
-        cfg.limits.forceAccrue = (mask & 4) != 0;
+        cfg.limits.forceResort = (mask & 1) != 0;
+        cfg.limits.forceAccrue = (mask & 2) != 0;
         results.push_back(cluster::RunContext::execute(cfg, trace));
     }
     for (std::size_t i = 1; i < results.size(); ++i) {

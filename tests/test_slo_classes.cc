@@ -123,9 +123,8 @@ params(SystemConfig& cfg, SloClass c)
 void
 applyForceMask(SystemConfig& cfg, int mask)
 {
-    cfg.forceViewRebuild = (mask & 1) != 0;
-    cfg.limits.forceResort = (mask & 2) != 0;
-    cfg.limits.forceAccrue = (mask & 4) != 0;
+    cfg.limits.forceResort = (mask & 1) != 0;
+    cfg.limits.forceAccrue = (mask & 2) != 0;
 }
 
 /** Strip class-derived annotations so an annotated-trace run can be
@@ -282,7 +281,7 @@ TEST_F(ClassDormancy, DisabledConfigByteIdenticalAcrossForceMatrix)
 {
     // A fully-parameterized class config with enabled == false, on an
     // annotated trace, under the chaos fault schedule: every one of
-    // the 8 force-mode corners must match the default-config run
+    // the 4 force-mode corners must match the default-config run
     // byte-for-byte. This is the "classes-off is the pre-class
     // simulator" guarantee the acceptance criteria pin.
     auto trace = stormTrace(313, 100);
@@ -292,7 +291,7 @@ TEST_F(ClassDormancy, DisabledConfigByteIdenticalAcrossForceMatrix)
     auto baseline = RunContext::execute(base, trace);
     EXPECT_GT(baseline.numCrashes, 0u);
 
-    for (int mask = 0; mask < 8; ++mask) {
+    for (int mask = 0; mask < 4; ++mask) {
         SCOPED_TRACE("mode mask " + std::to_string(mask));
         SystemConfig cfg = base;
         applyForceMask(cfg, mask);
@@ -321,7 +320,7 @@ TEST_F(ClassBehavior, ClassesOnForceMatrixByteIdenticalUnderChaos)
     params(base, SloClass::Standard).relativeDeadline = 6.0;
 
     std::vector<RunResult> results;
-    for (int mask = 0; mask < 8; ++mask) {
+    for (int mask = 0; mask < 4; ++mask) {
         SystemConfig cfg = base;
         applyForceMask(cfg, mask);
         results.push_back(RunContext::execute(cfg, trace));

@@ -191,18 +191,13 @@ TEST(SloMonitor, SitOutAndRejoinKeepsExactKey)
     }
 }
 
-/** Heap verdict and risk bound against the reference walk. */
+/** Heap verdict against the reference walk. */
 void
-expectMatchesScan(const Driver& d, Time at, Time tolerance)
+expectMatchesScan(const Driver& d, Time at)
 {
-    Time heap_risk = 0.0;
-    Time scan_risk = 0.0;
-    bool heap_ok = d.mon.answeringSloOk(at, &heap_risk);
-    bool scan_ok = d.mon.answeringSloOkScan(d.hosted, at, &scan_risk);
-    ASSERT_EQ(heap_ok, scan_ok) << "t=" << at;
-    if (heap_risk != scan_risk) {
-        ASSERT_NEAR(heap_risk, scan_risk, tolerance) << "t=" << at;
-    }
+    ASSERT_EQ(d.mon.answeringSloOk(at),
+              d.mon.answeringSloOkScan(d.hosted, at))
+        << "t=" << at;
 }
 
 void
@@ -248,10 +243,9 @@ randomSequence(bool classes, std::uint64_t seed)
             }
             d.step(batch, uniform(0.02, 0.16));
         }
-        Time tolerance = 0.25 * (classes ? 0.05 : d.slo.tpotTarget);
         d.mon.verify(d.hosted, d.now, 0);
-        expectMatchesScan(d, d.now, tolerance);
-        expectMatchesScan(d, d.now + uniform(0.0, 2.0), tolerance);
+        expectMatchesScan(d, d.now);
+        expectMatchesScan(d, d.now + uniform(0.0, 2.0));
         bool ok = d.mon.answeringSloOk(d.now);
         verdict_flips += ok != last_ok;
         last_ok = ok;
