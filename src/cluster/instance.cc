@@ -168,8 +168,7 @@ Instance::demoteBestEffort(Request* req)
               " not homed here");
     // Re-key through the scheduler's remove/add path: the class rank
     // is the leading comparator level in every policy's order, so the
-    // queues must observe it as a key change. add() re-links material
-    // (KV-holding) requests via noteResidency, the same path a
+    // queues must observe it as a key change — the same path a
     // migration landing takes.
     sched->remove(req);
     req->bestEffort = true;
@@ -598,9 +597,6 @@ Instance::registerStats(obs::StatRegistry& reg,
     reg.counter(prefix + ".plan.full_walks", &planBuilds);
     reg.counter(prefix + ".slo.rekeys",
                 [this] { return monitor.numRekeys(); });
-    reg.counter(prefix + ".queue.compactions", [this] {
-        return sched->numEvictQueueCompactions();
-    });
     reg.gauge(prefix + ".kv.gpu_capacity", [this] {
         return static_cast<double>(kvPool.gpuCapacity());
     });

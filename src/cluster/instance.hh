@@ -228,10 +228,10 @@ class Instance
     /**
      * Register this instance's counters/gauges on @p reg under
      * @p prefix (e.g. "instance.3"): engine counters, plan fast-path
-     * counters, SLO-heap rekeys, eviction-queue compactions, KV pool
-     * gauges, and the decode batch-size distribution. Registration is
-     * non-owning pointers/functors — the hot path keeps its bare
-     * member increments.
+     * counters, SLO-heap rekeys, KV pool gauges, and the decode
+     * batch-size distribution. Registration is non-owning
+     * pointers/functors — the hot path keeps its bare member
+     * increments.
      */
     void registerStats(obs::StatRegistry& reg,
                        const std::string& prefix);

@@ -11,8 +11,8 @@
  * characterize.
  *
  * The (arrival, id) key is immutable, so in incremental mode the
- * queue only ever changes on add/remove — the per-iteration sort of
- * the recompute path disappears entirely.
+ * queue's sorted vector only ever changes on add/remove — the
+ * per-iteration sort of the recompute path disappears entirely.
  */
 
 #ifndef PASCAL_CORE_FCFS_SCHEDULER_HH
@@ -64,13 +64,6 @@ class FcfsScheduler : public IntraScheduler
     void onHostedRemoved(workload::Request* req) override
     {
         queue.erase(req);
-    }
-
-    void
-    onMaterialChanged(workload::Request* req, int delta) override
-    {
-        (void)delta;
-        queue.noteMaterialized(req);
     }
 
   private:

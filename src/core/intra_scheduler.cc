@@ -110,23 +110,6 @@ IntraScheduler::add(workload::Request* req)
     else
         hostedFirst = req;
     hostedLast = req;
-    // Greedy-walk early-exit bookkeeping (any previous host already
-    // unlinked the request from its own structures in remove()).
-    req->schedInResidentList = false;
-    req->schedEvictNode = nullptr;
-    req->schedEvictDirty = false;
-    req->schedPlanStamp = 0;
-    req->schedCountedPrewarm = false;
-    req->schedCountedWaiting = false;
-    if (req->exec == workload::ExecState::WaitingNew) {
-        waitingPrompts.insert(req->spec().promptTokens);
-        req->schedCountedWaiting = true;
-        if (req->spec().startInAnswering) {
-            req->schedCountedPrewarm = true;
-            ++waitingPrewarmCount;
-        }
-    }
-    noteResidency(req); // Migration landings arrive holding KV.
     if (!incremental)
         return;
     // A migrated request carries stale bookkeeping from its previous
@@ -174,68 +157,7 @@ IntraScheduler::remove(workload::Request* req)
         req->schedCountedReasoning = false;
         req->schedCountedFreshAns = false;
         req->schedDemotionPending = false;
-        // Queue unlink first (it reads schedInResidentList to keep
-        // its material count exact), then the early-exit structures.
         onHostedRemoved(req);
-    }
-    unlinkMaterial(req);
-    if (req->schedCountedWaiting) {
-        // Departing while still waiting (not a path the engine takes
-        // today, but the floor must stay exact regardless).
-        req->schedCountedWaiting = false;
-        waitingPrompts.erase(
-            waitingPrompts.find(req->spec().promptTokens));
-    }
-    if (req->schedCountedPrewarm) {
-        req->schedCountedPrewarm = false;
-        --waitingPrewarmCount;
-    }
-}
-
-void
-IntraScheduler::unlinkMaterial(workload::Request* req)
-{
-    if (!req->schedInResidentList)
-        return;
-    if (incremental)
-        evictOrder.erase(req);
-    req->schedInResidentList = false;
-}
-
-void
-IntraScheduler::noteResidency(workload::Request* req)
-{
-    stateChanged = true;
-    bool material =
-        req->exec == workload::ExecState::ResidentGpu ||
-        req->exec == workload::ExecState::SwappedCpu;
-    if (material && !req->schedInResidentList) {
-        req->schedInResidentList = true;
-        if (incremental) {
-            // Deferred link: the eviction-order key is read at the
-            // next build's repair(), after any same-boundary re-keys.
-            evictOrder.insert(req);
-        }
-        if (req->schedNode != nullptr) {
-            // Flipped in place while linked (prefill/prewarm
-            // allocation): the owning queue's material count moves.
-            onMaterialChanged(req, 1);
-        }
-        if (req->schedCountedWaiting) {
-            // It stopped waiting: retire its admission-floor entry.
-            req->schedCountedWaiting = false;
-            waitingPrompts.erase(
-                waitingPrompts.find(req->spec().promptTokens));
-        }
-    } else if (!material && req->schedInResidentList) {
-        unlinkMaterial(req);
-        if (req->schedNode != nullptr)
-            onMaterialChanged(req, -1);
-    }
-    if (req->schedCountedPrewarm &&
-        req->exec != workload::ExecState::WaitingNew) {
-        req->schedCountedPrewarm = false;
-        --waitingPrewarmCount;
     }
 }
 
@@ -423,14 +345,6 @@ IntraScheduler::keyedOrderHolds(const IterationPlan& prev)
     return true;
 }
 
-void
-IntraScheduler::noteKeyChanged(workload::Request* req)
-{
-    if (!incremental || !req->schedInResidentList)
-        return;
-    evictOrder.markDirty(req);
-}
-
 bool
 IntraScheduler::revalidate(const IterationPlan& prev,
                            const model::KvPool& pool) const
@@ -477,6 +391,128 @@ IntraScheduler::greedySelectInto(
 }
 
 void
+IntraScheduler::greedySelectRanges(OrderIt high_begin, OrderIt high_end,
+                                   OrderIt low_begin, OrderIt low_end,
+                                   bool cap_high,
+                                   TokenCount high_budget_cap,
+                                   const model::KvPool& pool,
+                                   bool stop_at_unfit, IterationPlan& out)
+{
+    TokenCount budget = pool.gpuCapacity();
+    TokenCount high_budget = cap_high ? high_budget_cap : budget;
+    TokenCount prefill_tokens = 0;
+    int batch = 0;
+    bool stopped = false;
+    const std::size_t gpu_total = pool.numGpuResident();
+    const std::size_t cpu_total = pool.numTracked() - gpu_total;
+    std::size_t residents_seen = 0;
+    std::size_t swapped_seen = 0;
+    std::vector<workload::Request*>& unselected_residents =
+        lastKeptResidents; // Reused buffer; doubles as the record.
+    unselected_residents.clear();
+    lastDecodeCapped.clear();
+    lastDecodeKeys.clear();
+    lastHighBudgetCap = cap_high ? high_budget_cap : -1;
+
+    OrderIt it = high_begin;
+    OrderIt range_end = high_end;
+    bool in_high = true;
+    bool capped = cap_high;
+    for (;;) {
+        const bool full = stopped || batch >= limits.maxBatchSize;
+        if (full && residents_seen == gpu_total &&
+            swapped_seen == cpu_total)
+            break; // Early exit: every KV holder has been accounted.
+        if (it == range_end) {
+            if (!in_high)
+                break;
+            in_high = false;
+            capped = false;
+            it = low_begin;
+            range_end = low_end;
+            continue;
+        }
+        workload::Request* r = *it++;
+        if (!schedulable(r))
+            continue;
+        bool resident = r->exec == workload::ExecState::ResidentGpu;
+        if (resident)
+            ++residents_seen;
+        else if (r->exec == workload::ExecState::SwappedCpu)
+            ++swapped_seen;
+
+        if (full) {
+            if (resident)
+                unselected_residents.push_back(r);
+            continue;
+        }
+
+        // Effective budget: capped (high-queue) candidates may not eat
+        // into the memory reserved for the low queue.
+        TokenCount avail = capped ? std::min(budget, high_budget) : budget;
+        bool admitted = false;
+        TokenCount cost = 0;
+        switch (r->exec) {
+          case workload::ExecState::WaitingNew: {
+            cost = pool.chargeFor(r->spec().promptTokens + 1);
+            bool prewarm = r->spec().startInAnswering;
+            bool caps_ok =
+                prewarm ||
+                (static_cast<int>(out.prefill.size()) <
+                     limits.maxPrefillSeqs &&
+                 prefill_tokens + r->spec().promptTokens <=
+                     limits.maxPrefillTokens);
+            if (!caps_ok || cost > avail) {
+                stopped = stop_at_unfit;
+                break;
+            }
+            admitted = true;
+            if (prewarm) {
+                out.prewarm.push_back(r);
+            } else {
+                out.prefill.push_back(r);
+                prefill_tokens += r->spec().promptTokens;
+            }
+            break;
+          }
+          case workload::ExecState::ResidentGpu: {
+            cost = pool.chargeFor(r->kvTokens() + 1);
+            if (cost > avail) {
+                unselected_residents.push_back(r);
+                stopped = stop_at_unfit;
+                break;
+            }
+            admitted = true;
+            out.decode.push_back(r);
+            recordDecode(r, capped);
+            break;
+          }
+          case workload::ExecState::SwappedCpu: {
+            cost = pool.chargeFor(r->kvTokens() + 1);
+            if (cost > avail) {
+                stopped = stop_at_unfit;
+                break;
+            }
+            admitted = true;
+            out.swapIn.push_back(r);
+            out.decode.push_back(r);
+            recordDecode(r, capped);
+            break;
+          }
+          default:
+            panic("greedySelect: unexpected exec state");
+        }
+        if (admitted) {
+            budget -= cost;
+            if (capped)
+                high_budget -= cost;
+            ++batch;
+        }
+    }
+    finishGreedySelect(pool, out, budget);
+}
+
+void
 IntraScheduler::finishGreedySelect(const model::KvPool& pool,
                                    IterationPlan& out,
                                    TokenCount leftover_budget)
@@ -486,11 +522,8 @@ IntraScheduler::finishGreedySelect(const model::KvPool& pool,
 
     // Unselected residents stay resident while the leftover budget
     // covers them (they simply skip this iteration); the rest are
-    // evicted, lowest priority first. The record is already in walk
-    // priority order end to end (the early-exit tail comes from the
-    // maintained eviction-order structure pre-sorted), so the evicted
-    // set and the swapOut sequence are byte-identical to the full
-    // walk's with no re-sort.
+    // evicted, lowest priority first: the record is in walk priority
+    // order.
     TokenCount total_keep_cost = 0;
     for (const auto* r : unselected_residents)
         total_keep_cost += pool.chargeFor(r->kvTokens());

@@ -36,7 +36,9 @@
  *    enableIncremental()): the scheduler maintains its priority
  *    queues, the r_i / a_i monitor counters, and demotion candidates
  *    across iterations, repairing only requests whose ordering key
- *    actually changed. In the dominant decode-only steady state
+ *    actually changed. Each queue is an OrderedQueue: one sorted
+ *    vector into which the changed members are merged back at the
+ *    next build. In the dominant decode-only steady state
  *    reusePlan() lets the instance run the previous IterationPlan
  *    verbatim, skipping plan construction entirely; every other
  *    boundary is a full buildPlan() walk.
@@ -51,6 +53,8 @@
  *                              flip, KV growth),
  *  - onPhaseTransition()       reasoning->answering staying home.
  *
+ * No ordering key reads the exec state, so residency flips (swaps,
+ * prefill allocation; noteResidency()) only block verbatim plan reuse.
  * Incremental keys never read the predictor, so predictor updates need
  * no notification (keyed plan reuse compares LengthPredictor::version()
  * instead). Code that mutates requests behind the scheduler's
@@ -67,10 +71,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <set>
-#include <type_traits>
-#include <utility>
 #include <string>
 #include <vector>
 
@@ -86,60 +86,6 @@ namespace pascal
 {
 namespace core
 {
-
-/**
- * Priority order of GPU residents across every shipped policy,
- * used to restore walk order over the residents an early-exited
- * greedy walk never visited, before evicting from the back. The
- * queue tag ranks PASCAL's high queue above its low queue; the SLO
- * class rank (all zero with classes off) ranks tenant classes within
- * a queue; below those every policy orders by (quanta, arrival, id) —
- * FCFS never consumes quanta, so it degenerates to exactly its own
- * comparator, and predictor-keyed policies never run incrementally. A
- * policy whose order is NOT expressible in these five fields must not
- * rely on the early-exit tail (or must extend this comparator) — the
- * eviction-storm invariance test runs every shipped policy against
- * recompute mode to keep the equivalence honest.
- */
-struct ResidentEvictOrder
-{
-    bool
-    operator()(const workload::Request* a,
-               const workload::Request* b) const
-    {
-        if (a->schedQueueTag != b->schedQueueTag)
-            return a->schedQueueTag < b->schedQueueTag;
-        if (a->schedClassRank != b->schedClassRank)
-            return a->schedClassRank < b->schedClassRank;
-        if (a->quantaConsumed != b->quantaConsumed)
-            return a->quantaConsumed < b->quantaConsumed;
-        if (a->spec().arrival != b->spec().arrival)
-            return a->spec().arrival < b->spec().arrival;
-        return a->id() < b->id();
-    }
-};
-
-/** Detection idiom for iterators that support dropping their waiting
- *  stream (OrderedQueue's merged iterator); plain vector iterators
- *  (the recompute wrapper) are left untouched. */
-template <typename It, typename = void>
-struct HasSkipWaiting : std::false_type
-{
-};
-template <typename It>
-struct HasSkipWaiting<
-    It, std::void_t<decltype(std::declval<It&>().skipWaiting())>>
-    : std::true_type
-{
-};
-
-template <typename It>
-inline void
-maybeSkipWaiting(It& it)
-{
-    if constexpr (HasSkipWaiting<It>::value)
-        it.skipWaiting();
-}
 
 /**
  * Why reusePlan() declined, recorded per boundary for the telemetry
@@ -243,15 +189,12 @@ class IntraScheduler
     virtual void onPhaseTransition(workload::Request* req);
 
     /**
-     * Dirty-set contract, residency leg: the engine reports every
-     * exec-state flip of a hosted request (prefill/prewarm
-     * allocation, swap out/in, migration landing) so the scheduler's
-     * intrusive GPU-resident list stays exact. The greedy walk's
-     * early exit settles unvisited residents from this list instead
-     * of scanning the whole admission backlog. add()/remove() sync
-     * membership themselves.
+     * The engine reports every exec-state flip of a hosted request
+     * (prefill/prewarm allocation, swap out/in) here. A residency
+     * change only blocks verbatim plan reuse until the next build: no
+     * ordering key reads the exec state.
      */
-    void noteResidency(workload::Request* req);
+    void noteResidency(workload::Request*) { stateChanged = true; }
 
     /**
      * Instance notification: @p req just emitted a token (or finished
@@ -324,14 +267,11 @@ class IntraScheduler
     /** Why the last reusePlan() call declined (None if it reused). */
     PlanDecline lastReuseDecline() const { return reuseDecline; }
 
-    /** Lazy-erase compactions of the maintained eviction-order
-     *  structure (stat registry: <instance>.queue.compactions). */
-    std::uint64_t numEvictQueueCompactions() const
-    {
-        return evictOrder.numCompactions();
-    }
-
   protected:
+    /** A position in a priority order: an OrderedQueue's or a plain
+     *  order vector's. */
+    using OrderIt = std::vector<workload::Request*>::const_iterator;
+
     /** True if @p req can be considered for scheduling at all.
      *  Inline: evaluated once per walked candidate per plan. */
     static bool
@@ -418,33 +358,10 @@ class IntraScheduler
         return false;
     }
 
-    /**
-     * A linked member's materiality flipped in place (a
-     * prefill/prewarm allocation — @p delta is +1, or -1
-     * defensively): forward to the owning queue's noteMaterialized()
-     * so its material/waiting sublists stay exact.
-     */
-    virtual void
-    onMaterialChanged(workload::Request* req, int delta)
-    {
-        (void)req;
-        (void)delta;
-    }
-
     /** Subclasses call this whenever queue contents or keys changed
      *  outside buildPlan (blocks verbatim reuse until the next
      *  buildPlan). */
     void noteStateChanged() { stateChanged = true; }
-
-    /**
-     * Subclasses call this whenever a hosted request's
-     * ResidentEvictOrder key moved (quantum consumption, queue-tag
-     * transfer, demotion) — always in addition to marking their own
-     * queues dirty. Keeps the maintained eviction-order structure
-     * exact. No-op for non-material members (their keys are re-read
-     * at admission) and in recompute mode.
-     */
-    void noteKeyChanged(workload::Request* req);
 
     /** Recompute @p req's contribution to the maintained monitor
      *  counters from its live state. */
@@ -476,16 +393,13 @@ class IntraScheduler
      * the first candidate that does not fit.
      *
      * Early exit: once nothing further can be admitted (the walk
-     * stopped, the batch is full, or the leftover budget is below one
-     * paged block — the minimum any candidate charges) the only
-     * remaining work is accounting GPU residents for the keep/evict
-     * pass, so the walk ends as soon as every pool-resident
-     * allocation has been seen. A saturated instance therefore plans
-     * in O(batch + residents) instead of O(hosted), no matter how
-     * deep its admission backlog grows.
+     * stopped or the batch is full) the only remaining work is
+     * accounting GPU residents for the keep/evict pass, so the walk
+     * ends as soon as every request holding KV (GPU-resident or
+     * swapped) has been seen.
      *
-     * The ranges are templated so the skip-list queues are consumed
-     * in place — no O(n) copy into a scratch order per plan.
+     * The ranges are vector iterators, so the OrderedQueues are
+     * consumed in place — no O(n) copy into a scratch order per plan.
      *
      * The walk also records the reuse-validation state (per-decode-
      * member budget caps, keyed reuse's key fields, and the kept
@@ -496,234 +410,11 @@ class IntraScheduler
      *        @p high_budget_cap as well as the global budget
      *        (PASCAL's answering-reserve extension).
      */
-    template <typename It>
-    void
-    greedySelectRanges(It high_begin, It high_end, It low_begin,
-                       It low_end, bool cap_high,
-                       TokenCount high_budget_cap,
-                       const model::KvPool& pool, bool stop_at_unfit,
-                       IterationPlan& out)
-    {
-        if (incremental) {
-            // Link any pending eviction-order members now: every key
-            // change of this boundary (demotion, quantum rollover) has
-            // already been marked dirty by the planInto prologue, so
-            // the settle pass below reads a fully ordered resident
-            // structure — no per-build re-sort.
-            evictOrder.repair();
-        }
-        TokenCount budget = pool.gpuCapacity();
-        TokenCount high_budget = cap_high ? high_budget_cap : budget;
-        TokenCount prefill_tokens = 0;
-        int batch = 0;
-        bool stopped = false;
-        bool walking = true;
-        const std::size_t gpu_total = pool.numGpuResident();
-        const std::size_t cpu_total = pool.numTracked() - gpu_total;
-        std::size_t residents_seen = 0;
-        std::size_t swapped_seen = 0;
-        ++planWalkEpoch;
-        // Exact admission floor for the whole waiting population (the
-        // waiting set is frozen while a plan is built): the smallest
-        // prompt bounds both the memory charge and the prefill token
-        // cap of every waiting candidate, prewarm or not.
-        const TokenCount min_waiting_prompt =
-            waitingPrompts.empty()
-                ? std::numeric_limits<TokenCount>::max()
-                : *waitingPrompts.begin();
-        const TokenCount waiting_floor =
-            waitingPrompts.empty()
-                ? 0
-                : pool.chargeFor(min_waiting_prompt + 1);
-        std::vector<workload::Request*>& unselected_residents =
-            lastKeptResidents; // Reused buffer; doubles as the record.
-        unselected_residents.clear();
-        lastDecodeCapped.clear();
-        lastDecodeKeys.clear();
-        lastHighBudgetCap = cap_high ? high_budget_cap : -1;
-
-        // True once no waiting candidate can join the batch. Every
-        // input is monotone along the walk (budget shrinks,
-        // batch/prefill counts grow), so it is re-evaluated only
-        // after admissions; the moment it flips, the walk drops the
-        // queues' waiting streams (iterator::skipWaiting) and
-        // finishes over the material members alone.
-        bool waiting_dead = waitingPrompts.empty();
-        auto recheck = [&]() {
-            if (stopped || batch >= limits.maxBatchSize) {
-                // Nothing at all can be admitted. Incremental mode
-                // settles the unreached residents from the material
-                // list after the walk; recompute mode (whose exec
-                // states may be test-poked without notifications)
-                // only stops once everything with KV has been
-                // walked.
-                if (incremental || (residents_seen == gpu_total &&
-                                    swapped_seen == cpu_total)) {
-                    walking = false;
-                }
-                return;
-            }
-            waiting_dead =
-                waiting_dead || budget < waiting_floor ||
-                (waitingPrewarmCount == 0 &&
-                 (static_cast<int>(out.prefill.size()) >=
-                      limits.maxPrefillSeqs ||
-                  prefill_tokens + min_waiting_prompt >
-                      limits.maxPrefillTokens));
-        };
-        recheck();
-
-        // Strict-order policies (stop_at_unfit) may NOT skip the
-        // waiting stream: their first unfit waiting candidate stops
-        // the whole walk, so a skipped waiting member would let a
-        // later material member be admitted that the reference walk
-        // blocks. They still exit fast — the unfit candidate flips
-        // `stopped` and the material-list tail settles the rest.
-        const bool can_skip_waiting = incremental && !stop_at_unfit;
-        It it = high_begin;
-        It range_end = high_end;
-        bool in_high = true;
-        bool capped = cap_high;
-        if (can_skip_waiting && waiting_dead)
-            maybeSkipWaiting(it);
-        for (;;) {
-            if (!walking)
-                break;
-            if (it == range_end) {
-                if (!in_high)
-                    break;
-                in_high = false;
-                capped = false;
-                it = low_begin;
-                range_end = low_end;
-                if (can_skip_waiting && waiting_dead)
-                    maybeSkipWaiting(it);
-                continue;
-            }
-            workload::Request* r = *it;
-            if (!schedulable(r)) {
-                ++it;
-                continue;
-            }
-            bool resident =
-                r->exec == workload::ExecState::ResidentGpu;
-            if (resident) {
-                ++residents_seen;
-                r->schedPlanStamp = planWalkEpoch;
-                if (residents_seen == gpu_total)
-                    recheck();
-            } else if (r->exec == workload::ExecState::SwappedCpu) {
-                ++swapped_seen;
-                if (swapped_seen == cpu_total)
-                    recheck();
-            }
-
-            if (stopped || batch >= limits.maxBatchSize) {
-                if (resident)
-                    unselected_residents.push_back(r);
-                ++it;
-                continue;
-            }
-
-            // Effective budget: capped (high-queue) candidates may
-            // not eat into the memory reserved for the low queue.
-            TokenCount avail =
-                capped ? std::min(budget, high_budget) : budget;
-            bool admitted = false;
-            TokenCount cost = 0;
-            switch (r->exec) {
-              case workload::ExecState::WaitingNew: {
-                cost = pool.chargeFor(r->spec().promptTokens + 1);
-                bool prewarm = r->spec().startInAnswering;
-                bool caps_ok =
-                    prewarm ||
-                    (static_cast<int>(out.prefill.size()) <
-                         limits.maxPrefillSeqs &&
-                     prefill_tokens + r->spec().promptTokens <=
-                         limits.maxPrefillTokens);
-                if (!caps_ok || cost > avail) {
-                    if (stop_at_unfit) {
-                        stopped = true;
-                        recheck();
-                    }
-                    break;
-                }
-                admitted = true;
-                if (prewarm) {
-                    out.prewarm.push_back(r);
-                } else {
-                    out.prefill.push_back(r);
-                    prefill_tokens += r->spec().promptTokens;
-                }
-                break;
-              }
-              case workload::ExecState::ResidentGpu: {
-                cost = pool.chargeFor(r->kvTokens() + 1);
-                if (cost > avail) {
-                    unselected_residents.push_back(r);
-                    if (stop_at_unfit) {
-                        stopped = true;
-                        recheck();
-                    }
-                    break;
-                }
-                admitted = true;
-                out.decode.push_back(r);
-                recordDecode(r, capped);
-                break;
-              }
-              case workload::ExecState::SwappedCpu: {
-                cost = pool.chargeFor(r->kvTokens() + 1);
-                if (cost > avail) {
-                    if (stop_at_unfit) {
-                        stopped = true;
-                        recheck();
-                    }
-                    break;
-                }
-                admitted = true;
-                out.swapIn.push_back(r);
-                out.decode.push_back(r);
-                recordDecode(r, capped);
-                break;
-              }
-              default:
-                panic("greedySelect: unexpected exec state");
-            }
-            if (admitted) {
-                budget -= cost;
-                if (capped)
-                    high_budget -= cost;
-                ++batch;
-                // The budget/batch/prefill state moved, so the exit
-                // verdicts may have flipped.
-                bool was_dead = waiting_dead;
-                recheck();
-                if (can_skip_waiting && waiting_dead && !was_dead)
-                    maybeSkipWaiting(it);
-            }
-            ++it;
-        }
-
-        if (!walking && incremental) {
-            // Full exit (batch full / strict-order stop): settle the
-            // GPU residents the walk never reached. Every unstamped
-            // member of the maintained eviction-order structure is by
-            // construction unselected (selection requires a visit),
-            // and arrives already in eviction priority order — so the
-            // keep/evict pass needs no tail re-sort.
-            for (auto eit = evictOrder.begin(); eit != evictOrder.end();
-                 ++eit) {
-                workload::Request* r = *eit;
-                if (r->exec != workload::ExecState::ResidentGpu ||
-                    r->schedPlanStamp == planWalkEpoch ||
-                    !schedulable(r))
-                    continue;
-                unselected_residents.push_back(r);
-            }
-        }
-        finishGreedySelect(pool, out, budget);
-    }
+    void greedySelectRanges(OrderIt high_begin, OrderIt high_end,
+                            OrderIt low_begin, OrderIt low_end,
+                            bool cap_high, TokenCount high_budget_cap,
+                            const model::KvPool& pool, bool stop_at_unfit,
+                            IterationPlan& out);
 
     /** Single-order convenience over greedySelectRanges: the first
      *  @p high_prefix_len entries of @p order form the capped high
@@ -865,12 +556,8 @@ class IntraScheduler
 
     /**
      * Shared tail of the greedy walk: keep unselected residents while
-     * @p leftover_budget covers them and evict the rest. The record
-     * arrives in walk priority order end to end — the walked prefix
-     * by construction, the early-exit tail because the maintained
-     * eviction-order structure yields it pre-sorted — so no re-sort
-     * is needed and the emitted plan is byte-identical to the full
-     * walk's.
+     * @p leftover_budget covers them and evict the rest. The walk
+     * records them in priority order, so no re-sort is needed.
      */
     void finishGreedySelect(const model::KvPool& pool,
                             IterationPlan& out,
@@ -910,40 +597,6 @@ class IntraScheduler
     /** Maintained monitor counters (incremental mode). */
     int reasoningCount = 0;
     int freshAnsweringCount = 0;
-
-    /** @name Greedy-walk early-exit state */
-    /** @{ */
-
-    /**
-     * Maintained eviction-order structure over the material members:
-     * every hosted request that holds KV (GPU-resident or swapped),
-     * kept sorted by ResidentEvictOrder across builds (incremental
-     * mode only; recompute mode never touches it). Membership changes
-     * only at prefill/prewarm allocation, migration landing, and
-     * departure — swaps move tiers, not membership; key moves arrive
-     * via noteKeyChanged(). The greedy walk's early-exit settle pass
-     * reads it pre-sorted, so swap-thrashing instances stop paying a
-     * per-build eviction re-sort.
-     */
-    OrderedQueue<ResidentEvictOrder, EvictQueueHooks> evictOrder{1};
-
-    /** Exact multiset of hosted waiting requests' prompt sizes (the
-     *  waiting set is frozen during a walk, so its minimum yields an
-     *  exact "nothing waiting fits" admission floor). */
-    std::multiset<TokenCount> waitingPrompts;
-
-    /** Hosted startInAnswering requests still waiting (they bypass
-     *  the prefill caps, so the walk may only stop early when none
-     *  remain). */
-    int waitingPrewarmCount = 0;
-
-    /** Epoch stamped into visited residents per greedy walk. */
-    std::uint64_t planWalkEpoch = 0;
-
-    /** Unlink @p req from the material set if present. */
-    void unlinkMaterial(workload::Request* req);
-
-    /** @} */
 
     /** Telemetry: why the last reuse attempt declined. */
     PlanDecline reuseDecline = PlanDecline::None;

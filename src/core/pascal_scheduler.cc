@@ -65,9 +65,6 @@ PascalScheduler::demote(workload::Request* req)
     syncCounters(req);
     highQueue.erase(req);
     lowQueue.insert(req);
-    // After the transfer, so the eviction-order relink reads the
-    // settled low-queue tag.
-    noteKeyChanged(req);
     noteStateChanged();
 }
 
@@ -118,13 +115,6 @@ PascalScheduler::keysInOrder(const workload::Request* a,
 }
 
 void
-PascalScheduler::onMaterialChanged(workload::Request* req, int delta)
-{
-    (void)delta;
-    queueOf(req).noteMaterialized(req);
-}
-
-void
 PascalScheduler::onHostedAdded(workload::Request* req)
 {
     if (isHighPriority(req)) {
@@ -157,11 +147,9 @@ PascalScheduler::onRequestExecuted(workload::Request* req,
         // out of the high queue.
         highQueue.erase(req);
         lowQueue.insert(req);
-        noteKeyChanged(req); // After the transfer: tag settled at 2.
         noteStateChanged();
     } else if (quanta_changed) {
         queueOf(req).markDirty(req);
-        noteKeyChanged(req);
         noteStateChanged();
     }
     if (high && !req->schedDemotionPending && demotionPossible(req)) {
@@ -246,9 +234,9 @@ PascalScheduler::incrementalPlan(const model::KvPool& pool,
         static_cast<double>(pool.gpuCapacity()) *
         (1.0 - limits.answeringReserveFraction));
 
-    // The skip lists are walked in place — no scratch concatenation
-    // pass; the high (reasoning) queue outranks the low queue exactly
-    // as the recompute sort's concatenated order does.
+    // The queues are walked in place — no scratch concatenation pass;
+    // the high (reasoning) queue outranks the low queue exactly as the
+    // recompute sort's concatenated order does.
     greedySelectRanges(highQueue.begin(), highQueue.end(),
                        lowQueue.begin(), lowQueue.end(),
                        limits.answeringReserveFraction > 0.0, high_cap,
@@ -266,7 +254,6 @@ PascalScheduler::onPhaseTransition(workload::Request* req)
     // noteExecuted already moved it into the low queue when the
     // transition token was emitted; the reset re-keys it there.
     queueOf(req).markDirty(req);
-    noteKeyChanged(req);
     noteStateChanged();
 }
 

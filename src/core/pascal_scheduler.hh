@@ -15,9 +15,9 @@
  * (paper: 5000 tokens) is demoted to the low-priority queue so one
  * monster request cannot starve the answering phase.
  *
- * In incremental mode both queues are OrderedQueues repaired only for
- * requests whose quantaConsumed key or phase/demotion membership
- * changed, and the demotion rule is re-checked only for requests whose
+ * In incremental mode both queues are OrderedQueues (sorted vectors)
+ * repaired only for requests whose quantaConsumed key or
+ * phase/demotion membership changed, and the demotion rule is re-checked only for requests whose
  * KV moved since the last plan. Predictor-keyed variants build in
  * recompute mode and reuse plans between predictor changes (see
  * IntraScheduler's file comment).
@@ -97,8 +97,6 @@ class PascalScheduler : public IntraScheduler
      *  reuse if any fired. Keyed reuse: vetoes if a high-queue member
      *  of @p prev would now demote (the build applies it). */
     bool reuseVeto(const IterationPlan& prev) override;
-    void onMaterialChanged(workload::Request* req,
-                           int delta) override;
     /** @} */
 
     /**

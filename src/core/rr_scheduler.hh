@@ -12,8 +12,9 @@
  *
  * The (quantaConsumed, arrival, id) key only moves on a quantum
  * rollover — once every `quantum` emitted tokens per request — so in
- * incremental mode the queue repair touches at most the handful of
- * requests that rolled over since the last plan.
+ * incremental mode a plan sorts only the handful of requests that
+ * rolled over since the last plan and merges them back into the
+ * queue's sorted vector.
  */
 
 #ifndef PASCAL_CORE_RR_SCHEDULER_HH
@@ -69,19 +70,11 @@ class RrScheduler : public IntraScheduler
         queue.erase(req);
     }
 
-    void
-    onMaterialChanged(workload::Request* req, int delta) override
-    {
-        (void)delta;
-        queue.noteMaterialized(req);
-    }
-
     void onRequestExecuted(workload::Request* req,
                            bool quanta_changed) override
     {
         if (quanta_changed) {
             queue.markDirty(req);
-            noteKeyChanged(req);
             noteStateChanged();
         }
     }

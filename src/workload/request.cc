@@ -1,6 +1,7 @@
 #include "src/workload/request.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "src/common/log.hh"
@@ -15,6 +16,9 @@ RequestSpec::validate() const
 {
     if (id < 0)
         fatal("RequestSpec: negative id");
+    if (!std::isfinite(arrival))
+        fatal("RequestSpec " + std::to_string(id) +
+              ": arrival must be finite");
     if (arrival < 0.0)
         fatal("RequestSpec " + std::to_string(id) + ": negative arrival");
     if (promptTokens <= 0)

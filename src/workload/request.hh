@@ -278,11 +278,10 @@ class Request
      *
      * Owned by the hosting core::IntraScheduler (sched*) and
      * cluster::Instance (runEpoch); not part of the workload
-     * semantics. Keeping these fields inside the request makes the
-     * incremental scheduling structures allocation-free and O(1) to
-     * update: the queues store raw pointers and find a request's
-     * membership, dirtiness, and cached ordering key without any
-     * side-table lookup.
+     * semantics. Keeping these fields inside the request spares the
+     * scheduling structures any side table: the queues store raw
+     * pointers, and a request carries its queue tag, dirtiness and
+     * cached ordering keys itself.
      */
     /** @{ */
 
@@ -335,49 +334,6 @@ class Request
     /** Instance iteration epoch when the request last ran (replaces
      *  the per-iteration hash-set batch membership test). */
     std::uint64_t runEpoch = 0;
-
-    /** Skip-list node of the OrderedQueue currently holding the
-     *  request (owned by that queue; null when unlinked or pending).
-     *  Lets erase/markDirty unlink in O(log n) without a search. */
-    void* schedNode = nullptr;
-
-    /** @name Scheduler resident-set tracking
-     *
-     * Intrusive membership in the hosting scheduler's GPU-resident
-     * set, kept in sync by the engine's residency notifications
-     * (incremental mode's dirty-set contract). The greedy selection
-     * walk uses it to account unselected residents without visiting
-     * the admission backlog behind them; in incremental mode the set
-     * is a maintained ResidentEvictOrder skip list (schedEvictNode)
-     * so the walk's settle pass visits residents pre-sorted in
-     * eviction order instead of re-sorting per build.
-     */
-    /** @{ */
-    bool schedInResidentList = false;
-
-    /** Skip-list node of the scheduler's maintained eviction-order
-     *  queue (incremental mode only; null when unlinked/pending). */
-    void* schedEvictNode = nullptr;
-
-    /** Awaiting re-insertion into the eviction-order queue. */
-    bool schedEvictDirty = false;
-
-    /** Queued-prewarm membership in the scheduler's waitingPrewarm
-     *  counter (startInAnswering arrivals bypass prefill caps, so the
-     *  walk may only stop early when none remain). */
-    bool schedCountedPrewarm = false;
-
-    /** Membership in the scheduler's exact waiting-prompt multiset
-     *  (requests with equal prompts are indistinguishable there, so
-     *  the flag guards against double erases). */
-    bool schedCountedWaiting = false;
-
-    /** Last greedy walk (scheduler-local epoch) that visited this
-     *  request as a GPU resident; unvisited residents are exactly
-     *  the ones the walk's early exit still owes a keep/evict
-     *  decision. */
-    std::uint64_t schedPlanStamp = 0;
-    /** @} */
 
     /**
      * Intrusive slot in one of the hosting instance's SLO-monitor

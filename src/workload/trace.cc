@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -66,6 +67,8 @@ Trace::toCsv(const std::string& path) const
     std::ofstream out(path);
     if (!out)
         fatal("Trace::toCsv: cannot open '" + path + "' for writing");
+    // Enough digits that fromCsv() reads back every arrival exactly.
+    out.precision(std::numeric_limits<double>::max_digits10);
     out << "id,arrival,prompt,reasoning,answer,start_in_answering,"
            "dataset,slo_class\n";
     for (const auto& s : requests) {
@@ -127,6 +130,8 @@ Trace::fromCsv(const std::string& path)
             fatal("Trace::fromCsv: malformed line " +
                   std::to_string(line_no) + " in '" + path + "'");
         }
+        // Before sortByArrival(): a NaN arrival would break its order.
+        s.validate();
         trace.requests.push_back(std::move(s));
     }
     trace.sortByArrival();

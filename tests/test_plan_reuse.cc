@@ -194,9 +194,8 @@ predictorNamed(const std::string& kind)
 
 TEST_F(PlanReuseInvariance, FcfsMigrationKeepsStrictOrderUnderPressure)
 {
-    // Regression guard for the strict-order walk: FCFS may never skip
-    // its waiting stream — the first unfit waiting candidate blocks
-    // every later candidate, including answering requests that
+    // Regression guard for the strict-order walk: the first unfit
+    // waiting candidate blocks every later candidate, including answering requests that
     // migrated in with late arrival stamps. High transition/migration
     // rates against a saturating waiting head maximize the chance a
     // landed migrant sits behind a blocked waiting request.
@@ -227,11 +226,10 @@ TEST_F(PlanReuseInvariance, FcfsMigrationKeepsStrictOrderUnderPressure)
 
 TEST_F(PlanReuseInvariance, EvictionStormTailStaysByteIdentical)
 {
-    // Swap-thrashing regime: the incremental walk's early exit
-    // settles unreached residents from the material list and restores
-    // priority order only when an eviction actually fires — the
-    // evicted set and swap-out sequence must still match the
-    // recompute walk exactly, every iteration.
+    // Swap-thrashing regime: the incremental walk reads maintained
+    // queues and exits early once the batch is full and every KV
+    // holder has been seen — the evicted set and swap-out sequence
+    // must still match the recompute walk exactly, every iteration.
     Rng rng(4711);
     auto profile = workload::DatasetProfile::alpacaEval();
     profile.prompt = {96.0, 0.5, 48, 192};

@@ -10,6 +10,8 @@
 #include <string>
 
 #include "src/common/log.hh"
+#include "src/common/rng.hh"
+#include "src/workload/generator.hh"
 #include "src/workload/trace.hh"
 
 namespace
@@ -103,6 +105,55 @@ TEST(Trace, CsvRoundTrip)
     EXPECT_EQ(back.requests[0].sloClass,
               workload::SloClass::Interactive);
     EXPECT_EQ(back.requests[1].sloClass, workload::SloClass::Batch);
+
+    // Generated arrivals carry full double precision; every one must
+    // survive the round trip bit for bit.
+    Rng rng(31);
+    Trace gen = workload::generateTrace(
+        workload::DatasetProfile::arenaHard(), 300, 8.0, rng);
+    gen.toCsv(path);
+    Trace gen_back = Trace::fromCsv(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(gen_back.size(), gen.size());
+    for (std::size_t i = 0; i < gen.size(); ++i) {
+        EXPECT_EQ(gen_back.requests[i].id, gen.requests[i].id);
+        EXPECT_EQ(gen_back.requests[i].arrival, gen.requests[i].arrival)
+            << "request " << gen.requests[i].id;
+    }
+}
+
+/** Writes a one-row CSV whose arrival column is @p arrival. */
+std::string
+csvWithArrival(const std::string& name, const char* arrival)
+{
+    std::string path = testing::TempDir() + name;
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        return path;
+    std::fputs("id,arrival,prompt,reasoning,answer,start_in_answering,"
+               "dataset,slo_class\n",
+               f);
+    std::fprintf(f, "7,%s,128,100,50,0,unit,1\n", arrival);
+    std::fclose(f);
+    return path;
+}
+
+TEST(Trace, FromCsvRejectsNonFiniteArrival)
+{
+    for (const char* arrival : {"nan", "inf", "-inf"}) {
+        SCOPED_TRACE(arrival);
+        std::string path =
+            csvWithArrival("pascal_trace_nonfinite.csv", arrival);
+        try {
+            Trace::fromCsv(path);
+            ADD_FAILURE() << "loaded a trace with arrival " << arrival;
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find("RequestSpec 7"),
+                      std::string::npos)
+                << e.what();
+        }
+        std::remove(path.c_str());
+    }
 }
 
 TEST(Trace, LegacyCsvWithoutClassColumnDefaultsToStandard)
