@@ -38,7 +38,7 @@ run(const workload::Trace& trace, cluster::SystemConfig cfg)
     return {result.aggregate.p99Ttft, result.aggregate.meanTtft,
             100.0 * result.aggregate.sloViolationRate,
             result.aggregate.throughputTokensPerSec,
-            result.totalMigrations};
+            static_cast<int>(result.totalMigrations)};
 }
 
 cluster::SystemConfig

@@ -131,9 +131,15 @@ runOne(const bench::PolicyUnderTest& policy, std::uint64_t fault_seed,
     row.faultSeed = fault_seed;
     row.goodput = result.goodputFraction;
     row.crashes = result.numCrashes;
-    row.drains = ctx.cluster().numDrains();
-    row.stragglerWindows = ctx.cluster().numStragglerWindows();
-    row.linkFailures = ctx.cluster().numLinkFailures();
+    auto counter = [&](const char* name) {
+        const obs::StatValue* s = obs::findStat(result.statsDump, name);
+        if (s == nullptr)
+            fatal(std::string("bench_chaos_goodput: no stat ") + name);
+        return static_cast<std::uint64_t>(s->value);
+    };
+    row.drains = counter("cluster.fault.drains");
+    row.stragglerWindows = counter("cluster.fault.straggler_windows");
+    row.linkFailures = counter("cluster.fault.link_failures");
     row.retries = result.numRetries;
     row.shed = result.numShed;
     row.terminalFailures = result.numTerminalFailures;

@@ -49,7 +49,7 @@ runOnce(cluster::PlacementType placement, const workload::Trace& trace)
     o.meanE2e = result.aggregate.meanE2eLatency;
     o.p50E2e = result.aggregate.p50E2eLatency;
     o.p99E2e = result.aggregate.p99E2eLatency;
-    o.migrations = result.totalMigrations;
+    o.migrations = static_cast<int>(result.totalMigrations);
     return o;
 }
 

@@ -30,9 +30,9 @@ runDataset(const DatasetBench& bench, double paper_p99)
     auto& transfers = result.kvTransferLatencies;
     std::printf("\n=== %s, high rate ===\n",
                 bench.profile.name.c_str());
-    std::printf("migrations            : %d (%.1f%% of requests)\n",
-                result.totalMigrations,
-                100.0 * result.totalMigrations /
+    std::printf("migrations            : %llu (%.1f%% of requests)\n",
+                static_cast<unsigned long long>(result.totalMigrations),
+                100.0 * static_cast<double>(result.totalMigrations) /
                     static_cast<double>(result.aggregate.numFinished));
     std::printf("KV transfer P50 / P99 : %.3f / %.3f s "
                 "(paper P99: %.2f s)\n",

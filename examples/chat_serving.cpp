@@ -51,12 +51,13 @@ main(int argc, char** argv)
         auto result = system.run(trace);
 
         std::printf("%-12s %9.2fs %9.2fs %9.2fs %8.2f%% %7.0f tok/s "
-                    "%10d\n",
+                    "%10llu\n",
                     p.name.c_str(), result.aggregate.meanTtft,
                     result.aggregate.p50Ttft, result.aggregate.p99Ttft,
                     100.0 * result.aggregate.sloViolationRate,
                     result.aggregate.throughputTokensPerSec,
-                    result.totalMigrations);
+                    static_cast<unsigned long long>(
+                        result.totalMigrations));
     }
 
     std::printf("\nReading the table: PASCAL should hold the lowest "

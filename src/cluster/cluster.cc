@@ -108,9 +108,7 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
     // deterministic by construction.
     registry.counter("cluster.view.refreshes", &viewRefreshes);
     registry.counter("cluster.view.builds", &viewBuilds);
-    registry.counter("cluster.migrations", [this] {
-        return static_cast<std::uint64_t>(migrations);
-    });
+    registry.counter("cluster.migrations", &migrations);
     registry.counter("cluster.recycled_chunks", [this] {
         return static_cast<std::uint64_t>(requests.numRecycledChunks());
     });
@@ -283,8 +281,11 @@ Cluster::noteRequestFinished(workload::Request* req)
     if (req->arenaChunk < 0)
         return;
     auto idx = static_cast<std::size_t>(req->arenaChunk);
+    // Retire from a same-timestamp event, never from here: this runs
+    // inside the engine's completion and deadline-drain loops, which
+    // still read the request after the callback returns.
     if (--chunkLive[idx] == 0 && chunkRecycling)
-        retireChunk(idx);
+        sim.at(sim.now(), [this, idx] { retireChunk(idx); });
 }
 
 void
@@ -295,6 +296,8 @@ Cluster::retireChunk(std::size_t idx)
     // emission, so the scored rows are exactly what collectMetrics
     // would produce at teardown.
     std::vector<workload::Request>& chunk = requests.chunk(idx);
+    for (const auto& req : chunk)
+        retiredUnfinished += !req.finished();
     if (streaming != nullptr) {
         // Streaming mode: fold each scored row into the sketches and
         // store nothing — this is what bounds soak-run memory.
@@ -654,9 +657,9 @@ Cluster::crashImpl(InstanceId id, obs::TraceName why)
     orphanScratch.clear();
     instances[static_cast<std::size_t>(id)]->crash(
         cfg.fault.preserveCpuKv, orphanScratch);
-    // Re-queue in detach order (deterministic: the hosted walk is
-    // insertion-ordered), so same-seed replays place the orphans
-    // identically.
+    // Re-queue in detach order: the crash walks the swap-pop hosted
+    // vector, whose order is a function of the event sequence, so
+    // same-seed replays place the orphans identically.
     for (auto* r : orphanScratch)
         requeueRequest(r);
     orphanScratch.clear();
@@ -857,7 +860,9 @@ Cluster::collectMetrics() const
 std::size_t
 Cluster::numUnfinished() const
 {
-    std::size_t n = 0;
+    // A retired chunk's storage is gone; its terminal failures were
+    // counted when it retired.
+    std::size_t n = retiredUnfinished;
     requests.forEach([&](const workload::Request& req) {
         if (!req.finished())
             ++n;
@@ -872,15 +877,6 @@ Cluster::maxPeakGpuKv() const
     for (const auto& inst : instances)
         peak = std::max(peak, inst->pool().peakGpuUsed());
     return peak;
-}
-
-std::uint64_t
-Cluster::totalIterations() const
-{
-    std::uint64_t n = 0;
-    for (const auto& inst : instances)
-        n += inst->numIterations();
-    return n;
 }
 
 std::shared_ptr<const obs::StreamingMetrics>
@@ -907,17 +903,6 @@ Cluster::finalStreamingMetrics() const
         }
     }
     return snap;
-}
-
-std::vector<double>
-Cluster::allKvTransferLatencies() const
-{
-    std::vector<double> out;
-    for (const auto& link : ingress) {
-        const auto& lat = link->transferLatencies();
-        out.insert(out.end(), lat.begin(), lat.end());
-    }
-    return out;
 }
 
 } // namespace cluster

@@ -82,14 +82,6 @@ class Cluster
     /** Largest GPU KV occupancy seen on any instance. */
     TokenCount maxPeakGpuKv() const;
 
-    /** Sum of iteration counts across instances. */
-    std::uint64_t totalIterations() const;
-
-    /** Every KV migration's end-to-end latency (Section V-C). */
-    std::vector<double> allKvTransferLatencies() const;
-
-    int totalMigrations() const { return migrations; }
-
     const std::vector<std::unique_ptr<Instance>>&
     getInstances() const
     {
@@ -137,55 +129,6 @@ class Cluster
         return *ingress[static_cast<std::size_t>(id)];
     }
 
-    /** @name Failure accounting */
-    /** @{ */
-    std::uint64_t numCrashes() const { return numCrashesCount; }
-    std::uint64_t numDrains() const { return numDrainsCount; }
-    std::uint64_t numStragglerWindows() const
-    {
-        return stragglerWindowsCount;
-    }
-    std::uint64_t numLinkFailures() const { return linkFailuresCount; }
-    std::uint64_t numRetries() const { return retriesCount; }
-    std::uint64_t numShed() const { return shedCount; }
-    /** All terminal failures (retry-budget exhaustion + shed +
-     *  deadline expiry). */
-    std::uint64_t numTerminalFailures() const
-    {
-        return terminalFailuresCount;
-    }
-    /** @} */
-
-    /** @} */
-
-    /** @name SLO-class accounting (all-zero when cfg.sloClasses is
-     *  disabled; per-class goodput invariant: submitted == completed
-     *  + shed + deadline_failed + retry_failed + still-live). */
-    /** @{ */
-    std::uint64_t numClassSubmitted(workload::SloClass c) const
-    {
-        return classSubmittedCount[workload::sloClassIndex(c)];
-    }
-    std::uint64_t numClassCompleted(workload::SloClass c) const
-    {
-        return classCompletedCount[workload::sloClassIndex(c)];
-    }
-    std::uint64_t numClassShed(workload::SloClass c) const
-    {
-        return classShedCount[workload::sloClassIndex(c)];
-    }
-    std::uint64_t numClassDeadlineFailed(workload::SloClass c) const
-    {
-        return classDeadlineFailedCount[workload::sloClassIndex(c)];
-    }
-    std::uint64_t numClassRetryFailed(workload::SloClass c) const
-    {
-        return classRetryFailedCount[workload::sloClassIndex(c)];
-    }
-    std::uint64_t numClassDemoted(workload::SloClass c) const
-    {
-        return classDemotedCount[workload::sloClassIndex(c)];
-    }
     /** @} */
 
     /** The shared length predictor (nullptr when cfg.predictor is
@@ -207,9 +150,12 @@ class Cluster
     /** @name Observability (src/obs/) */
     /** @{ */
 
-    /** The gem5-style stat registry: every engine/plan/view/KV
-     *  counter under a hierarchical dotted name. Always built (it is
-     *  non-owning pointers over counters that exist anyway). */
+    /** The gem5-style stat registry: the one record of every
+     *  engine/plan/view/KV/fault/class counter, under a hierarchical
+     *  dotted name ("cluster.fault.crashes",
+     *  "cluster.slo.<class>.shed", "instance.<i>.engine.iterations").
+     *  Always built (it is non-owning pointers over counters that
+     *  exist anyway). */
     const obs::StatRegistry& statRegistry() const { return registry; }
 
     /** Snapshot every registered stat (registration order). */
@@ -253,7 +199,8 @@ class Cluster
     /** Chunk-recycling bookkeeping at request completion. */
     void noteRequestFinished(workload::Request* req);
 
-    /** Score and recycle a fully-finished trace chunk. */
+    /** Score and recycle a fully-finished trace chunk (from its own
+     *  event, outside every engine loop that holds its requests). */
     void retireChunk(std::size_t idx);
 
     /** Handle a reasoning->answering transition (Algorithm 2 +
@@ -357,6 +304,9 @@ class Cluster
     /** Chunks already retired (streaming mode leaves retiredMetrics
      *  empty, so emptiness cannot mark retirement). */
     std::vector<std::uint8_t> chunkRetired;
+    /** Requests of retired chunks that never finished (terminal
+     *  failures): numUnfinished() can no longer walk them. */
+    std::size_t retiredUnfinished = 0;
     /** @} */
 
     /** @name Observability state */
@@ -374,7 +324,7 @@ class Cluster
     std::uint64_t viewBuilds = 0;
     /** @} */
 
-    int migrations = 0;
+    std::uint64_t migrations = 0;
 
     /** @name Fault layer state */
     /** @{ */

@@ -310,7 +310,7 @@ Instance::startIteration()
             r->firstScheduled = t0;
     }
 
-    ++iterationEpoch;
+    ++iterations;
 
     TokenCount prompt_tokens = 0;
     for (auto* r : plan.prefill) {
@@ -324,7 +324,7 @@ Instance::startIteration()
         if (r->firstScheduled < 0.0)
             r->firstScheduled = t0;
         prompt_tokens += r->spec().promptTokens;
-        r->runEpoch = iterationEpoch;
+        r->runEpoch = iterations;
         ++prefills;
     }
 
@@ -339,7 +339,7 @@ Instance::startIteration()
             r->firstAnswerScheduled < 0.0) {
             r->firstAnswerScheduled = t0;
         }
-        r->runEpoch = iterationEpoch;
+        r->runEpoch = iterations;
     }
 
     // On a freshly built plan the not-running residents' standing
@@ -364,7 +364,6 @@ Instance::startIteration()
     latency *= perfScale;
 
     Time step_end = std::max(swaps_done, t0 + latency);
-    ++iterations;
     if (batchDist != nullptr)
         batchDist->add(static_cast<double>(plan.decode.size()));
     if (trace != nullptr) {
@@ -394,9 +393,10 @@ Instance::crash(bool preserve_cpu_kv,
     // re-enter the retry path, whose guards enforce expiry there.
     deadlineDeferred.clear();
     // detach() mutates the scheduler's hosted set; walk a copy. The
-    // hosted order is deterministic (insertion order via swap-pop
-    // vector), so the orphan list — and every retry placement made
-    // from it — replays byte-identically.
+    // hosted vector is swap-pop ordered, not insertion ordered, but
+    // that order is a function of the event sequence alone, so the
+    // orphan list — and every retry placement made from it — replays
+    // byte-identically.
     scratchHosted.assign(sched->hosted().begin(),
                          sched->hosted().end());
     for (auto* r : scratchHosted) {
@@ -436,7 +436,7 @@ Instance::verifyAccrualStamps(bool prefill_iteration) const
 {
     for (const auto* r : sched->hosted()) {
         BucketKind expect;
-        if (r->runEpoch == iterationEpoch) {
+        if (r->runEpoch == iterations) {
             expect = BucketKind::Executed;
         } else if (r->exec == ExecState::WaitingNew) {
             expect = BucketKind::Blocked;
@@ -499,7 +499,7 @@ Instance::completeIteration(Time step_start)
     }
     // Answering members that sat this step out park at their exact
     // keys; the batch's pacing keys advance with one offset bump.
-    monitor.endStep(iterationEpoch);
+    monitor.endStep(iterations);
 
     auto handle = [&](Request* r) {
         if (r->finished()) {

@@ -201,22 +201,14 @@ class Instance
     const core::IntraScheduler& scheduler() const { return *sched; }
     model::Link& pcieLink() { return pcie; }
 
-    /** @name Engine statistics */
-    /** @{ */
-    std::uint64_t numIterations() const { return iterations; }
-    std::uint64_t numDecodeTokens() const { return decodeTokens; }
-    std::uint64_t numPrefills() const { return prefills; }
-    std::uint64_t numSwapOuts() const { return swapOuts; }
-    std::uint64_t numSwapIns() const { return swapIns; }
-    /** Iterations that ran the previous IterationPlan verbatim via
-     *  the scheduler's steady-state fast path. */
-    std::uint64_t numPlanReuses() const { return planReuses; }
     /** Full scheduler plan builds (non-reused boundaries, including
-     *  boundaries whose plan came back idle). */
+     *  boundaries whose plan came back idle); an input of the
+     *  cluster's "cluster.plan.builds" rollup. Every other engine
+     *  counter is read through the stat registry (registerStats). */
     std::uint64_t numPlanBuilds() const { return planBuilds; }
-    /** SLO-monitor re-keys: stored-key writes plus offset bumps. */
+    /** SLO-monitor re-keys: stored-key writes plus offset bumps; an
+     *  input of the "cluster.slo.rekeys" rollup. */
     std::uint64_t numSloHeapRekeys() const { return monitor.numRekeys(); }
-    /** @} */
 
     /**
      * Wire the cluster's trace sink (not owned; nullptr disables).
@@ -300,17 +292,6 @@ class Instance
      *  the live set. */
     std::vector<workload::Request*> scratchHosted;
 
-    /**
-     * Epoch stamp for batch membership: startIteration bumps it and
-     * stamps every running request's runEpoch, so accrueAll's "did
-     * this request run in the completed step?" test is one integer
-     * compare instead of a hash-set lookup (and there is no per-
-     * iteration set to clear). Requests arriving or migrating in get
-     * their stamp reset so a stale epoch from a previous host can
-     * never collide.
-     */
-    std::uint64_t iterationEpoch = 0;
-
     /** Plan of the iteration currently executing. Held here (not in
      *  the continuation closure) so the per-iteration event callback
      *  stays small enough for EventCallback's inline storage — the
@@ -320,6 +301,15 @@ class Instance
      *  never even rebuilt. */
     core::IterationPlan inflight;
 
+    /**
+     * Iterations started; also the epoch stamp for batch membership:
+     * startIteration bumps it and stamps every running request's
+     * runEpoch, so the "did this request run in the completed step?"
+     * test is one integer compare instead of a hash-set lookup (and
+     * there is no per-iteration set to clear). Requests arriving or
+     * migrating in get their stamp reset so a stale epoch from a
+     * previous host can never collide.
+     */
     std::uint64_t iterations = 0;
     std::uint64_t decodeTokens = 0;
     std::uint64_t prefills = 0;

@@ -10,6 +10,48 @@ namespace pascal
 namespace cluster
 {
 
+namespace
+{
+
+/** A RunResult counter and the registered stat it is a view of. */
+template <typename Owner>
+struct CounterView
+{
+    const char* stat;
+    std::uint64_t Owner::*field;
+};
+
+/** The one name table behind RunResult's counters: the stat registry
+ *  holds each count, the result only copies it out of the dump. */
+constexpr CounterView<RunResult> kRunCounters[] = {
+    {"cluster.migrations", &RunResult::totalMigrations},
+    {"cluster.fault.crashes", &RunResult::numCrashes},
+    {"cluster.fault.retries", &RunResult::numRetries},
+    {"cluster.fault.shed", &RunResult::numShed},
+    {"cluster.fault.terminal_failures", &RunResult::numTerminalFailures},
+};
+
+/** Per class, under "cluster.slo.<class>.". */
+constexpr CounterView<RunResult::ClassOutcome> kClassCounters[] = {
+    {"submitted", &RunResult::ClassOutcome::submitted},
+    {"completed", &RunResult::ClassOutcome::completed},
+    {"shed", &RunResult::ClassOutcome::shed},
+    {"deadline_failed", &RunResult::ClassOutcome::deadlineFailed},
+    {"retry_failed", &RunResult::ClassOutcome::retryFailed},
+    {"demoted", &RunResult::ClassOutcome::demoted},
+};
+
+std::uint64_t
+counterOf(const obs::StatDump& dump, const std::string& name)
+{
+    const obs::StatValue* s = obs::findStat(dump, name);
+    if (s == nullptr)
+        panic("RunResult: stat '" + name + "' is not registered");
+    return static_cast<std::uint64_t>(s->value);
+}
+
+} // namespace
+
 RunContext::RunContext(const SystemConfig& cfg) : cfg(cfg)
 {
     this->cfg.validate();
@@ -53,26 +95,25 @@ RunContext::result() const
     result.traceJson = clusterPtr->traceJson();
     result.peakGpuKvTokens = clusterPtr->maxPeakGpuKv();
     result.kvCapacityTokens = clusterPtr->kvCapacityTokens();
-    result.totalIterations = clusterPtr->totalIterations();
     result.numUnfinished = clusterPtr->numUnfinished();
-    result.totalMigrations = clusterPtr->totalMigrations();
-    result.kvTransferLatencies = clusterPtr->allKvTransferLatencies();
+    for (const auto& row : result.perRequest) {
+        result.kvTransferLatencies.insert(result.kvTransferLatencies.end(),
+                                          row.kvTransferLatencies.begin(),
+                                          row.kvTransferLatencies.end());
+    }
     result.schedulerName = cfg.schedulerName();
     result.placementName = cfg.placementName();
     result.predictorName = cfg.predictorName();
-    result.numCrashes = clusterPtr->numCrashes();
-    result.numRetries = clusterPtr->numRetries();
-    result.numShed = clusterPtr->numShed();
-    result.numTerminalFailures = clusterPtr->numTerminalFailures();
+    for (const auto& v : kRunCounters)
+        result.*v.field = counterOf(result.statsDump, v.stat);
     for (std::size_t c = 0; c < workload::kNumSloClasses; ++c) {
-        auto cls = static_cast<workload::SloClass>(c);
+        const std::string prefix =
+            std::string("cluster.slo.") +
+            workload::sloClassName(static_cast<workload::SloClass>(c)) +
+            ".";
         RunResult::ClassOutcome& out = result.perClass[c];
-        out.submitted = clusterPtr->numClassSubmitted(cls);
-        out.completed = clusterPtr->numClassCompleted(cls);
-        out.shed = clusterPtr->numClassShed(cls);
-        out.deadlineFailed = clusterPtr->numClassDeadlineFailed(cls);
-        out.retryFailed = clusterPtr->numClassRetryFailed(cls);
-        out.demoted = clusterPtr->numClassDemoted(cls);
+        for (const auto& v : kClassCounters)
+            out.*v.field = counterOf(result.statsDump, prefix + v.stat);
         out.goodputFraction =
             out.submitted == 0
                 ? 1.0

@@ -41,19 +41,32 @@ struct RunResult
     /** Per-instance KV capacity the run used (tokens). */
     TokenCount kvCapacityTokens = 0;
 
-    std::uint64_t totalIterations = 0;
     std::size_t numUnfinished = 0;
-    int totalMigrations = 0;
 
-    /** @name Failure accounting (src/fault/; all zero — and goodput
-     *  1.0 with an empty trace — when the fault layer is off) */
+    /** @name Counters: views of statsDump
+     *
+     * Each counter below (and each ClassOutcome count) is copied out
+     * of the stat registry's dump through one name table
+     * (run_context.cc); the registry is the only record. Counts with
+     * no field here — iterations, plan builds, swaps, drains, link
+     * failures — are read from statsDump directly.
+     */
     /** @{ */
+
+    /** KV migrations started ("cluster.migrations"; includes transfers
+     *  a fault aborted, unlike aggregate.totalMigrations). */
+    std::uint64_t totalMigrations = 0;
+
+    /* Failure accounting (src/fault/; all zero — and goodput 1.0 with
+     * an empty trace — when the fault layer is off). */
     std::uint64_t numCrashes = 0;
     std::uint64_t numRetries = 0;
     std::uint64_t numShed = 0;
     /** All terminal failures (retry-budget exhaustion + shed +
      *  deadline expiry). */
     std::uint64_t numTerminalFailures = 0;
+    /** @} */
+
     /**
      * Fraction of submitted requests that completed (emitted every
      * token): numFinished / numRequests, 1.0 for an empty trace.
@@ -75,7 +88,6 @@ struct RunResult
      * not an extra term).
      */
     double goodputFraction = 1.0;
-    /** @} */
 
     /** @name SLO-class outcomes (tentpole; all rows zero — and
      *  per-class goodput 1.0 — when cfg.sloClasses is disabled) */
@@ -105,7 +117,12 @@ struct RunResult
         classAggregates{};
     /** @} */
 
-    /** All KV migration latencies (Section V-C). */
+    /** End-to-end latency of every landed KV transfer (Section V-C):
+     *  the rows' kvTransferLatencies concatenated in row order
+     *  (aggregate.p99KvTransferLatency ranks the finished rows' ones).
+     *  A transfer a fault or an expired deadline aborted is not in it.
+     *  Empty in streaming mode, like perRequest (the sketch carries
+     *  the p99). */
     std::vector<double> kvTransferLatencies;
 
     std::string schedulerName;

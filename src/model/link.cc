@@ -30,7 +30,7 @@ Link::submit(Bytes bytes, std::function<void()> on_complete)
     busyUntilTime = done;
     bytesAcc += bytes;
     busyTimeAcc += duration;
-    latencies.push_back(done - now);
+    ++transfers;
 
     if (on_complete)
         sim.at(done, std::move(on_complete));

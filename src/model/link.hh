@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "src/common/types.hh"
 #include "src/sim/simulator.hh"
@@ -50,16 +49,7 @@ class Link
     Bytes totalBytes() const { return bytesAcc; }
 
     /** Number of transfers submitted. */
-    std::size_t numTransfers() const { return latencies.size(); }
-
-    /**
-     * End-to-end latency (queueing + serialization) of each completed
-     * or in-flight transfer, in submission order.
-     */
-    const std::vector<double>& transferLatencies() const
-    {
-        return latencies;
-    }
+    std::size_t numTransfers() const { return transfers; }
 
     /** Fraction of [0, now] the link spent transferring. */
     double utilization(Time now) const;
@@ -73,7 +63,7 @@ class Link
     Time busyUntilTime = 0.0;
     Bytes bytesAcc = 0;
     double busyTimeAcc = 0.0;
-    std::vector<double> latencies;
+    std::size_t transfers = 0;
 };
 
 } // namespace model

@@ -88,117 +88,11 @@ LogHistogram::relativeError() const
     return std::sqrt(gammaVal) - 1.0;
 }
 
-P2Quantile::P2Quantile(double p) : prob(p)
-{
-    if (!(p > 0.0 && p < 1.0))
-        panic("P2Quantile: p must lie in (0, 1)");
-}
-
-void
-P2Quantile::add(double x)
-{
-    if (n < 5) {
-        q[n] = x;
-        ++n;
-        if (n == 5) {
-            std::sort(q.begin(), q.end());
-            for (int i = 0; i < 5; ++i)
-                pos[i] = i + 1;
-            want[0] = 1.0;
-            want[1] = 1.0 + 2.0 * prob;
-            want[2] = 1.0 + 4.0 * prob;
-            want[3] = 3.0 + 2.0 * prob;
-            want[4] = 5.0;
-        }
-        return;
-    }
-
-    // Locate the cell containing x and bump extreme markers.
-    int cell;
-    if (x < q[0]) {
-        q[0] = x;
-        cell = 0;
-    } else if (x >= q[4]) {
-        q[4] = std::max(q[4], x);
-        cell = 3;
-    } else {
-        cell = 0;
-        while (cell < 3 && x >= q[cell + 1])
-            ++cell;
-    }
-    for (int i = cell + 1; i < 5; ++i)
-        pos[i] += 1.0;
-    ++n;
-
-    // Desired positions advance by the marker increments.
-    want[1] += prob / 2.0;
-    want[2] += prob;
-    want[3] += (1.0 + prob) / 2.0;
-    want[4] += 1.0;
-
-    // Adjust the three interior markers toward their targets with the
-    // piecewise-parabolic (P^2) formula, falling back to linear when
-    // the parabola would leave the cell monotone order.
-    for (int i = 1; i <= 3; ++i) {
-        const double d = want[i] - pos[i];
-        if ((d >= 1.0 && pos[i + 1] - pos[i] > 1.0) ||
-            (d <= -1.0 && pos[i - 1] - pos[i] < -1.0)) {
-            const double s = d < 0.0 ? -1.0 : 1.0;
-            const double np = pos[i] + s;
-            const double parab =
-                q[i] +
-                s / (pos[i + 1] - pos[i - 1]) *
-                    ((pos[i] - pos[i - 1] + s) * (q[i + 1] - q[i]) /
-                         (pos[i + 1] - pos[i]) +
-                     (pos[i + 1] - pos[i] - s) * (q[i] - q[i - 1]) /
-                         (pos[i] - pos[i - 1]));
-            if (q[i - 1] < parab && parab < q[i + 1]) {
-                q[i] = parab;
-            } else {
-                q[i] = q[i] + s * (q[i + static_cast<int>(s)] - q[i]) /
-                                  (pos[i + static_cast<int>(s)] -
-                                   pos[i]);
-            }
-            pos[i] = np;
-        }
-    }
-}
-
-double
-P2Quantile::value() const
-{
-    if (n == 0)
-        return 0.0;
-    if (n < 5) {
-        // Exact nearest-rank until the markers initialise.
-        // Insertion sort over at most 4 samples: a loop the compiler
-        // can bound, unlike std::sort's 16-element insertion path.
-        std::array<double, 5> tmp = q;
-        for (std::uint64_t i = 1; i < n; ++i) {
-            double x = tmp[i];
-            std::uint64_t j = i;
-            for (; j > 0 && x < tmp[j - 1]; --j)
-                tmp[j] = tmp[j - 1];
-            tmp[j] = x;
-        }
-        std::uint64_t rank = static_cast<std::uint64_t>(
-            std::ceil(prob * static_cast<double>(n)));
-        if (rank == 0)
-            rank = 1;
-        return tmp[rank - 1];
-    }
-    return q[2];
-}
-
-MetricFamily::MetricFamily() : p2_50(0.5), p2_99(0.99) {}
-
 void
 MetricFamily::add(double x)
 {
     moments.add(x);
     hist.add(x);
-    p2_50.add(x);
-    p2_99.add(x);
 }
 
 void

@@ -17,9 +17,6 @@
  *     report the geometric bucket center, so the relative error is
  *     at most sqrt(gamma) - 1 ~= 0.25%, well inside the 1% tolerance
  *     the tier-1 test pins for p50/p95/p99 TTFT.
- *   - P2Quantile — the classic five-marker P² estimator (Jain &
- *     Chlamtac 1985), kept as a second, O(1)-memory opinion for
- *     diagnostics and unit tests.
  *
  * Folding is deterministic: requests retire in simulation order, and
  * every accumulator is order-insensitive for the values it reports
@@ -30,7 +27,6 @@
 #ifndef PASCAL_OBS_STREAMING_METRICS_HH
 #define PASCAL_OBS_STREAMING_METRICS_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -94,40 +90,10 @@ class LogHistogram
     std::int64_t baseIndex = 0;
 };
 
-/**
- * P² single-quantile estimator (Jain & Chlamtac 1985): five markers,
- * O(1) memory, parabolic marker adjustment. Exact until five samples
- * arrive.
- */
-class P2Quantile
-{
-  public:
-    /** @param p Quantile in (0, 1), e.g. 0.99. */
-    explicit P2Quantile(double p);
-
-    /** Fold one sample. */
-    void add(double x);
-
-    /** Current estimate (0 when empty; exact for n <= 5). */
-    double value() const;
-
-    /** Samples folded so far. */
-    std::uint64_t count() const { return n; }
-
-  private:
-    double prob;
-    std::uint64_t n = 0;
-    std::array<double, 5> q{};  //!< Marker heights.
-    std::array<double, 5> pos{};//!< Marker positions (1-based).
-    std::array<double, 5> want{};//!< Desired positions.
-};
-
-/** One metric family: exact moments plus two quantile sketches. */
+/** One metric family: exact moments plus a quantile histogram. */
 class MetricFamily
 {
   public:
-    MetricFamily();
-
     /** Fold one sample into every accumulator. */
     void add(double x);
 
@@ -140,17 +106,11 @@ class MetricFamily
     /** Histogram quantile at percentile @p p in [0, 100]. */
     double quantile(double p) const { return hist.quantile(p); }
 
-    /** The P² cross-check estimates. */
-    double p2Median() const { return p2_50.value(); }
-    double p2Tail() const { return p2_99.value(); }
-
     const LogHistogram& histogram() const { return hist; }
 
   private:
     stats::Summary moments;
     LogHistogram hist;
-    P2Quantile p2_50;
-    P2Quantile p2_99;
 };
 
 /**

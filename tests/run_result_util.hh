@@ -13,13 +13,42 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 
 #include "src/cluster/serving_system.hh"
+#include "src/obs/stat_registry.hh"
 
 namespace pascal
 {
 namespace test
 {
+
+/** Registered stat @p name in @p dump; a test failure (and 0) when it
+ *  is not registered. */
+inline double
+statValue(const obs::StatDump& dump, const std::string& name)
+{
+    const obs::StatValue* s = obs::findStat(dump, name);
+    EXPECT_NE(s, nullptr) << "stat '" << name << "' not registered";
+    return s == nullptr ? 0.0 : s->value;
+}
+
+/** Sum of "instance.<i>.<suffix>" over every instance in @p dump. */
+inline double
+instanceStatSum(const obs::StatDump& dump, const std::string& suffix)
+{
+    const std::string tail = "." + suffix;
+    double sum = 0.0;
+    for (const auto& s : dump) {
+        if (s.name.rfind("instance.", 0) == 0 &&
+            s.name.size() > tail.size() &&
+            s.name.compare(s.name.size() - tail.size(), tail.size(),
+                           tail) == 0) {
+            sum += s.value;
+        }
+    }
+    return sum;
+}
 
 inline void
 expectIdenticalBuckets(const workload::PhaseBuckets& a,
@@ -89,7 +118,8 @@ expectIdentical(const cluster::RunResult& a, const cluster::RunResult& b)
               b.aggregate.totalMigrations);
     EXPECT_EQ(a.peakGpuKvTokens, b.peakGpuKvTokens);
     EXPECT_EQ(a.kvCapacityTokens, b.kvCapacityTokens);
-    EXPECT_EQ(a.totalIterations, b.totalIterations);
+    EXPECT_EQ(instanceStatSum(a.statsDump, "engine.iterations"),
+              instanceStatSum(b.statsDump, "engine.iterations"));
     EXPECT_EQ(a.numUnfinished, b.numUnfinished);
     EXPECT_EQ(a.totalMigrations, b.totalMigrations);
     EXPECT_EQ(a.numCrashes, b.numCrashes);

@@ -160,11 +160,10 @@ TEST_F(ArrivalBurst, BurstIsPlacedBeforeItIsPlanned)
     // One plan boundary per burst per instance: both plan builds and
     // iterations stay strictly below the arrival count (planning each
     // member as it arrived would pay one boundary per arrival).
-    const obs::StatValue* plan_builds =
-        obs::findStat(result.statsDump, "cluster.plan.builds");
-    ASSERT_NE(plan_builds, nullptr);
-    EXPECT_LT(plan_builds->value, static_cast<double>(trace.size()));
-    EXPECT_LT(result.totalIterations, trace.size());
+    EXPECT_LT(test::statValue(result.statsDump, "cluster.plan.builds"),
+              static_cast<double>(trace.size()));
+    EXPECT_LT(test::instanceStatSum(result.statsDump, "engine.iterations"),
+              static_cast<double>(trace.size()));
 
     // Per (instance, timestamp): no plan boundary between the first
     // and the last admission of the burst members placed there.
@@ -257,8 +256,10 @@ TEST_F(ArrivalBurst, DeferredAdmissionPlansTheBurstTogether)
         for (auto& r : owned)
             inst.addRequest(&r, defer_plan);
         ctx.run();
-        return std::pair<std::uint64_t, std::uint64_t>(
-            inst.numPlanBuilds(), inst.numIterations());
+        const obs::StatDump dump = ctx.cluster().dumpStats();
+        return std::pair<double, double>(
+            test::statValue(dump, "instance.0.plan.builds"),
+            test::statValue(dump, "instance.0.engine.iterations"));
     };
 
     auto deferred = run_with(true);

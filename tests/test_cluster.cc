@@ -70,7 +70,7 @@ TEST(Cluster, PascalMigratesAtPhaseBoundaries)
     EXPECT_EQ(result.numUnfinished, 0u);
     // With several instances and bursty arrivals, some phase
     // transitions must land on a different instance.
-    EXPECT_GT(result.totalMigrations, 0);
+    EXPECT_GT(result.totalMigrations, 0u);
     EXPECT_FALSE(result.kvTransferLatencies.empty());
     for (double t : result.kvTransferLatencies)
         EXPECT_GT(t, 0.0);
@@ -81,7 +81,7 @@ TEST(Cluster, NoMigrationVariantNeverMigrates)
     ServingSystem system(smallConfig(SchedulerType::Pascal,
                                      PlacementType::PascalNoMigration));
     auto result = system.run(smallTrace(60, 40.0));
-    EXPECT_EQ(result.totalMigrations, 0);
+    EXPECT_EQ(result.totalMigrations, 0u);
     EXPECT_TRUE(result.kvTransferLatencies.empty());
 }
 
@@ -90,7 +90,7 @@ TEST(Cluster, BaselinePlacementNeverMigrates)
     ServingSystem system(
         smallConfig(SchedulerType::Fcfs, PlacementType::Baseline));
     auto result = system.run(smallTrace(60, 40.0));
-    EXPECT_EQ(result.totalMigrations, 0);
+    EXPECT_EQ(result.totalMigrations, 0u);
 }
 
 TEST(Cluster, MetricsArePerRequestComplete)
@@ -194,7 +194,7 @@ TEST(Cluster, SingleInstanceClusterWorks)
     ServingSystem system(cfg);
     auto result = system.run(smallTrace(20));
     EXPECT_EQ(result.numUnfinished, 0u);
-    EXPECT_EQ(result.totalMigrations, 0); // Nowhere to go.
+    EXPECT_EQ(result.totalMigrations, 0u); // Nowhere to go.
 }
 
 TEST(Cluster, ValidatesConfig)

@@ -19,6 +19,7 @@
 #include "src/cluster/run_context.hh"
 #include "src/cluster/system_config.hh"
 #include "src/common/log.hh"
+#include "tests/run_result_util.hh"
 
 namespace
 {
@@ -267,12 +268,16 @@ TEST_F(FaultEdgeCases, DrainRoutesThePromotionAway)
     ctx.run();
     auto result = ctx.result();
     EXPECT_EQ(result.aggregate.numFinished, 1u);
-    EXPECT_EQ(cl.numDrains(), 1u);
+    EXPECT_EQ(test::statValue(result.statsDump, "cluster.fault.drains"),
+              1.0);
     EXPECT_EQ(result.numCrashes, 0u);
     // The promotion left the draining home over the fabric.
     EXPECT_GE(result.aggregate.totalMigrations, 1);
     InstanceId away = home == 0 ? 1 : 0;
-    EXPECT_GT(cl.getInstances()[away]->numIterations(), 0u);
+    EXPECT_GT(test::statValue(result.statsDump,
+                              "instance." + std::to_string(away) +
+                                  ".engine.iterations"),
+              0.0);
     expectCleanEnd(ctx, result);
 }
 
@@ -295,7 +300,8 @@ TEST_F(FaultEdgeCases, DrainDeadlineEvictsStragglingWork)
     ctx.run();
     auto result = ctx.result();
     EXPECT_EQ(result.aggregate.numFinished, 4u);
-    EXPECT_EQ(cl.numDrains(), 1u);
+    EXPECT_EQ(test::statValue(result.statsDump, "cluster.fault.drains"),
+              1.0);
     // A deadline eviction is a drain outcome, not a crash.
     EXPECT_EQ(result.numCrashes, 0u);
     if (had_work) {
@@ -346,7 +352,9 @@ TEST_F(FaultEdgeCases, StragglerWindowSlowsThenRestores)
     ctx.run();
     auto result = ctx.result();
     EXPECT_EQ(result.aggregate.numFinished, 4u);
-    EXPECT_EQ(cl.numStragglerWindows(), 1u);
+    EXPECT_EQ(test::statValue(result.statsDump,
+                              "cluster.fault.straggler_windows"),
+              1.0);
     EXPECT_EQ(result.numCrashes, 0u);
     expectCleanEnd(ctx, result);
 }

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "src/cluster/instance.hh"
 #include "src/core/fcfs_scheduler.hh"
 #include "src/core/pascal_scheduler.hh"
 #include "src/core/rr_scheduler.hh"
 #include "src/model/perf_model.hh"
+#include "src/obs/stat_registry.hh"
 #include "src/sim/simulator.hh"
 
 namespace
@@ -43,6 +45,18 @@ struct InstanceFixture
         instance = std::make_unique<Instance>(
             0, sim, perf, std::move(sched), capacity, qoe::SloConfig{},
             cbs);
+        instance->registerStats(stats, "instance.0");
+    }
+
+    /** Engine counter "instance.0.engine.<name>" from the registry. */
+    std::uint64_t
+    engineStat(const std::string& name) const
+    {
+        const obs::StatDump dump = stats.dump();
+        const obs::StatValue* s =
+            obs::findStat(dump, "instance.0.engine." + name);
+        EXPECT_NE(s, nullptr) << name;
+        return s == nullptr ? 0 : static_cast<std::uint64_t>(s->value);
     }
 
     workload::Request*
@@ -66,6 +80,7 @@ struct InstanceFixture
     sim::Simulator sim;
     model::PerfModel perf;
     std::unique_ptr<Instance> instance;
+    obs::StatRegistry stats;
     std::vector<std::unique_ptr<workload::Request>> owned;
     int transitions = 0;
     int finished = 0;
@@ -114,8 +129,7 @@ TEST(Instance, TokensConservedAcrossBatchedRequests)
     }
     f.sim.run();
     EXPECT_EQ(f.finished, 10);
-    EXPECT_EQ(f.instance->numDecodeTokens() +
-                  static_cast<std::uint64_t>(f.instance->numPrefills()),
+    EXPECT_EQ(f.engineStat("decode_tokens") + f.engineStat("prefills"),
               static_cast<std::uint64_t>(expected));
     EXPECT_EQ(f.instance->pool().gpuUsed(), 0);
 }
@@ -146,8 +160,8 @@ TEST(Instance, MemoryPressureTriggersSwaps)
     f.sim.run();
 
     EXPECT_EQ(f.finished, 2);
-    EXPECT_GT(f.instance->numSwapOuts(), 0u);
-    EXPECT_GT(f.instance->numSwapIns(), 0u);
+    EXPECT_GT(f.engineStat("swap_outs"), 0u);
+    EXPECT_GT(f.engineStat("swap_ins"), 0u);
     EXPECT_GT(f.instance->pcieLink().totalBytes(), 0);
 }
 
@@ -238,7 +252,7 @@ TEST(Instance, IterationCountAdvances)
     f.submit(0, 0.0, 128, 20, 5);
     f.sim.run();
     // One prefill + 24 decode steps (r2..r20 + 5 answers).
-    EXPECT_GE(f.instance->numIterations(), 25u);
+    EXPECT_GE(f.engineStat("iterations"), 25u);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Streaming metric sketch tests: LogHistogram / P² unit accuracy, the
+ * Streaming metric sketch tests: LogHistogram unit accuracy, the
  * empty-and-unfinished guard rails, and the end-to-end contract —
  * streaming mode reproduces the exact aggregate's means and maxima
  * bit-for-bit and its percentiles within 1% relative error, while
@@ -95,40 +95,6 @@ TEST(LogHistogram, EmptyHistogramReportsZero)
     obs::LogHistogram hist;
     EXPECT_EQ(hist.count(), 0u);
     EXPECT_DOUBLE_EQ(hist.quantile(50.0), 0.0);
-}
-
-TEST(P2Quantile, ExactBelowFiveSamples)
-{
-    obs::P2Quantile p2(0.5);
-    EXPECT_DOUBLE_EQ(p2.value(), 0.0);
-    p2.add(3.0);
-    EXPECT_DOUBLE_EQ(p2.value(), 3.0);
-    p2.add(1.0);
-    p2.add(2.0);
-    // Median of {1, 2, 3}.
-    EXPECT_DOUBLE_EQ(p2.value(), 2.0);
-}
-
-TEST(P2Quantile, TracksQuantilesOfALargeStream)
-{
-    obs::P2Quantile median(0.5);
-    obs::P2Quantile tail(0.99);
-    std::vector<double> values;
-    Rng rng(11);
-    for (int i = 0; i < 50000; ++i) {
-        // Skewed positive stream (exponential-ish via inverse CDF).
-        double v = rng.exponential(1.0);
-        values.push_back(v);
-        median.add(v);
-        tail.add(v);
-    }
-    std::sort(values.begin(), values.end());
-    EXPECT_LT(relErr(median.value(),
-                     stats::percentileOfSorted(values, 50.0)),
-              0.05);
-    EXPECT_LT(relErr(tail.value(),
-                     stats::percentileOfSorted(values, 99.0)),
-              0.05);
 }
 
 TEST(StreamingMetrics, EmptyAndAllUnfinishedStayZeroedAndFinite)
@@ -228,11 +194,6 @@ TEST_F(StreamingEndToEnd, SketchAggregateMatchesExactWithinTolerance)
     EXPECT_LT(relErr(streamed.streaming->ttft().quantile(95.0),
                      exact_p95),
               0.01);
-
-    // The P² cross-check agrees loosely with the histogram.
-    EXPECT_LT(relErr(streamed.streaming->ttft().p2Median(),
-                     e.p50Ttft),
-              0.05);
 }
 
 TEST_F(StreamingEndToEnd, StreamingModeRecyclesChunksAndIsStable)

@@ -238,7 +238,7 @@ TEST(PaperShapes, SecVcTransfersNegligible)
     auto pascal = ServingSystem(clusterCfg(SchedulerType::Pascal,
                                            PlacementType::Pascal))
                       .run(trace);
-    ASSERT_GT(pascal.totalMigrations, 0);
+    ASSERT_GT(pascal.totalMigrations, 0u);
     double p99_transfer =
         stats::percentile(pascal.kvTransferLatencies, 99.0);
     EXPECT_LT(p99_transfer, 0.05 * pascal.aggregate.meanTtft);
