@@ -17,9 +17,11 @@
  * along generically). The nightly chaos job runs this under
  * ASan/UBSan over several seeds and uploads the JSON artifact;
  * --check-invariants makes the process exit nonzero if any run leaks
- * a request (neither finished nor terminally failed) or breaks the
+ * a request (neither finished nor terminally failed), breaks the
  * per-class outcome totality (submitted == completed + shed +
- * deadline_failed + retry_failed for every SLO class). --trace-out
+ * deadline_failed + retry_failed for every SLO class), or books a
+ * request a KV-transfer latency that is not one of its landed
+ * migrations. --trace-out
  * FILE additionally writes one traced chaos run's Chrome trace-event
  * JSON (the fault/retry categories) for ci/validate_trace.py.
  * --classes enables the SLO-class subsystem (the trace is always
@@ -154,6 +156,13 @@ runOne(const bench::PolicyUnderTest& policy, std::uint64_t fault_seed,
         static_cast<std::size_t>(result.numTerminalFailures);
     for (const auto& inst : ctx.cluster().getInstances()) {
         if (inst->pool().numTracked() != 0 || inst->pool().gpuUsed() != 0)
+            row.invariantsOk = false;
+    }
+    // A request books one Sec. V-C transfer latency per landed
+    // migration; a failover restore books none.
+    for (const auto& m : result.perRequest) {
+        if (m.kvTransferLatencies.size() !=
+            static_cast<std::size_t>(m.migrationCount))
             row.invariantsOk = false;
     }
     // Per-class totality: every class's submissions land in exactly

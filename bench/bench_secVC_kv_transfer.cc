@@ -31,8 +31,10 @@ runDataset(const DatasetBench& bench, double paper_p99)
     std::printf("\n=== %s, high rate ===\n",
                 bench.profile.name.c_str());
     std::printf("migrations            : %llu (%.1f%% of requests)\n",
-                static_cast<unsigned long long>(result.totalMigrations),
-                100.0 * static_cast<double>(result.totalMigrations) /
+                static_cast<unsigned long long>(
+                    result.aggregate.totalMigrations),
+                100.0 *
+                    static_cast<double>(result.aggregate.totalMigrations) /
                     static_cast<double>(result.aggregate.numFinished));
     std::printf("KV transfer P50 / P99 : %.3f / %.3f s "
                 "(paper P99: %.2f s)\n",

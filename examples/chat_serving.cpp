@@ -57,7 +57,7 @@ main(int argc, char** argv)
                     100.0 * result.aggregate.sloViolationRate,
                     result.aggregate.throughputTokensPerSec,
                     static_cast<unsigned long long>(
-                        result.totalMigrations));
+                        result.aggregate.totalMigrations));
     }
 
     std::printf("\nReading the table: PASCAL should hold the lowest "

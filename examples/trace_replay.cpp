@@ -128,7 +128,7 @@ writeSummaryJson(const std::string& path, const std::string& trace_path,
              << agg.throughputTokensPerSec
              << ", \"mean_answering_latency\": "
              << agg.meanAnsweringLatency
-             << ", \"migrations\": " << o.result.totalMigrations
+             << ", \"migrations\": " << agg.totalMigrations
              << ", \"unfinished\": " << o.result.numUnfinished << "}"
              << (i + 1 < outcomes.size() ? "," : "") << "\n";
     }

@@ -46,10 +46,11 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
         noteRequestFinished(r);
     };
     // Deadline expiries deferred past an in-flight step re-enter the
-    // class policy at the iteration boundary through this hook.
+    // class policy through this hook when the step ends (its
+    // iteration boundary, or a crash).
     callbacks.onDeadlineExpired = [this](workload::Request* r,
                                          InstanceId) {
-        enforceExpiry(r);
+        enforceExpiry(r, /*touchdown=*/false);
     };
     classesOn = cfg.sloClasses.enabled;
 
@@ -230,10 +231,8 @@ Cluster::onArrivals(workload::Request* first, std::uint32_t n)
     // drowning in a backlog they can never clear.
     if (injector != nullptr && cfg.fault.shedFloor > 0.0 &&
         upFraction() < cfg.fault.shedFloor) {
-        for (std::uint32_t i = 0; i < n; ++i) {
-            ++shedCount;
+        for (std::uint32_t i = 0; i < n; ++i)
             failTerminally(first + i, workload::FailReason::Shed);
-        }
         return;
     }
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -296,8 +295,6 @@ Cluster::retireChunk(std::size_t idx)
     // emission, so the scored rows are exactly what collectMetrics
     // would produce at teardown.
     std::vector<workload::Request>& chunk = requests.chunk(idx);
-    for (const auto& req : chunk)
-        retiredUnfinished += !req.finished();
     if (streaming != nullptr) {
         // Streaming mode: fold each scored row into the sketches and
         // store nothing — this is what bounds soak-run memory.
@@ -341,16 +338,23 @@ Cluster::onPhaseTransition(workload::Request* req, InstanceId from)
 void
 Cluster::migrate(workload::Request* req, InstanceId from, InstanceId to)
 {
-    Time start = sim.now();
     instances[from]->detach(req);
     // Entering the answering phase restarts quantum accounting
     // regardless of which instance it lands on.
     req->resetQuantum();
     ++migrations;
+    sendKv(req, to, /*migration=*/true);
+    // The source may have capacity freed up; let it reschedule.
+    instances[from]->kick();
+}
 
+void
+Cluster::sendKv(workload::Request* req, InstanceId to, bool migration)
+{
+    Time start = sim.now();
     if (trace != nullptr) {
-        // Async span on the target's track: begin at detach, end when
-        // the KV lands over the fabric ingress link.
+        // Async span on the target's track: begin at send, end when
+        // the transfer over the fabric ingress link completes.
         trace->asyncBegin(obs::TraceCat::Migration,
                           obs::TraceName::KvTransfer, to, start,
                           static_cast<std::uint64_t>(req->id()),
@@ -360,57 +364,44 @@ Cluster::migrate(workload::Request* req, InstanceId from, InstanceId to)
     Bytes bytes = perf.kvBytes(req->kvTokens());
     std::uint64_t nonce =
         injector != nullptr ? ++req->transferNonce : 0;
-    ingress[to]->submit(bytes, [this, req, to, start, nonce]() {
-        if (injector != nullptr) {
-            // The transfer can abort in flight: a seeded link failure
-            // (stateless per-attempt draw) or the destination crashing
-            // while the KV was on the wire. Either way the request is
-            // re-queued through the backoff retry path.
-            bool link_fail = injector->drawLinkFailure(req->id(), nonce);
-            if (link_fail || !instances[to]->isUp()) {
-                if (link_fail) {
-                    ++linkFailuresCount;
-                    if (trace != nullptr) {
-                        trace->instant(
-                            obs::TraceCat::Fault,
-                            obs::TraceName::LinkFail, to, sim.now(),
-                            obs::TraceArg::Request,
-                            static_cast<std::int64_t>(req->id()));
-                    }
-                }
-                if (trace != nullptr) {
-                    trace->asyncEnd(
-                        obs::TraceCat::Migration,
-                        obs::TraceName::KvTransfer, to, sim.now(),
-                        static_cast<std::uint64_t>(req->id()));
-                }
-                requeueRequest(req);
-                return;
-            }
-        }
-        if (req->deadlineExpired && interceptExpired(req)) {
-            // Expired while the KV was on the wire: the transfer
-            // completes (span closed) but the request never lands.
+    ingress[to]->submit(bytes, [this, req, to, start, nonce,
+                                migration]() {
+        // The transfer can abort in flight: a seeded link failure
+        // (stateless per-attempt draw) or the destination crashing
+        // while the KV was on the wire. Either way the request is
+        // re-queued through the backoff retry path.
+        bool link_fail = injector != nullptr &&
+                         injector->drawLinkFailure(req->id(), nonce);
+        if (link_fail) {
+            ++linkFailuresCount;
             if (trace != nullptr) {
-                trace->asyncEnd(obs::TraceCat::Migration,
-                                obs::TraceName::KvTransfer, to,
-                                sim.now(),
-                                static_cast<std::uint64_t>(req->id()));
+                trace->instant(obs::TraceCat::Fault,
+                               obs::TraceName::LinkFail, to, sim.now(),
+                               obs::TraceArg::Request,
+                               static_cast<std::int64_t>(req->id()));
             }
-            return;
         }
-        req->kvTransferLatencies.push_back(sim.now() - start);
-        ++req->migrationCount;
         if (trace != nullptr) {
             trace->asyncEnd(obs::TraceCat::Migration,
                             obs::TraceName::KvTransfer, to, sim.now(),
                             static_cast<std::uint64_t>(req->id()));
         }
+        if (link_fail || !instances[to]->isUp()) {
+            requeueRequest(req);
+            return;
+        }
+        // Expired while the KV was on the wire: a fail-policy request
+        // never lands.
+        if (enforceExpiry(req, /*touchdown=*/true))
+            return;
+        if (migration) {
+            // Sec. V-C migration latency; a failover restore is not a
+            // migration and books neither.
+            req->kvTransferLatencies.push_back(sim.now() - start);
+            ++req->migrationCount;
+        }
         instances[to]->landMigration(req);
     });
-
-    // The source may have capacity freed up; let it reschedule.
-    instances[from]->kick();
 }
 
 double
@@ -471,7 +462,6 @@ Cluster::classAdmissionShed(workload::Request* req)
     }
     if (!shed)
         return false;
-    ++shedCount;
     if (trace != nullptr) {
         trace->instant(obs::TraceCat::Admission,
                        obs::TraceName::ClassShed,
@@ -509,16 +499,16 @@ Cluster::onDeadlineFire(workload::Request* req)
                        obs::TraceArg::Request,
                        static_cast<std::int64_t>(req->id()));
     }
-    enforceExpiry(req);
+    enforceExpiry(req, /*touchdown=*/false);
 }
 
-void
-Cluster::enforceExpiry(workload::Request* req)
+bool
+Cluster::enforceExpiry(workload::Request* req, bool touchdown)
 {
     using workload::ExecState;
-    if (req->finished() || req->exec == ExecState::Done ||
-        !req->deadlineExpired) {
-        return;
+    if (!req->deadlineExpired || req->finished() ||
+        req->exec == ExecState::Done) {
+        return false;
     }
     bool hosted = req->exec == ExecState::WaitingNew ||
                   req->exec == ExecState::ResidentGpu ||
@@ -530,14 +520,15 @@ Cluster::enforceExpiry(workload::Request* req)
             // Mid-step: the in-flight plan's vectors still reference
             // the request, so ripping it out now would corrupt the
             // step completion. The instance parks the expiry and
-            // replays it through this handler at the boundary.
+            // replays it through this handler at the step's end
+            // (boundary or crash), wherever the request is by then.
             inst->noteDeadlineExpired(req);
-            return;
+            return false;
         }
     }
     if (cfg.sloClasses.of(req->spec().sloClass).demoteOnExpiry) {
         if (req->bestEffort)
-            return; // Already demoted (double-fire safe).
+            return false; // Already demoted (double-fire safe).
         ++classDemotedCount[workload::sloClassIndex(
             req->spec().sloClass)];
         if (trace != nullptr) {
@@ -550,12 +541,12 @@ Cluster::enforceExpiry(workload::Request* req)
             inst->demoteBestEffort(req);
             inst->kick();
         } else {
-            // InTransit/Unassigned: flag only — the landing or retry
-            // admission re-keys it under the best-effort rank.
+            // On the wire or in backoff: flag only — the landing or
+            // retry admission keys it under the best-effort rank.
             req->bestEffort = true;
             req->schedClassRank = workload::kBestEffortClassRank;
         }
-        return;
+        return false;
     }
     if (hosted) {
         // Real timeout: reclaim the KV through the same detach path a
@@ -564,28 +555,16 @@ Cluster::enforceExpiry(workload::Request* req)
         inst->detach(req);
         failTerminally(req, workload::FailReason::DeadlineExceeded);
         inst->kick();
-        return;
+        return true;
     }
-    if (req->exec == ExecState::Unassigned) {
+    // Displaced (KV on the wire, or backoff pending): fail only where
+    // the request touches ground, so nothing rips state out from
+    // under a pending transfer or retry event.
+    if (req->exec == ExecState::Unassigned || touchdown) {
         failTerminally(req, workload::FailReason::DeadlineExceeded);
-        return;
+        return true;
     }
-    // InTransit (KV on the wire, or backoff pending): the landing and
-    // retry guards enforce the expiry when the request next touches
-    // ground, so nothing rips state out from under the transfer.
-}
-
-bool
-Cluster::interceptExpired(workload::Request* req)
-{
-    if (!classesOn || !req->deadlineExpired ||
-        req->exec == workload::ExecState::Done) {
-        return false;
-    }
-    if (cfg.sloClasses.of(req->spec().sloClass).demoteOnExpiry)
-        return false;
-    failTerminally(req, workload::FailReason::DeadlineExceeded);
-    return true;
+    return false;
 }
 
 void
@@ -669,10 +648,11 @@ void
 Cluster::requeueRequest(workload::Request* req)
 {
     using workload::ExecState;
-    // An expired fail-policy request re-entering the retry loop (crash
-    // orphan, aborted transfer, no-capacity arrival) fails here rather
-    // than burning backoff cycles it can never use.
-    if (interceptExpired(req))
+    // An expired request re-entering the retry loop (crash orphan,
+    // aborted transfer, no-capacity arrival) meets its class policy
+    // here: a fail-policy one fails rather than burning backoff cycles
+    // it can never use.
+    if (enforceExpiry(req, /*touchdown=*/true))
         return;
     if (req->exec == ExecState::Unassigned) {
         // Never admitted anywhere (placement found no live target):
@@ -702,8 +682,8 @@ void
 Cluster::retryPlace(workload::Request* req)
 {
     // The deadline can expire mid-backoff (the request is InTransit,
-    // owned by nobody); enforcement waits here, at the wakeup.
-    if (interceptExpired(req))
+    // owned by nobody); a fail-policy expiry waits here, at the wakeup.
+    if (enforceExpiry(req, /*touchdown=*/true))
         return;
     const core::ClusterView& v = buildView(sim.now());
     InstanceId target = placement->placeNew(v, *req);
@@ -721,69 +701,9 @@ Cluster::retryPlace(workload::Request* req)
         instances[static_cast<std::size_t>(target)]->addRequest(req);
         return;
     }
-    restoreKv(req, target);
-}
-
-void
-Cluster::restoreKv(workload::Request* req, InstanceId to)
-{
-    // Failover restore: the request's KV is re-materialized over the
-    // target's fabric ingress link, as if fetched from a host-side
-    // replica — the same transfer model as a migration, including the
-    // possibility of a link failure or the target crashing mid-
-    // transfer.
-    Time start = sim.now();
-    if (trace != nullptr) {
-        trace->asyncBegin(obs::TraceCat::Migration,
-                          obs::TraceName::KvTransfer, to, start,
-                          static_cast<std::uint64_t>(req->id()),
-                          obs::TraceArg::Tokens,
-                          static_cast<std::int64_t>(req->kvTokens()));
-    }
-    Bytes bytes = perf.kvBytes(req->kvTokens());
-    std::uint64_t nonce = ++req->transferNonce;
-    ingress[static_cast<std::size_t>(to)]->submit(
-        bytes, [this, req, to, start, nonce]() {
-            bool link_fail =
-                injector->drawLinkFailure(req->id(), nonce);
-            if (link_fail || !instances[to]->isUp()) {
-                if (link_fail) {
-                    ++linkFailuresCount;
-                    if (trace != nullptr) {
-                        trace->instant(
-                            obs::TraceCat::Fault,
-                            obs::TraceName::LinkFail, to, sim.now(),
-                            obs::TraceArg::Request,
-                            static_cast<std::int64_t>(req->id()));
-                    }
-                }
-                if (trace != nullptr) {
-                    trace->asyncEnd(
-                        obs::TraceCat::Migration,
-                        obs::TraceName::KvTransfer, to, sim.now(),
-                        static_cast<std::uint64_t>(req->id()));
-                }
-                requeueRequest(req);
-                return;
-            }
-            if (req->deadlineExpired && interceptExpired(req)) {
-                if (trace != nullptr) {
-                    trace->asyncEnd(
-                        obs::TraceCat::Migration,
-                        obs::TraceName::KvTransfer, to, sim.now(),
-                        static_cast<std::uint64_t>(req->id()));
-                }
-                return;
-            }
-            req->kvTransferLatencies.push_back(sim.now() - start);
-            if (trace != nullptr) {
-                trace->asyncEnd(obs::TraceCat::Migration,
-                                obs::TraceName::KvTransfer, to,
-                                sim.now(),
-                                static_cast<std::uint64_t>(req->id()));
-            }
-            instances[static_cast<std::size_t>(to)]->landMigration(req);
-        });
+    // Failover restore: the KV is re-materialized over the target's
+    // fabric ingress link, as if fetched from a host-side replica.
+    sendKv(req, target, /*migration=*/false);
 }
 
 void
@@ -798,6 +718,8 @@ Cluster::failTerminally(workload::Request* req,
     req->failReason = reason;
     req->exec = ExecState::Done;
     ++terminalFailuresCount;
+    if (reason == workload::FailReason::Shed)
+        ++shedCount;
     if (classesOn) {
         auto ci = workload::sloClassIndex(req->spec().sloClass);
         switch (reason) {
@@ -855,19 +777,6 @@ Cluster::collectMetrics() const
         }
     }
     return out;
-}
-
-std::size_t
-Cluster::numUnfinished() const
-{
-    // A retired chunk's storage is gone; its terminal failures were
-    // counted when it retired.
-    std::size_t n = retiredUnfinished;
-    requests.forEach([&](const workload::Request& req) {
-        if (!req.finished())
-            ++n;
-    });
-    return n;
 }
 
 TokenCount

@@ -61,23 +61,20 @@ class Cluster
      */
     void enableChunkRecycling() { chunkRecycling = true; }
 
-    /** Trace chunks whose storage was recycled (see
-     *  enableChunkRecycling). */
-    std::size_t
-    numRecycledChunks() const
-    {
-        return requests.numRecycledChunks();
-    }
-
     /** Resolved per-instance GPU KV capacity (tokens). */
     TokenCount kvCapacityTokens() const { return kvCapacity; }
 
     /** Score all requests against the configured SLO. */
     std::vector<qoe::RequestMetrics> collectMetrics() const;
 
-    /** Requests that never finished (trace infeasible or horizon
-     *  hit). */
-    std::size_t numUnfinished() const;
+    /** Requests that never finished: the ones still live (trace
+     *  infeasible or horizon hit) plus the terminal failures. */
+    std::size_t
+    numUnfinished() const
+    {
+        return static_cast<std::size_t>(liveRequests) +
+               terminalFailuresCount;
+    }
 
     /** Largest GPU KV occupancy seen on any instance. */
     TokenCount maxPeakGpuKv() const;
@@ -211,6 +208,15 @@ class Cluster
     void migrate(workload::Request* req, InstanceId from,
                  InstanceId to);
 
+    /**
+     * Send a detached request's KV over @p to's fabric ingress link
+     * and land it there: the one transfer path of a migration and a
+     * failover restore. A link failure or a dead target re-queues the
+     * request, an expired fail-policy request never lands, and only a
+     * @p migration books a Sec. V-C latency and a migrationCount.
+     */
+    void sendKv(workload::Request* req, InstanceId to, bool migration);
+
     /** @name Failover internals (fault layer) */
     /** @{ */
 
@@ -228,9 +234,6 @@ class Cluster
      *  link (as if restored from a replica) instead of recomputing
      *  the prefill. */
     void retryPlace(workload::Request* req);
-
-    /** Restore a prefill-complete request's KV onto @p to. */
-    void restoreKv(workload::Request* req, InstanceId to);
 
     /** Account a terminal failure and release the request. */
     void failTerminally(workload::Request* req,
@@ -257,14 +260,19 @@ class Cluster
     /** The deadline event fired: mark expiry and enforce it. */
     void onDeadlineFire(workload::Request* req);
 
-    /** Enforce an expiry per the class policy: demote to best-effort
-     *  or terminally fail (also the iteration-boundary callback for
-     *  expiries deferred while a step was in flight). */
-    void enforceExpiry(workload::Request* req);
-
-    /** Terminal-fail an expired request on a failover/landing path.
-     *  @return true when it consumed the request. */
-    bool interceptExpired(workload::Request* req);
+    /**
+     * The one expiry rule: apply an expired request's class policy
+     * wherever it is. Demotion flags it best-effort (re-keyed now if
+     * hosted, at landing or retry admission otherwise) and counts it
+     * once. Failure detaches a hosted request; a displaced one (KV on
+     * the wire, or in backoff) fails only at a @p touchdown — the
+     * requeue, retry wake-up or transfer landing it next reaches. A
+     * hosted request on an instance with a step in flight is parked
+     * there until the step ends. Called from the deadline event, the
+     * plan-boundary and crash drains, and every touchdown.
+     * @return true when the request was failed (consumed).
+     */
+    bool enforceExpiry(workload::Request* req, bool touchdown);
 
     /** Free GPU KV across routable instances as a capacity fraction. */
     double freeGpuKvFraction() const;
@@ -304,9 +312,6 @@ class Cluster
     /** Chunks already retired (streaming mode leaves retiredMetrics
      *  empty, so emptiness cannot mark retirement). */
     std::vector<std::uint8_t> chunkRetired;
-    /** Requests of retired chunks that never finished (terminal
-     *  failures): numUnfinished() can no longer walk them. */
-    std::size_t retiredUnfinished = 0;
     /** @} */
 
     /** @name Observability state */

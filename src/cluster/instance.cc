@@ -199,26 +199,14 @@ Instance::drainDeadlineDeferred()
     // starts the next iteration right after, with every expiry
     // settled and the freed KV visible to the plan build.
     drainingDeadlines = true;
-    // Index loop: the cluster's handler can re-enter (detach, fail,
-    // demote) but never appends here while stepInFlight is false.
+    // Every parked request goes back to the cluster's expiry rule,
+    // wherever the step left it: still hosted, finished, or detached
+    // for a migration or by a crash. Index loop: the handler can
+    // re-enter (detach, fail, demote) but never appends here while
+    // stepInFlight is false.
     for (std::size_t i = 0; i < deadlineDeferred.size(); ++i) {
-        Request* r = deadlineDeferred[i];
-        // Re-check liveness: the step that deferred this expiry may
-        // have finished the request, or a crash may have orphaned it
-        // off this instance in the meantime.
-        if (r->finished() || r->exec == ExecState::Done)
-            continue;
-        if (r->home != instanceId)
-            continue;
-        if (r->exec != ExecState::WaitingNew &&
-            r->exec != ExecState::ResidentGpu &&
-            r->exec != ExecState::SwappedCpu) {
-            continue;
-        }
-        if (!r->deadlineExpired)
-            continue;
         if (callbacks.onDeadlineExpired)
-            callbacks.onDeadlineExpired(r, instanceId);
+            callbacks.onDeadlineExpired(deadlineDeferred[i], instanceId);
     }
     deadlineDeferred.clear();
     drainingDeadlines = false;
@@ -389,9 +377,6 @@ Instance::crash(bool preserve_cpu_kv,
     draining = false;
     ++crashGen; // Invalidate the in-flight step's completion event.
     stepInFlight = false;
-    // Deferred deadline expiries die with the step: the orphans
-    // re-enter the retry path, whose guards enforce expiry there.
-    deadlineDeferred.clear();
     // detach() mutates the scheduler's hosted set; walk a copy. The
     // hosted vector is swap-pop ordered, not insertion ordered, but
     // that order is a function of the event sequence alone, so the
@@ -410,6 +395,11 @@ Instance::crash(bool preserve_cpu_kv,
         detach(r);
         orphans.push_back(r);
     }
+    // The crash ends the step, so the expiries it deferred meet the
+    // class policy now: an orphan is flagged (or fails at its
+    // requeue), a preserved request is demoted or failed in place.
+    if (!deadlineDeferred.empty())
+        drainDeadlineDeferred();
 }
 
 void

@@ -48,10 +48,11 @@ struct InstanceCallbacks
     std::function<void(workload::Request*, InstanceId)> onFinished;
 
     /**
-     * A hosted request whose deadline expired mid-step reached the
-     * safe enforcement point (the iteration boundary): the cluster's
-     * deadline policy (fail or demote) runs now. May be empty (the
-     * deferred expiry is then dropped; standalone instances).
+     * The step during which a hosted request's deadline expired has
+     * ended (iteration boundary or crash): the cluster's deadline
+     * policy (fail or demote) runs now, wherever the step left the
+     * request. May be empty (the deferred expiry is then dropped;
+     * standalone instances).
      */
     std::function<void(workload::Request*, InstanceId)> onDeadlineExpired;
 };
@@ -115,7 +116,9 @@ class Instance
      * resuming after recover(). The in-flight iteration (if any) is
      * abandoned: its completion event is invalidated by a generation
      * bump, and the partial step's wall time stays booked as executed
-     * (the GPU really did spend it).
+     * (the GPU really did spend it). Deadline expiries the step
+     * deferred then go to callbacks.onDeadlineExpired, after the
+     * orphans are detached.
      */
     void crash(bool preserve_cpu_kv,
                std::vector<workload::Request*>& orphans);
@@ -164,10 +167,9 @@ class Instance
 
     /**
      * A hosted request's deadline fired while a step is in flight:
-     * record it for enforcement at the iteration boundary, where
-     * detaching cannot corrupt the executing batch. The boundary
-     * re-checks liveness/residency and then invokes
-     * callbacks.onDeadlineExpired.
+     * record it for enforcement when the step ends (iteration
+     * boundary or crash), where detaching cannot corrupt the
+     * executing batch; callbacks.onDeadlineExpired then runs on it.
      */
     void noteDeadlineExpired(workload::Request* req);
 
@@ -325,14 +327,14 @@ class Instance
      *  registerStats wires it). */
     stats::Summary* batchDist = nullptr;
 
-    /** Run the deferred-deadline list through the cluster's policy at
-     *  the iteration boundary (completeIteration, after the step's
-     *  effects settle and stepInFlight clears). */
+    /** Run the deferred-deadline list through the cluster's policy
+     *  when the step ends (completeIteration, after the step's effects
+     *  settle and stepInFlight clears; or crash(), after the orphans
+     *  are detached). */
     void drainDeadlineDeferred();
 
-    /** Hosted requests whose deadline fired mid-step, awaiting the
-     *  boundary (cleared by crash(): orphans re-enter through the
-     *  retry guards instead). */
+    /** Requests whose deadline fired mid-step, awaiting the step's
+     *  end. */
     std::vector<workload::Request*> deadlineDeferred;
 
     /** True while drainDeadlineDeferred() walks the parked list.

@@ -24,7 +24,6 @@ struct CounterView
 /** The one name table behind RunResult's counters: the stat registry
  *  holds each count, the result only copies it out of the dump. */
 constexpr CounterView<RunResult> kRunCounters[] = {
-    {"cluster.migrations", &RunResult::totalMigrations},
     {"cluster.fault.crashes", &RunResult::numCrashes},
     {"cluster.fault.retries", &RunResult::numRetries},
     {"cluster.fault.shed", &RunResult::numShed},

@@ -49,13 +49,11 @@ struct RunResult
      * of the stat registry's dump through one name table
      * (run_context.cc); the registry is the only record. Counts with
      * no field here — iterations, plan builds, swaps, drains, link
-     * failures — are read from statsDump directly.
+     * failures, migrations started ("cluster.migrations") — are read
+     * from statsDump directly; aggregate.totalMigrations counts the
+     * finished requests' landed migrations.
      */
     /** @{ */
-
-    /** KV migrations started ("cluster.migrations"; includes transfers
-     *  a fault aborted, unlike aggregate.totalMigrations). */
-    std::uint64_t totalMigrations = 0;
 
     /* Failure accounting (src/fault/; all zero — and goodput 1.0 with
      * an empty trace — when the fault layer is off). */
@@ -117,12 +115,13 @@ struct RunResult
         classAggregates{};
     /** @} */
 
-    /** End-to-end latency of every landed KV transfer (Section V-C):
+    /** End-to-end latency of every landed KV migration (Section V-C):
      *  the rows' kvTransferLatencies concatenated in row order
-     *  (aggregate.p99KvTransferLatency ranks the finished rows' ones).
-     *  A transfer a fault or an expired deadline aborted is not in it.
-     *  Empty in streaming mode, like perRequest (the sketch carries
-     *  the p99). */
+     *  (aggregate.p99KvTransferLatency ranks the finished rows' ones),
+     *  so each row holds exactly migrationCount entries. A failover
+     *  restore is not a migration and is not in it, nor is a transfer
+     *  a fault or an expired deadline aborted. Empty in streaming
+     *  mode, like perRequest (the sketch carries the p99). */
     std::vector<double> kvTransferLatencies;
 
     std::string schedulerName;

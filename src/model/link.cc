@@ -28,21 +28,10 @@ Link::submit(Bytes bytes, std::function<void()> on_complete)
     Time done = start + duration;
 
     busyUntilTime = done;
-    bytesAcc += bytes;
-    busyTimeAcc += duration;
-    ++transfers;
 
     if (on_complete)
         sim.at(done, std::move(on_complete));
     return done;
-}
-
-double
-Link::utilization(Time now) const
-{
-    if (now <= 0.0)
-        return 0.0;
-    return std::min(1.0, busyTimeAcc / now);
 }
 
 } // namespace model

@@ -45,25 +45,11 @@ class Link
     /** Earliest time a new transfer could start. */
     Time busyUntil() const { return busyUntilTime; }
 
-    /** Total payload bytes ever submitted. */
-    Bytes totalBytes() const { return bytesAcc; }
-
-    /** Number of transfers submitted. */
-    std::size_t numTransfers() const { return transfers; }
-
-    /** Fraction of [0, now] the link spent transferring. */
-    double utilization(Time now) const;
-
-    const std::string& name() const { return linkName; }
-
   private:
     sim::Simulator& sim;
     double rate;
     std::string linkName;
     Time busyUntilTime = 0.0;
-    Bytes bytesAcc = 0;
-    double busyTimeAcc = 0.0;
-    std::size_t transfers = 0;
 };
 
 } // namespace model

@@ -99,27 +99,6 @@ class RequestArena
     /** Chunks released by recycleChunk() (memory-bounding stat). */
     std::size_t numRecycledChunks() const { return recycled; }
 
-    /** Visit every request in submission order. */
-    template <typename Fn>
-    void
-    forEach(Fn&& fn)
-    {
-        for (auto& chunk : chunks) {
-            for (auto& req : chunk)
-                fn(req);
-        }
-    }
-
-    template <typename Fn>
-    void
-    forEach(Fn&& fn) const
-    {
-        for (const auto& chunk : chunks) {
-            for (const auto& req : chunk)
-                fn(req);
-        }
-    }
-
   private:
     std::vector<std::vector<Request>> chunks;
     std::size_t total = 0;

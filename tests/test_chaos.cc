@@ -7,6 +7,8 @@
  * rates every run must still satisfy:
  *   - accounting totality: every request either finished or carries a
  *     terminal FailReason, and numUnfinished == numTerminalFailures;
+ *   - transfer accounting: each row holds one KV-transfer latency per
+ *     landed migration, restores excluded;
  *   - no leaked KV: every instance's pool tracks zero requests and
  *     zero GPU tokens once the event queue drains;
  *   - determinism: a same-seed replay is byte-identical, including
@@ -144,10 +146,16 @@ auditRun(const RunContext& ctx, const RunResult& result,
               static_cast<double>(result.aggregate.numFinished) /
                   static_cast<double>(num_requests));
     // The run's transfer latencies are exactly the rows': a transfer
-    // a link failure or a crash aborted is in neither.
+    // a link failure or a crash aborted is in neither, and a row
+    // books one Sec. V-C latency per landed migration (a failover
+    // restore books none).
     std::size_t row_transfers = 0;
-    for (const auto& row : result.perRequest)
+    for (const auto& row : result.perRequest) {
         row_transfers += row.kvTransferLatencies.size();
+        EXPECT_EQ(row.kvTransferLatencies.size(),
+                  static_cast<std::size_t>(row.migrationCount))
+            << "request " << row.id;
+    }
     EXPECT_EQ(result.kvTransferLatencies.size(), row_transfers);
 
     // No leaked KV: once the queue drains, every slot was released
@@ -334,7 +342,8 @@ TEST_F(Chaos, SeededConfigFuzzUnderAudits)
         auto result = ctx.result();
         auditRun(ctx, result, trace.size());
         test::expectIdentical(result, RunContext::execute(cfg, trace));
-        recycled += ctx.cluster().numRecycledChunks();
+        recycled += static_cast<std::size_t>(
+            test::statValue(result.statsDump, "cluster.recycled_chunks"));
         crashes += result.numCrashes;
         retries += result.numRetries;
         shed += result.numShed;

@@ -89,7 +89,7 @@ TEST_F(ClusterViewAudit, ChurnHeavyMultiInstanceSnapshotsStayExact)
             trace);
         // The workload must actually churn for the audit to mean
         // anything.
-        EXPECT_GT(result.totalMigrations, 0u);
+        EXPECT_GT(result.aggregate.totalMigrations, 0);
         EXPECT_GT(result.aggregate.numFinished, 0u);
     }
 }

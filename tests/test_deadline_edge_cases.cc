@@ -11,10 +11,13 @@
  *  - an expiry firing while the request's KV is in flight on the
  *    fabric (failover restore after a crash);
  *  - an expiry firing while the request is a crash-orphan waiting out
- *    a retry backoff with the whole fleet down.
+ *    a retry backoff with the whole fleet down;
+ *  - a demote-on-expiry deferred past an in-flight step whose end
+ *    moves the request off its instance: a </think> migration, a
+ *    crash that orphans it, or a crash that preserves its CPU KV.
  * Each must resolve to exactly one outcome (finished XOR failed, no
- * double-fail) with no KV left behind, and replays must be
- * byte-identical.
+ * double-fail) with no KV left behind, a demotion must be applied and
+ * counted exactly once, and replays must be byte-identical.
  */
 
 #include <gtest/gtest.h>
@@ -99,6 +102,56 @@ flatTrace(int n, Time arrival, TokenCount prompt = 128,
     return trace;
 }
 
+/** Requests arriving together at t = 0, one per reasoning length. */
+workload::Trace
+staggeredTrace(const std::vector<TokenCount>& reasoning,
+               TokenCount prompt = 128, TokenCount answer = 60)
+{
+    workload::Trace trace = flatTrace(static_cast<int>(reasoning.size()),
+                                      0.0, prompt, 0, answer);
+    for (std::size_t i = 0; i < reasoning.size(); ++i)
+        trace.requests[i].reasoningTokens = reasoning[i];
+    return trace;
+}
+
+/** Demotions of the Standard class so far (cluster.slo.standard). */
+double
+standardDemotions(const obs::StatDump& dump)
+{
+    return test::statValue(dump, "cluster.slo.standard.demoted");
+}
+
+/** Every expired request is best-effort and was counted once. */
+void
+expectDemotedOnce(const RunResult& result)
+{
+    std::uint64_t best_effort = 0;
+    for (const auto& row : result.perRequest) {
+        EXPECT_EQ(row.bestEffort, row.deadlineExpired)
+            << "request " << row.id;
+        EXPECT_TRUE(row.finished) << "request " << row.id;
+        best_effort += row.bestEffort;
+    }
+    EXPECT_EQ(result.perClass[workload::sloClassIndex(SloClass::Standard)]
+                  .demoted,
+              best_effort);
+    EXPECT_EQ(standardDemotions(result.statsDump),
+              static_cast<double>(best_effort));
+}
+
+/** The instance holding KV for @p ctx's requests (kNoInstance if
+ *  none does). */
+InstanceId
+busyInstance(const RunContext& ctx)
+{
+    InstanceId home = kNoInstance;
+    for (const auto& inst : ctx.cluster().getInstances()) {
+        if (inst->pool().numTracked() > 0)
+            home = inst->id();
+    }
+    return home;
+}
+
 void
 expectNoKvLeaks(const RunContext& ctx)
 {
@@ -161,7 +214,9 @@ TEST_F(DeadlineEdgeCases, ExpiryAtExactCompletionBoundary)
         ctx.submit(trace);
         ctx.run();
         auto result = ctx.result();
-        EXPECT_EQ(ctx.cluster().numRecycledChunks(), recycle ? 1u : 0u);
+        EXPECT_EQ(
+            test::statValue(result.statsDump, "cluster.recycled_chunks"),
+            recycle ? 1.0 : 0.0);
         EXPECT_EQ(result.aggregate.numFinished, 6u);
         EXPECT_EQ(result.numTerminalFailures, 0u);
         expectSingleOutcomes(result);
@@ -313,6 +368,136 @@ TEST_F(DeadlineEdgeCases, ExpiryOnCrashOrphanMidBackoff)
                   workload::FailReason::DeadlineExceeded);
         EXPECT_TRUE(row.deadlineExpired);
     }
+    expectSingleOutcomes(result);
+    expectNoKvLeaks(ctx);
+}
+
+TEST_F(DeadlineEdgeCases, DemotionDeferredPastAMigratingStepLandsBestEffort)
+{
+    // The deadline fires inside the step that emits a request's
+    // </think>, and that step's boundary migrates the request, so the
+    // parked expiry finds it on the wire instead of on its old home.
+    // It must still be demoted, once, and land best-effort. Staggered
+    // reasoning lengths make a later transition find the other
+    // instance with fewer reasoning requests (Algorithm 2 moves it).
+    auto trace = staggeredTrace({100, 260, 400, 600});
+    SystemConfig cfg = scriptedConfig(2);
+    auto baseline = RunContext::execute(cfg, trace);
+    std::size_t moved = baseline.perRequest.size();
+    for (std::size_t i = 0; i < baseline.perRequest.size(); ++i) {
+        if (baseline.perRequest[i].migrationCount == 1) {
+            moved = i;
+            break;
+        }
+    }
+    ASSERT_LT(moved, baseline.perRequest.size()) << "nothing migrated";
+
+    // Every request arrived at t = 0, so reasoningLatency is the
+    // absolute </think> time: the end of the step that emits it.
+    SystemConfig armed = cfg;
+    params(armed, SloClass::Standard).relativeDeadline =
+        baseline.perRequest[moved].reasoningLatency - 1e-6;
+    params(armed, SloClass::Standard).demoteOnExpiry = true;
+    RunContext ctx(armed);
+    ctx.submit(trace);
+    ctx.run();
+    auto result = ctx.result();
+    const auto& row = result.perRequest[moved];
+    EXPECT_EQ(row.migrationCount, 1);
+    EXPECT_TRUE(row.deadlineExpired);
+    EXPECT_TRUE(row.bestEffort);
+    expectDemotedOnce(result);
+    expectSingleOutcomes(result);
+    expectNoKvLeaks(ctx);
+    test::expectIdentical(result, RunContext::execute(armed, trace));
+}
+
+TEST_F(DeadlineEdgeCases, DemotionDeferredPastACrashReachesTheOrphan)
+{
+    // The deadline fires mid-step and is parked; the instance then
+    // crashes before the step ends. The crash ends the step, so the
+    // parked expiry runs there: the orphan is flagged best-effort and
+    // retries as best-effort on the surviving instance.
+    SystemConfig cfg = scriptedConfig(2);
+    params(cfg, SloClass::Standard).relativeDeadline = 1.0;
+    params(cfg, SloClass::Standard).demoteOnExpiry = true;
+    RunContext ctx(cfg);
+    ctx.submit(flatTrace(1, 0.0));
+    auto& cl = ctx.cluster();
+
+    ctx.run(1.0); // Deadline fired while decoding.
+    InstanceId home = busyInstance(ctx);
+    ASSERT_NE(home, kNoInstance);
+    ASSERT_TRUE(cl.getInstances()[home]->hasStepInFlight());
+    ASSERT_EQ(standardDemotions(cl.dumpStats()), 0.0) << "not parked";
+    cl.crashInstance(home);
+    EXPECT_EQ(standardDemotions(cl.dumpStats()), 1.0);
+
+    ctx.run();
+    auto result = ctx.result();
+    EXPECT_GT(result.numRetries, 0u);
+    EXPECT_TRUE(result.perRequest[0].bestEffort);
+    expectDemotedOnce(result);
+    expectSingleOutcomes(result);
+    expectNoKvLeaks(ctx);
+}
+
+TEST_F(DeadlineEdgeCases, DemotionDeferredPastACrashReachesPreservedKv)
+{
+    // As above with preserveCpuKv: a request swapped out to host DRAM
+    // survives the crash in place, so no retry path ever sees it. The
+    // crash must still run its parked expiry and demote it.
+    auto trace = flatTrace(8, 0.0, 512, 1500, 60);
+    SystemConfig cfg = scriptedConfig(1);
+    cfg.fault.preserveCpuKv = true;
+
+    // Find a mid-step instant where the instance holds swapped-out
+    // KV (deterministic: the armed run matches this one until then).
+    auto swapped = [](const RunContext& c) {
+        std::vector<RequestId> ids;
+        for (const auto* r :
+             c.cluster().getInstances()[0]->scheduler().hosted()) {
+            if (r->exec == workload::ExecState::SwappedCpu)
+                ids.push_back(r->id());
+        }
+        return ids;
+    };
+    Time t_crash = -1.0;
+    {
+        RunContext probe(cfg);
+        probe.submit(trace);
+        for (Time t = 0.05; t < 60.0 && t_crash < 0.0; t += 0.05) {
+            probe.run(t);
+            if (!swapped(probe).empty() &&
+                probe.cluster().getInstances()[0]->hasStepInFlight()) {
+                t_crash = t;
+            }
+        }
+    }
+    ASSERT_GT(t_crash, 0.0) << "no swap-out to preserve";
+
+    params(cfg, SloClass::Standard).relativeDeadline = t_crash;
+    params(cfg, SloClass::Standard).demoteOnExpiry = true;
+    RunContext ctx(cfg);
+    ctx.submit(trace);
+    auto& cl = ctx.cluster();
+    ctx.run(t_crash);
+    const std::vector<RequestId> preserved = swapped(ctx);
+    ASSERT_FALSE(preserved.empty());
+    ASSERT_TRUE(cl.getInstances()[0]->hasStepInFlight());
+    ASSERT_EQ(standardDemotions(cl.dumpStats()), 0.0) << "not parked";
+    cl.crashInstance(0);
+    Time back = ctx.simulator().now() + 0.5;
+    ctx.simulator().at(back, [&cl] { cl.recoverInstance(0); });
+
+    ctx.run();
+    auto result = ctx.result();
+    for (RequestId id : preserved) {
+        const auto& row = result.perRequest[static_cast<std::size_t>(id)];
+        EXPECT_TRUE(row.deadlineExpired) << "request " << id;
+        EXPECT_TRUE(row.bestEffort) << "request " << id;
+    }
+    expectDemotedOnce(result);
     expectSingleOutcomes(result);
     expectNoKvLeaks(ctx);
 }

@@ -40,7 +40,6 @@ TEST(Link, BackToBackTransfersQueue)
     // End-to-end latency from submission at t=0.
     EXPECT_DOUBLE_EQ(first - sim.now(), 1.0);
     EXPECT_DOUBLE_EQ(second - sim.now(), 2.0); // Includes 1 s of queueing.
-    EXPECT_EQ(link.numTransfers(), 2u);
 }
 
 TEST(Link, IdleGapResetsQueue)
@@ -64,27 +63,19 @@ TEST(Link, ZeroByteTransferIsInstant)
     EXPECT_DOUBLE_EQ(link.submit(0, nullptr), 0.0);
 }
 
-TEST(Link, TracksTotals)
+TEST(Link, QueuedTransfersCompleteAfterTheTotalPayload)
 {
+    // Queued back to back, the last transfer completes once the link
+    // has carried every byte submitted before it: 400 B at 100 B/s.
     Simulator sim;
     Link link(sim, 100.0, "test");
-    link.submit(100, nullptr);
-    link.submit(300, nullptr);
-    EXPECT_EQ(link.totalBytes(), 400);
-    EXPECT_EQ(link.numTransfers(), 2u);
-    // Busy [0,4]: fully utilized at t=4, half at t=8.
-    EXPECT_DOUBLE_EQ(link.utilization(4.0), 1.0);
-    EXPECT_DOUBLE_EQ(link.utilization(8.0), 0.5);
-}
-
-TEST(Link, UtilizationReflectsIdleTime)
-{
-    Simulator sim;
-    Link link(sim, 100.0, "test");
-    link.submit(100, nullptr); // Busy [0,1].
+    int completed = 0;
+    link.submit(100, [&] { ++completed; });
+    EXPECT_DOUBLE_EQ(link.submit(300, [&] { ++completed; }), 4.0);
+    EXPECT_DOUBLE_EQ(link.busyUntil(), 4.0);
     sim.run();
-    EXPECT_NEAR(link.utilization(4.0), 0.25, 1e-12);
-    EXPECT_DOUBLE_EQ(link.utilization(0.0), 0.0);
+    EXPECT_EQ(completed, 2);
+    EXPECT_DOUBLE_EQ(sim.now(), 4.0);
 }
 
 TEST(Link, RejectsNonPositiveBandwidth)

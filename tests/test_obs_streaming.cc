@@ -206,7 +206,10 @@ TEST_F(StreamingEndToEnd, StreamingModeRecyclesChunksAndIsStable)
     ctx.submit(trace);
     ctx.run();
     auto result = ctx.result();
-    EXPECT_EQ(ctx.cluster().numRecycledChunks(), 1u);
+    const obs::StatValue* recycled =
+        obs::findStat(result.statsDump, "cluster.recycled_chunks");
+    ASSERT_NE(recycled, nullptr);
+    EXPECT_EQ(recycled->value, 1.0);
     EXPECT_TRUE(result.perRequest.empty());
     EXPECT_GT(result.aggregate.numFinished, 0u);
 

@@ -226,7 +226,8 @@ TEST(PaperShapes, Fig15AdaptiveOverrideProtectsSlo)
                                  PlacementType::PascalNonAdaptive))
             .run(trace);
 
-    EXPECT_GE(always.totalMigrations, full.totalMigrations);
+    EXPECT_GE(always.aggregate.totalMigrations,
+              full.aggregate.totalMigrations);
     EXPECT_GE(always.aggregate.sloViolationRate,
               full.aggregate.sloViolationRate);
 }
@@ -238,7 +239,7 @@ TEST(PaperShapes, SecVcTransfersNegligible)
     auto pascal = ServingSystem(clusterCfg(SchedulerType::Pascal,
                                            PlacementType::Pascal))
                       .run(trace);
-    ASSERT_GT(pascal.totalMigrations, 0u);
+    ASSERT_GT(pascal.aggregate.totalMigrations, 0);
     double p99_transfer =
         stats::percentile(pascal.kvTransferLatencies, 99.0);
     EXPECT_LT(p99_transfer, 0.05 * pascal.aggregate.meanTtft);

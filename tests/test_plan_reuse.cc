@@ -218,7 +218,7 @@ TEST_F(PlanReuseInvariance, FcfsMigrationKeepsStrictOrderUnderPressure)
         cfg.limits.forceResort = true;
         auto reference = cluster::RunContext::execute(cfg, trace);
         test::expectIdentical(fast, reference);
-        EXPECT_GT(fast.totalMigrations, 0u);
+        EXPECT_GT(fast.aggregate.totalMigrations, 0);
     }
 }
 
