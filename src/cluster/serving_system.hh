@@ -148,6 +148,22 @@ struct RunResult
     /** @} */
 };
 
+/**
+ * Canonical text of @p r: one "key=value" line per field, doubles
+ * printed with 17 significant digits so equal text means equal bits.
+ * Covers every per-request row, the aggregates, the failure and class
+ * outcomes, the transfer latencies, the component names and the stat
+ * dump, minus the entries that count fast-path or memory-recycling
+ * work rather than simulated behaviour ("*.plan.*", any "*_ns" host
+ * time, "cluster.recycled_chunks"), so the force twins and a recycled
+ * run render the same text. traceJson and the streaming sketches are
+ * left out.
+ */
+std::string canonicalText(const RunResult& r);
+
+/** 64-bit FNV-1a hash of canonicalText(@p r): the golden digest. */
+std::uint64_t digest(const RunResult& r);
+
 /** Facade running complete serving simulations. */
 class ServingSystem
 {

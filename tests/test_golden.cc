@@ -1,0 +1,212 @@
+/**
+ * @file
+ * Golden digests: every policy x predictor cell of a scaled-down
+ * constrained deployment, plus one chaos + SLO-class point, must hash
+ * (cluster::digest) to the value committed in tests/golden/digests.txt.
+ *
+ * The force twins reproduce a run's canonical text, so these digests
+ * hold under PASCAL_FORCE_RESORT / PASCAL_FORCE_ACCRUE too. Changing
+ * the file is a deliberate act: a change to simulated behaviour
+ * re-blesses it in its own commit, with the reason recorded. On a
+ * mismatch the test prints the whole file as this build computes it.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/cluster/run_context.hh"
+#include "src/cluster/system_config.hh"
+#include "src/common/log.hh"
+#include "src/common/rng.hh"
+#include "src/workload/generator.hh"
+
+namespace
+{
+
+using namespace pascal;
+using cluster::PlacementType;
+using cluster::SchedulerType;
+using cluster::SystemConfig;
+
+/** AlpacaEval 2.0 at a quarter of the 8-instance medium rate on 2
+ *  instances with a tight pool: swaps, migrations and demotions all
+ *  fire. */
+workload::Trace
+constrainedTrace()
+{
+    Rng rng(2026);
+    return workload::generateTrace(workload::DatasetProfile::alpacaEval(),
+                                   160, 7.0, rng);
+}
+
+SystemConfig
+constrainedConfig(SchedulerType sched, predict::PredictorType pred)
+{
+    SystemConfig cfg;
+    cfg.scheduler = sched;
+    cfg.predictor.type = pred;
+    cfg.placement = pred == predict::PredictorType::None
+                        ? PlacementType::Pascal
+                        : PlacementType::PascalPredictive;
+    cfg.numInstances = 2;
+    cfg.gpuKvCapacityTokens = 12288;
+    cfg.kvBlockSizeTokens = 16;
+    cfg.limits.demoteThresholdTokens = 1500;
+    cfg.limits.demoteLookaheadTokens = 256;
+    return cfg;
+}
+
+/** A request storm on 3 instances with every fault species and the
+ *  SLO-class layer on. The retry budget never runs out and nothing is
+ *  shed, so every request finishes; about half the Interactive
+ *  requests outlive their deadline and are demoted to best-effort. */
+workload::Trace
+chaosTrace()
+{
+    Rng rng(4242);
+    auto profile = workload::DatasetProfile::alpacaEval();
+    profile.prompt = {80.0, 0.5, 32, 192};
+    profile.reasoning = {160.0, 0.7, 24, 700};
+    profile.answering = {70.0, 0.6, 16, 300};
+    auto trace = workload::generateTrace(profile, 150, 300.0, rng);
+    workload::assignSloClasses(trace);
+    return trace;
+}
+
+SystemConfig
+chaosConfig()
+{
+    SystemConfig cfg;
+    cfg.scheduler = SchedulerType::PascalSpec;
+    cfg.predictor.type = predict::PredictorType::Profile;
+    cfg.placement = PlacementType::PascalPredictive;
+    cfg.numInstances = 3;
+    cfg.gpuKvCapacityTokens = 16384;
+    cfg.kvBlockSizeTokens = 16;
+    cfg.limits.demoteThresholdTokens = 700;
+    cfg.fault.enabled = true;
+    cfg.fault.seed = 7;
+    cfg.fault.crashRate = 0.3;
+    cfg.fault.mttr = 1.5;
+    cfg.fault.decommissionRate = 0.1;
+    cfg.fault.drainGrace = 0.8;
+    cfg.fault.stragglerRate = 0.2;
+    cfg.fault.stragglerFactor = 3.0;
+    cfg.fault.stragglerDuration = 1.0;
+    cfg.fault.linkFailureProb = 0.2;
+    cfg.fault.retryBudget = 1000;
+    cfg.fault.backoffBase = 0.1;
+    cfg.fault.backoffCap = 1.0;
+    cfg.sloClasses.enabled = true;
+    cfg.sloClasses.overloadControl = false;
+    for (auto& c : cfg.sloClasses.classes)
+        c.demoteOnExpiry = true;
+    cfg.sloClasses
+        .classes[workload::sloClassIndex(workload::SloClass::Interactive)]
+        .relativeDeadline = 15.0;
+    return cfg;
+}
+
+/** name -> hex digest, in file order. */
+using Digests = std::vector<std::pair<std::string, std::string>>;
+
+Digests
+computeDigests()
+{
+    const std::pair<const char*, SchedulerType> scheds[] = {
+        {"fcfs", SchedulerType::Fcfs},
+        {"rr", SchedulerType::Rr},
+        {"pascal", SchedulerType::Pascal},
+        {"srpt", SchedulerType::Srpt},
+        {"pascal-spec", SchedulerType::PascalSpec},
+    };
+    const std::pair<const char*, predict::PredictorType> preds[] = {
+        {"none", predict::PredictorType::None},
+        {"oracle", predict::PredictorType::Oracle},
+        {"profile", predict::PredictorType::Profile},
+    };
+    auto hex = [](std::uint64_t d) {
+        char buf[20];
+        std::snprintf(buf, sizeof(buf), "%016" PRIx64, d);
+        return std::string(buf);
+    };
+    Digests out;
+    const workload::Trace trace = constrainedTrace();
+    for (const auto& [sched_name, sched] : scheds) {
+        for (const auto& [pred_name, pred] : preds) {
+            SystemConfig cfg = constrainedConfig(sched, pred);
+            // Speculative policies cannot run without a predictor; the
+            // config layer rejects that cell.
+            bool speculative = sched == SchedulerType::Srpt ||
+                               sched == SchedulerType::PascalSpec;
+            if (speculative && pred == predict::PredictorType::None)
+                continue;
+            out.emplace_back(
+                std::string("constrained/") + sched_name + "/" +
+                    pred_name,
+                hex(cluster::digest(
+                    cluster::RunContext::execute(cfg, trace))));
+        }
+    }
+    out.emplace_back(
+        "chaos-classes/pascal-spec/profile",
+        hex(cluster::digest(
+            cluster::RunContext::execute(chaosConfig(), chaosTrace()))));
+    return out;
+}
+
+/** Parses "name digest" lines; '#' starts a comment line. */
+std::map<std::string, std::string>
+readGolden(const std::string& path)
+{
+    std::map<std::string, std::string> golden;
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "cannot read " << path;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        std::string name;
+        std::string digest;
+        fields >> name >> digest;
+        golden[name] = digest;
+    }
+    return golden;
+}
+
+TEST(Golden, DigestsMatchTheCommittedFile)
+{
+    setQuiet(true);
+    const Digests computed = computeDigests();
+    setQuiet(false);
+    const auto golden = readGolden(std::string(PASCAL_TEST_SOURCE_DIR) +
+                                   "/golden/digests.txt");
+
+    std::string file;
+    bool all_match = golden.size() == computed.size();
+    for (const auto& [name, digest] : computed) {
+        file += name + " " + digest + "\n";
+        auto it = golden.find(name);
+        if (it == golden.end() || it->second != digest) {
+            all_match = false;
+            ADD_FAILURE() << name << ": computed " << digest
+                          << ", golden "
+                          << (it == golden.end() ? "<missing>"
+                                                 : it->second);
+        }
+    }
+    EXPECT_TRUE(all_match)
+        << "digests this build computes (tests/golden/digests.txt "
+           "without its comment header):\n"
+        << file;
+}
+
+} // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdlib>
 #include <string>
 
 #include "src/cluster/run_context.hh"
@@ -200,9 +201,12 @@ TEST_F(TraceEndToEnd, TracedRunCoversTheEventVocabulary)
     EXPECT_GE(categories, 6);
 
     // Plan boundaries label their tier, and non-reuse tiers say why
-    // the cheaper tier declined.
-    EXPECT_NE(result.traceJson.find("\"name\": \"reuse\""),
-              std::string::npos);
+    // the cheaper tier declined. The force-resort twin never reuses a
+    // plan, so it emits no reuse tier.
+    if (std::getenv("PASCAL_FORCE_RESORT") == nullptr) {
+        EXPECT_NE(result.traceJson.find("\"name\": \"reuse\""),
+                  std::string::npos);
+    }
     EXPECT_NE(result.traceJson.find("\"args\": {\"reason\": \""),
               std::string::npos);
 }
