@@ -54,15 +54,14 @@ Instance::Instance(InstanceId id, sim::Simulator& sim,
     if (this->sched == nullptr)
         panic("Instance needs a scheduler");
     this->sched->setInstanceId(id);
-    // Incremental queue maintenance + the steady-state plan-reuse
-    // fast path. enableIncremental() itself backs off for
-    // predictor-keyed policies and when the force-resort debug mode
-    // (SchedLimits::forceResort or the PASCAL_FORCE_RESORT env var)
-    // asks for recompute-from-scratch.
+    // The steady-state plan-reuse fast path. The scheduler ignores it
+    // under its force-resort twin (SchedLimits::forceResort or the
+    // PASCAL_FORCE_RESORT env var), which rebuilds every queue at
+    // every boundary.
     this->sched->enableIncremental();
     // Accrual debug mode: keep the eager O(hosted) walk as a
     // per-iteration stamp verification (construction-time read, like
-    // enableIncremental's).
+    // the scheduler's twin).
     verifyAccrual = this->sched->schedLimits().forceAccrue ||
                     std::getenv("PASCAL_FORCE_ACCRUE") != nullptr;
 }

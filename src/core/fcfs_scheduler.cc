@@ -1,7 +1,5 @@
 #include "src/core/fcfs_scheduler.hh"
 
-#include <algorithm>
-
 namespace pascal
 {
 namespace core
@@ -10,8 +8,8 @@ namespace core
 FcfsScheduler::FcfsScheduler(SchedLimits limits)
     : IntraScheduler(limits)
 {
-    // FCFS has no quantum; disable quantum accounting so the RR
-    // priority key never changes.
+    // FCFS has no quantum; disable quantum accounting so the quanta
+    // level of QueueOrder stays inert.
     this->limits.quantum = 0;
 }
 
@@ -24,21 +22,10 @@ FcfsScheduler::planInto(const model::KvPool& pool, IterationPlan& out)
     // resume-before-admit, block new arrivals behind the first
     // request that does not fit, and evict from the back (the most
     // recently arrived) when the decode batch cannot grow.
-    if (incrementalEnabled()) {
-        queue.repair(); // No-op except after add/remove.
-        greedySelectRanges(queue.end(), queue.end(), queue.begin(),
-                           queue.end(), /*cap_high=*/false, 0, pool,
-                           /*stop_at_unfit=*/true, out);
-        return;
-    }
-
-    orderScratch.clear();
-    for (auto* r : requests) {
-        if (schedulable(r))
-            orderScratch.push_back(r);
-    }
-    std::sort(orderScratch.begin(), orderScratch.end(), FcfsOrder{});
-    greedySelectInto(orderScratch, pool, /*stop_at_unfit=*/true, out);
+    queue.repair(); // No-op except after add/remove.
+    greedySelectRanges(queue.end(), queue.end(), queue.begin(),
+                       queue.end(), /*cap_high=*/false, 0, pool,
+                       /*stop_at_unfit=*/true, out);
 }
 
 } // namespace core

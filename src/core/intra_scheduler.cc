@@ -1,7 +1,6 @@
 #include "src/core/intra_scheduler.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <string>
 
@@ -64,35 +63,19 @@ SchedLimits::validate() const
     }
 }
 
-IntraScheduler::IntraScheduler(SchedLimits limits)
+IntraScheduler::IntraScheduler(SchedLimits limits, bool keyed)
     : limits(limits),
       resortForced(limits.forceResort ||
-                   std::getenv("PASCAL_FORCE_RESORT") != nullptr)
+                   std::getenv("PASCAL_FORCE_RESORT") != nullptr),
+      keyed(keyed)
 {
     limits.validate();
-}
-
-std::uint64_t
-IntraScheduler::nextSortStamp()
-{
-    static std::atomic<std::uint64_t> last{0};
-    return last.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 void
 IntraScheduler::enableIncremental()
 {
-    if (resortForced)
-        return;
-    if (!requests.empty())
-        panic("enableIncremental: must be called before requests are "
-              "added");
-    stateChanged = true;
-    lastPlanReusable = false;
-    if (keysUsePredictions())
-        keyedReuse = true;
-    else
-        incremental = true;
+    reuseEnabled = !resortForced;
 }
 
 void
@@ -110,7 +93,7 @@ IntraScheduler::add(workload::Request* req)
     else
         hostedFirst = req;
     hostedLast = req;
-    if (!incremental)
+    if (resortForced)
         return;
     // A migrated request carries stale bookkeeping from its previous
     // host; start from a clean slate.
@@ -149,16 +132,16 @@ IntraScheduler::remove(workload::Request* req)
         hostedLast = req->schedPrevHosted;
     req->schedPrevHosted = nullptr;
     req->schedNextHosted = nullptr;
-    if (incremental) {
-        if (req->schedCountedReasoning)
-            --reasoningCount;
-        if (req->schedCountedFreshAns)
-            --freshAnsweringCount;
-        req->schedCountedReasoning = false;
-        req->schedCountedFreshAns = false;
-        req->schedDemotionPending = false;
-        onHostedRemoved(req);
-    }
+    if (resortForced)
+        return;
+    if (req->schedCountedReasoning)
+        --reasoningCount;
+    if (req->schedCountedFreshAns)
+        --freshAnsweringCount;
+    req->schedCountedReasoning = false;
+    req->schedCountedFreshAns = false;
+    req->schedDemotionPending = false;
+    onHostedRemoved(req);
 }
 
 void
@@ -182,13 +165,38 @@ IntraScheduler::syncCounters(workload::Request* req)
 void
 IntraScheduler::noteExecuted(workload::Request* req)
 {
-    if (!incremental)
+    if (resortForced)
         return;
     bool quanta_changed =
         req->quantaConsumed != req->schedCachedQuanta;
     req->schedCachedQuanta = req->quantaConsumed;
     syncCounters(req);
     onRequestExecuted(req, quanta_changed);
+}
+
+void
+IntraScheduler::onRequestExecuted(workload::Request* req,
+                                  bool quanta_changed)
+{
+    if (quanta_changed || keyed)
+        queue.markDirty(req);
+    if (quanta_changed)
+        noteStateChanged();
+}
+
+void
+IntraScheduler::onPredictionsMoved()
+{
+    for (auto* r : requests)
+        queue.markDirty(r);
+}
+
+void
+IntraScheduler::rebuildQueues()
+{
+    queue.clear();
+    for (auto* r : requests)
+        queue.insert(r);
 }
 
 void
@@ -202,13 +210,13 @@ IntraScheduler::onPhaseTransition(workload::Request*)
 int
 IntraScheduler::numReasoning() const
 {
-    return incremental ? reasoningCount : scanReasoning();
+    return resortForced ? scanReasoning() : reasoningCount;
 }
 
 int
 IntraScheduler::numFreshAnswering() const
 {
-    return incremental ? freshAnsweringCount : scanFreshAnswering();
+    return resortForced ? scanFreshAnswering() : freshAnsweringCount;
 }
 
 int
@@ -239,20 +247,15 @@ void
 IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
 {
     out.reset();
-    const bool reuse_on = incremental || keyedReuse;
-    if (reuse_on) {
-        lastKeptResidents.clear();
-        lastDecodeCapped.clear();
-        lastDecodeKeys.clear();
-        lastHighBudgetCap = -1;
-    }
-    planInto(pool, out);
-    if (!reuse_on)
-        return;
-    stateChanged = false;
+    if (resortForced)
+        rebuildQueues();
+    else if (keyed && predictorVersion() != lastPredictorVersion)
+        onPredictionsMoved();
     lastPredictorVersion = predictorVersion();
+    planInto(pool, out);
+    stateChanged = false;
     lastPlanReusable =
-        out.prefill.empty() && out.prewarm.empty() &&
+        reuseEnabled && out.prefill.empty() && out.prewarm.empty() &&
         out.swapIn.empty() && out.swapOut.empty() &&
         !out.decode.empty() &&
         lastDecodeCapped.size() == out.decode.size();
@@ -272,18 +275,18 @@ IntraScheduler::reusePlan(const IterationPlan& prev,
                           const model::KvPool& pool)
 {
     reuseDecline = PlanDecline::None;
-    if (!incremental && !keyedReuse) {
+    if (!reuseEnabled) {
         reuseDecline = PlanDecline::Inactive;
         return false;
     }
     if (!lastPlanReusable || stateChanged ||
-        (keyedReuse && !keyedOrderHolds(prev))) {
+        (keyed && !keyedOrderHolds(prev))) {
         reuseDecline = PlanDecline::StateChanged;
         return false;
     }
-    // Deferred plan-time decisions (demotion) fire exactly here, the
-    // same point recompute mode applies them, so their timing relative
-    // to snapshots and callbacks is identical in both modes.
+    // Deferred plan-time decisions (demotion) fire exactly here, at
+    // the boundary a build would apply them, so their timing relative
+    // to snapshots and callbacks matches the twin's.
     if (reuseVeto(prev)) {
         reuseDecline = PlanDecline::Veto;
         return false;
@@ -339,7 +342,9 @@ IntraScheduler::keyedOrderHolds(const IterationPlan& prev)
     // noise factors), and the decode list order drives the engine's
     // callback order.
     for (std::size_t i = 1; i < prev.decode.size(); ++i) {
-        if (!keysInOrder(prev.decode[i - 1], prev.decode[i]))
+        const workload::Request* a = prev.decode[i - 1];
+        const workload::Request* b = prev.decode[i];
+        if (a->schedQueueTag == b->schedQueueTag && !QueueOrder{}(a, b))
             return false;
     }
     return true;
@@ -375,19 +380,6 @@ IntraScheduler::revalidate(const IterationPlan& prev,
         budget -= cost;
     }
     return true;
-}
-
-void
-IntraScheduler::greedySelectInto(
-    const std::vector<workload::Request*>& order,
-    const model::KvPool& pool, bool stop_at_unfit, IterationPlan& out,
-    std::size_t high_prefix_len, TokenCount high_budget_cap)
-{
-    auto split = order.begin() +
-                 static_cast<std::ptrdiff_t>(high_prefix_len);
-    greedySelectRanges(order.begin(), split, split, order.end(),
-                       high_prefix_len > 0, high_budget_cap, pool,
-                       stop_at_unfit, out);
 }
 
 void

@@ -7,63 +7,44 @@
  * requests prefill, decode, swap in, or are evicted, subject to the
  * GPU KV capacity.
  *
- * Incremental mode and the dirty-set contract
- * -------------------------------------------
- * The per-iteration scheduling path is the simulator's hottest loop,
- * so the base class supports two modes:
+ * Every policy keeps its priority order in OrderedQueues and maintains
+ * the r_i / a_i monitor counters as requests change. A build repairs
+ * the queues, re-keying and re-placing only the members whose key
+ * moved, and walks them greedily against the KV budget
+ * (greedySelectRanges()). Between builds, reusePlan() lets the
+ * instance run the last plan verbatim while nothing it depends on
+ * changed.
  *
- *  - Recompute mode (default; also PASCAL_FORCE_RESORT /
- *    SchedLimits::forceResort): every buildPlan() call rebuilds and
- *    re-sorts the priority order from scratch. Simple, and the
- *    reference behaviour the invariance tests compare against.
- *    Predictor-keyed schedulers (keysUsePredictions(): SRPT and
- *    PASCAL-Spec) always build here. A predicted remaining length moves
- *    with every generated token, so maintained queues would relink
- *    every executed member every iteration; an online learner
- *    (profile, rank) also re-keys every hosted request when its served
- *    predictions change. Their sorts are warm-started (warmSort()):
- *    members keep their last order while it holds, so a plan costs
- *    one prediction per schedulable request plus a sort of the
- *    members that moved. The force-resort mode sorts from scratch.
- *    They still reuse plans: between predictor version bumps a
- *    running member's key never increases and an idle request's key
- *    never moves, so reusePlan() re-keys only the last plan's decode
- *    members and proves the walk would pick them again (README,
- *    "Predictor-keyed policies reuse plans between predictor
- *    changes").
+ * The dirty-set contract: every mutation of a hosted request's
+ * scheduler-visible state reaches the scheduler through one of
  *
- *  - Incremental mode (enabled by the owning Instance via
- *    enableIncremental()): the scheduler maintains its priority
- *    queues, the r_i / a_i monitor counters, and demotion candidates
- *    across iterations, repairing only requests whose ordering key
- *    actually changed. Each queue is an OrderedQueue: one sorted
- *    vector into which the changed members are merged back at the
- *    next build. In the dominant decode-only steady state
- *    reusePlan() lets the instance run the previous IterationPlan
- *    verbatim, skipping plan construction entirely; every other
- *    boundary is a full buildPlan() walk.
+ *  - add() / remove()       membership (arrival, migration, finish,
+ *                           class-rank change),
+ *  - noteExecuted()         after each emitToken()/completePrefill()
+ *                           (token progress, quantum rollover, phase
+ *                           flip, KV growth),
+ *  - onPhaseTransition()    reasoning->answering staying home,
+ *  - noteResidency()        exec-state flips (swaps, prefill
+ *                           allocation); no key reads them, so they
+ *                           only block verbatim reuse.
  *
- * Incremental mode relies on the *dirty-set contract*: every mutation
- * of a hosted request's scheduler-visible state must reach the
- * scheduler through one of the notification points —
+ * Predictor-keyed policies (keysUsePredictions(): SRPT, PASCAL-Spec)
+ * order by a prediction that moves with the request's own progress,
+ * so an executed member goes dirty every token and its key is re-read
+ * once at the next repair. While LengthPredictor::version() holds, an
+ * idle request's prediction cannot move; when it moves, the next build
+ * marks every member dirty (onPredictionsMoved()). Their plans are
+ * reused only while the batch provably keeps its order
+ * (keyedOrderHolds()).
  *
- *  - add() / remove()          membership (arrival, migration, finish),
- *  - noteExecuted()            after each emitToken()/completePrefill()
- *                              (token progress, quantum rollover, phase
- *                              flip, KV growth),
- *  - onPhaseTransition()       reasoning->answering staying home.
- *
- * No ordering key reads the exec state, so residency flips (swaps,
- * prefill allocation; noteResidency()) only block verbatim plan reuse.
- * Incremental keys never read the predictor, so predictor updates need
- * no notification (keyed plan reuse compares LengthPredictor::version()
- * instead). Code that mutates requests behind the scheduler's
- * back (unit tests poking exec states directly) must simply leave
- * incremental mode off.
- * Subclasses hook the notifications via onHostedAdded/onHostedRemoved/
- * onRequestExecuted and must keep their queues equal to what their
- * recompute path would build — the randomized force-resort invariance
- * tests enforce byte-identical RunResults across the two modes.
+ * The force-resort twin (SchedLimits::forceResort, or the
+ * PASCAL_FORCE_RESORT environment variable) is the independent
+ * reference: it ignores the notifications, rebuilds every queue from
+ * hosted() at each build (rebuildQueues()), re-keys and cold-sorts
+ * every member, re-checks demotion on every high-queue request,
+ * answers the monitor counters by scanning, and never reuses a plan.
+ * The randomized invariance tests and the golden digests hold the two
+ * byte-identical.
  */
 
 #ifndef PASCAL_CORE_INTRA_SCHEDULER_HH
@@ -116,8 +97,15 @@ std::size_t numPlanDeclineNames();
 class IntraScheduler
 {
   public:
-    explicit IntraScheduler(SchedLimits limits);
+    /** @param keyed The policy orders by predictions (see
+     *  keysUsePredictions()). */
+    explicit IntraScheduler(SchedLimits limits, bool keyed = false);
     virtual ~IntraScheduler() = default;
+
+    /** Hosted requests and PASCAL's high-queue alias refer into the
+     *  scheduler, so it is not copyable. */
+    IntraScheduler(const IntraScheduler&) = delete;
+    IntraScheduler& operator=(const IntraScheduler&) = delete;
 
     /** Policy name for reports. */
     virtual std::string name() const = 0;
@@ -144,6 +132,15 @@ class IntraScheduler
      *  this so O(1) swap-pop removal cannot perturb their output. */
     workload::Request* hostedHead() const { return hostedFirst; }
 
+    /** True if @p req is currently hosted by *this* scheduler (the
+     *  intrusive fields alone cannot tell schedulers apart). */
+    bool
+    isHosted(const workload::Request* req) const
+    {
+        return req->schedHostedPos < requests.size() &&
+               requests[req->schedHostedPos] == req;
+    }
+
     /**
      * Build the next iteration's plan into @p out. @p out is reset
      * first with its capacity retained, so steady-state replans do
@@ -164,7 +161,7 @@ class IntraScheduler
      * Steady-state fast path: true if @p prev (the plan built by the
      * last buildPlan() and since executed once) is still *exactly*
      * what buildPlan() would produce, in which case the instance runs
-     * it again verbatim. Holds when (a) the fast path is on
+     * it again verbatim. Holds when (a) plan reuse is on
      * (enableIncremental()), (b) the previous plan was pure decode (no
      * prefill / prewarm / swaps), (c) no membership, residency, key,
      * or demotion change was observed since, and (d) re-walking the
@@ -172,15 +169,15 @@ class IntraScheduler
      * still fits and every kept resident still holds its memory. (d)
      * is O(batch) integer arithmetic — no sorting, no allocation.
      *
-     * Predictor-keyed schedulers build in recompute mode, so for them
-     * (c) is checked here, in O(batch): the predictor version is
-     * unchanged, every decode member keeps its build-time phase,
-     * quanta, class rank and GPU residency, its re-read key
-     * (queueKey()) is at most its build-time key, and members of one
-     * queue are still in the policy's order (keysInOrder()). Idle
-     * requests' keys are frozen and the budget ahead of them only
-     * shrinks, so none can overtake a member. When it returns false
-     * the caller walks: buildPlan().
+     * A predictor-keyed member's key moves every token without
+     * raising (c), so for those policies (c) is also checked here, in
+     * O(batch): the predictor version is unchanged, every decode
+     * member keeps its build-time phase, quanta, class rank and GPU
+     * residency, its re-read key (queueKey()) is at most its
+     * build-time key, and members of one queue are still in
+     * QueueOrder. Idle requests' keys are frozen and the budget ahead
+     * of them only shrinks, so none can overtake a member. When it
+     * returns false the caller walks: buildPlan().
      */
     bool reusePlan(const IterationPlan& prev, const model::KvPool& pool);
 
@@ -200,31 +197,24 @@ class IntraScheduler
      * Instance notification: @p req just emitted a token (or finished
      * prefill) in the iteration being completed. Updates the
      * maintained counters and forwards key changes to the subclass.
-     * No-op in recompute mode.
      */
     void noteExecuted(workload::Request* req);
 
     /** Paper r_i: reasoning requests in the high-priority queue
-     *  (excludes demoted ones). O(1) in incremental mode. */
+     *  (excludes demoted ones). O(1). */
     int numReasoning() const;
 
     /** Paper a_i: answering requests that have not exhausted their
-     *  first time quantum. O(1) in incremental mode. */
+     *  first time quantum. O(1). */
     int numFreshAnswering() const;
 
     const SchedLimits& schedLimits() const { return limits; }
 
     /**
-     * Switch on the fast path: incremental maintenance plus plan
-     * reuse. Must be called before any request is added. A
-     * keysUsePredictions() scheduler keeps building in recompute mode
-     * and gets plan reuse only (see the file comment). Ignored when
-     * SchedLimits::forceResort is set or the PASCAL_FORCE_RESORT
-     * environment variable was set at construction.
+     * Switch on verbatim plan reuse (reusePlan()); without it every
+     * boundary builds. Ignored by the force-resort twin.
      */
     void enableIncremental();
-
-    bool incrementalEnabled() const { return incremental; }
 
     /** Instance id for diagnostics (placement-bug panics). */
     void setInstanceId(InstanceId id) { instanceId = id; }
@@ -245,10 +235,10 @@ class IntraScheduler
         return lengthPredictor;
     }
 
-    /** True if ordering keys come from the predictor; such a
-     *  scheduler never enters incremental mode, and its plans are
-     *  reused only while the predictor version holds. */
-    virtual bool keysUsePredictions() const { return false; }
+    /** True if ordering keys come from the predictor: executed members
+     *  re-key every token, and plans are reused only while the
+     *  predictor version holds and the batch keeps its order. */
+    bool keysUsePredictions() const { return keyed; }
 
     /**
      * Residents the last buildPlan() left resident without running
@@ -268,8 +258,7 @@ class IntraScheduler
     PlanDecline lastReuseDecline() const { return reuseDecline; }
 
   protected:
-    /** A position in a priority order: an OrderedQueue's or a plain
-     *  order vector's. */
+    /** A position in an OrderedQueue's order. */
     using OrderIt = std::vector<workload::Request*>::const_iterator;
 
     /** True if @p req can be considered for scheduling at all.
@@ -289,38 +278,51 @@ class IntraScheduler
         }
     }
 
-    /** Policy hook: produce the plan. @p out arrives reset. */
+    /** Policy hook: repair the queues and walk them
+     *  (greedySelectRanges()) into @p out, which arrives reset. */
     virtual void planInto(const model::KvPool& pool,
                           IterationPlan& out) = 0;
 
-    /** @name Incremental-mode subclass hooks */
+    /** @name Queue-maintenance hooks (the twin calls none of them)
+     *
+     * The defaults keep every hosted request in `queue`; a policy with
+     * more queues (PASCAL) overrides them all. */
     /** @{ */
 
-    /** @p req joined the hosted set (insert it into your queues and
-     *  seed its cached ordering key). */
-    virtual void onHostedAdded(workload::Request* req) { (void)req; }
+    /** @p req joined the hosted set: insert it into your queues (its
+     *  key is read at the next repair). */
+    virtual void onHostedAdded(workload::Request* req) { queue.insert(req); }
 
     /** @p req left the hosted set (erase it from your queues). */
-    virtual void onHostedRemoved(workload::Request* req) { (void)req; }
+    virtual void onHostedRemoved(workload::Request* req) { queue.erase(req); }
 
     /**
      * @p req ran in the just-completed iteration: its generated-token
-     * count (hence KV) advanced, and possibly its quantum or phase.
-     * Mark it dirty in your queues if its ordering key changed.
+     * count (hence KV and any prediction) advanced, and possibly its
+     * quantum or phase. Mark it dirty in your queues if its ordering
+     * key changed. A quantum rollover blocks plan reuse; a keyed
+     * policy's moved prediction does not (keyedOrderHolds() decides).
      */
     virtual void onRequestExecuted(workload::Request* req,
-                                   bool quanta_changed)
-    {
-        (void)req;
-        (void)quanta_changed;
-    }
+                                   bool quanta_changed);
+
+    /** Keyed policies: the predictor version moved since the last
+     *  build, so every member's key may have. Runs at the start of
+     *  the build. */
+    virtual void onPredictionsMoved();
+
+    /** @} */
+
+    /** Force-resort twin: empty every queue and re-insert every hosted
+     *  request by its current state, applying any demotion due. Runs
+     *  at the start of every build. */
+    virtual void rebuildQueues();
 
     /**
      * Last gate before verbatim plan reuse of @p prev; runs any
-     * deferred decisions that recompute mode would take at plan time
-     * (PASCAL's demotion rule). Return true to veto the reuse. May
-     * mutate scheduler state (an applied demotion both vetoes and
-     * updates the queues).
+     * deferred decisions a build would take (PASCAL's demotion rule).
+     * Return true to veto the reuse. May mutate scheduler state (an
+     * applied demotion both vetoes and updates the queues).
      */
     virtual bool
     reuseVeto(const IterationPlan& prev)
@@ -330,10 +332,10 @@ class IntraScheduler
     }
 
     /**
-     * Predictor-derived ordering key cached into schedScore
-     * (ascending = served first). Only called when
-     * keysUsePredictions(): by the policy's plan build, and by
-     * reusePlan() to re-key the last plan's decode members.
+     * Ordering key cached into schedScore at repair (ascending =
+     * served first): the predictor's rank score for keyed policies, 0
+     * otherwise. Also called by reusePlan() to re-key the last plan's
+     * decode members.
      */
     virtual double
     queueKey(const workload::Request* req) const
@@ -342,20 +344,13 @@ class IntraScheduler
         return 0.0;
     }
 
-    /**
-     * Keyed plan reuse: true if @p a (ahead of @p b in the last plan's
-     * decode list) still precedes @p b in the policy's order under
-     * their current schedScore keys, or if they sit in different
-     * queues. The default proves nothing, so a keyed policy that does
-     * not override it never reuses a plan.
-     */
-    virtual bool
-    keysInOrder(const workload::Request* a,
-                const workload::Request* b) const
+    /** Repair functor caching queueKey() into schedScore. */
+    auto
+    rekey() const
     {
-        (void)a;
-        (void)b;
-        return false;
+        return [this](workload::Request* r) {
+            r->schedScore = queueKey(r);
+        };
     }
 
     /** Subclasses call this whenever queue contents or keys changed
@@ -367,17 +362,6 @@ class IntraScheduler
      *  counters from its live state. */
     void syncCounters(workload::Request* req);
 
-    /** True if @p req is currently hosted by *this* scheduler (the
-     *  intrusive fields alone cannot tell schedulers apart). */
-    bool
-    isHosted(const workload::Request* req) const
-    {
-        return req->schedHostedPos < requests.size() &&
-               requests[req->schedHostedPos] == req;
-    }
-
-    /** @} */
-
     /**
      * Shared greedy selection over two priority ranges (the capped
      * high-priority segment, then the uncapped rest): walk by
@@ -388,7 +372,7 @@ class IntraScheduler
      * the leftover budget allows and evicted (swapOut) otherwise,
      * which preempts the lowest-priority requests first.
      *
-     * Policies with skip semantics (RR, PASCAL) pass
+     * Policies with skip semantics (RR, PASCAL, SRPT) pass
      * stop_at_unfit = false; strict-order policies stop the walk at
      * the first candidate that does not fit.
      *
@@ -416,113 +400,6 @@ class IntraScheduler
                             const model::KvPool& pool, bool stop_at_unfit,
                             IterationPlan& out);
 
-    /** Single-order convenience over greedySelectRanges: the first
-     *  @p high_prefix_len entries of @p order form the capped high
-     *  segment (0 disables the cap). */
-    void greedySelectInto(const std::vector<workload::Request*>& order,
-                          const model::KvPool& pool, bool stop_at_unfit,
-                          IterationPlan& out,
-                          std::size_t high_prefix_len = 0,
-                          TokenCount high_budget_cap = 0);
-
-    /** Where one queue's members sat after its last warmSort(). */
-    struct SortMemo
-    {
-        std::uint64_t stamp = 0; //!< 0 = never sorted.
-        std::size_t size = 0;
-    };
-
-    /**
-     * std::sort of @p items by @p order, warm-started from the last
-     * sort of the same queue (@p memo). @p order must be a strict total
-     * order over (schedClassRank, quantaConsumed, schedScore) and the
-     * immutable arrival and id. Members keep their last relative order
-     * while it still holds: one whose three mutable fields are
-     * unchanged since that sort (an anchor) always does, and a
-     * re-keyed one does while it still sorts between the last member
-     * kept and the next anchor. Only new and displaced members are
-     * sorted and then merged in: O(n + k log k) for k of them, and the
-     * same result as std::sort because the order is total. The
-     * force-resort debug mode sorts from scratch instead.
-     */
-    template <typename Order>
-    void
-    warmSort(std::vector<workload::Request*>& items, SortMemo& memo,
-             Order order)
-    {
-        if (resortForced) {
-            std::sort(items.begin(), items.end(), order);
-            return;
-        }
-        sortSlots.assign(memo.size, nullptr);
-        sortChanged.clear();
-        for (auto* r : items) {
-            if (memo.stamp != 0 && r->sortStamp == memo.stamp)
-                sortSlots[r->sortRank] = r;
-            else
-                sortChanged.push_back(r);
-        }
-        auto anchor = [](const workload::Request* r) {
-            return r != nullptr && r->sortClassRank == r->schedClassRank &&
-                   r->sortQuanta == r->quantaConsumed &&
-                   r->sortScore == r->schedScore;
-        };
-        // Compacts the kept run to the front in place: writes land at
-        // or behind the slot being read, never on the next anchor.
-        const std::size_t slots = sortSlots.size();
-        std::size_t kept = 0;
-        std::size_t next_anchor = 0;
-        for (std::size_t i = 0; i < slots; ++i) {
-            workload::Request* r = sortSlots[i];
-            if (r == nullptr)
-                continue;
-            if (!anchor(r)) {
-                if (next_anchor <= i) {
-                    next_anchor = i + 1;
-                    while (next_anchor < slots &&
-                           !anchor(sortSlots[next_anchor]))
-                        ++next_anchor;
-                }
-                if ((kept > 0 && !order(sortSlots[kept - 1], r)) ||
-                    (next_anchor < slots &&
-                     !order(r, sortSlots[next_anchor]))) {
-                    sortChanged.push_back(r);
-                    continue;
-                }
-            }
-            sortSlots[kept++] = r;
-        }
-        std::sort(sortChanged.begin(), sortChanged.end(), order);
-        std::merge(sortSlots.begin(),
-                   sortSlots.begin() + static_cast<std::ptrdiff_t>(kept),
-                   sortChanged.begin(), sortChanged.end(), items.begin(),
-                   order);
-        memo.stamp = nextSortStamp();
-        memo.size = items.size();
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            workload::Request* r = items[i];
-            r->sortStamp = memo.stamp;
-            r->sortRank = static_cast<std::uint32_t>(i);
-            r->sortClassRank = r->schedClassRank;
-            r->sortQuanta = r->quantaConsumed;
-            r->sortScore = r->schedScore;
-        }
-    }
-
-    /** Legacy convenience (unit probes): greedySelectInto on a fresh
-     *  plan. */
-    IterationPlan
-    greedySelect(const std::vector<workload::Request*>& order,
-                 const model::KvPool& pool, bool stop_at_unfit,
-                 std::size_t high_prefix_len = 0,
-                 TokenCount high_budget_cap = 0)
-    {
-        IterationPlan out;
-        greedySelectInto(order, pool, stop_at_unfit, out,
-                         high_prefix_len, high_budget_cap);
-        return out;
-    }
-
     std::vector<workload::Request*> requests;
 
     /** Insertion-ordered intrusive hosted list (see hostedHead()). */
@@ -531,28 +408,26 @@ class IntraScheduler
 
     SchedLimits limits;
     const predict::LengthPredictor* lengthPredictor = nullptr;
-
-    /** Reusable order buffer for planInto implementations. */
-    std::vector<workload::Request*> orderScratch;
-
-    bool incremental = false;
     InstanceId instanceId = kNoInstance;
 
+    /** Force-resort twin (SchedLimits::forceResort or the
+     *  PASCAL_FORCE_RESORT environment variable, read at
+     *  construction). */
+    const bool resortForced;
+
+    /** The one queue of FCFS, RR and SRPT; PASCAL's high queue. */
+    OrderedQueue queue{1};
+
   private:
-    /** Process-wide unique warmSort() stamp, so a request carried over
-     *  from another queue or scheduler never matches a memo. */
-    static std::uint64_t nextSortStamp();
+    /** Orders by predictions (keysUsePredictions()). */
+    const bool keyed;
 
-    /** Force-resort debug mode (SchedLimits::forceResort or the
-     *  PASCAL_FORCE_RESORT environment variable, read at construction):
-     *  no incremental mode, and warmSort() sorts from scratch. */
-    bool resortForced = false;
+    /** Verbatim plan reuse is on (enableIncremental()). */
+    bool reuseEnabled = false;
 
-    /** @name warmSort() scratch */
-    /** @{ */
-    std::vector<workload::Request*> sortSlots;
-    std::vector<workload::Request*> sortChanged;
-    /** @} */
+    /** O(batch) re-walk of the recorded greedy selection. */
+    bool revalidate(const IterationPlan& prev,
+                    const model::KvPool& pool) const;
 
     /**
      * Shared tail of the greedy walk: keep unselected residents while
@@ -562,10 +437,6 @@ class IntraScheduler
     void finishGreedySelect(const model::KvPool& pool,
                             IterationPlan& out,
                             TokenCount leftover_budget);
-
-    /** O(batch) re-walk of the recorded greedy selection. */
-    bool revalidate(const IterationPlan& prev,
-                    const model::KvPool& pool) const;
 
     /** Keyed reuse, check (c) of reusePlan(): re-keys @p prev's decode
      *  members (updating their schedScore) and proves the walk would
@@ -584,30 +455,25 @@ class IntraScheduler
     recordDecode(const workload::Request* r, bool capped)
     {
         lastDecodeCapped.push_back(capped ? 1 : 0);
-        if (keyedReuse) {
+        if (keyed) {
             lastDecodeKeys.push_back({r->schedScore, r->quantaConsumed,
                                       r->phase(), r->schedClassRank});
         }
     }
 
-    /** Recompute-mode counter scans. */
+    /** The twin's monitor counters: O(hosted) scans. */
     int scanReasoning() const;
     int scanFreshAnswering() const;
 
-    /** Maintained monitor counters (incremental mode). */
+    /** Maintained monitor counters. */
     int reasoningCount = 0;
     int freshAnsweringCount = 0;
 
     /** Telemetry: why the last reuse attempt declined. */
     PlanDecline reuseDecline = PlanDecline::None;
 
-    /** Plan reuse for a predictor-keyed scheduler in recompute mode
-     *  (set by enableIncremental()). */
-    bool keyedReuse = false;
-
     /** Any membership/residency/key/queue change since the last
-     *  buildPlan. add(), remove() and noteResidency() raise it in
-     *  both modes. */
+     *  buildPlan. add(), remove() and noteResidency() raise it. */
     bool stateChanged = true;
 
     /** Last plan qualifies for verbatim reuse (pure decode). */
@@ -630,11 +496,10 @@ class IntraScheduler
         std::uint8_t classRank = 0; //!< schedClassRank.
     };
 
-    /** Parallel to lastDecodeCapped (keyed reuse only). */
+    /** Parallel to lastDecodeCapped (keyed policies only). */
     std::vector<DecodeKeys> lastDecodeKeys;
 
-    /** Predictor version the last plan was built under (keyed
-     *  reuse). */
+    /** Predictor version the last plan was built under. */
     std::uint64_t lastPredictorVersion = 0;
 
     /**

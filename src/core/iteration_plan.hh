@@ -113,12 +113,12 @@ struct SchedLimits
     bool chunkedPrefill = false;
 
     /**
-     * Debug mode: disable the incremental scheduling fast path and
-     * recompute every queue from scratch at every iteration (the
-     * pre-optimization behaviour). The PASCAL_FORCE_RESORT environment
-     * variable forces this globally. Results must be byte-identical
-     * either way — the plan-reuse invariance tests run the same traces
-     * in both modes and compare RunResults field by field.
+     * Debug twin: ignore the scheduler's queue maintenance and plan
+     * reuse, and rebuild, re-key and cold-sort every queue from the
+     * hosted set at every iteration. The PASCAL_FORCE_RESORT
+     * environment variable forces this globally. Results must be
+     * byte-identical either way — the plan-reuse invariance tests run
+     * the same traces both ways and compare RunResults.
      */
     bool forceResort = false;
 

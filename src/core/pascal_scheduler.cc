@@ -9,8 +9,8 @@ namespace pascal
 namespace core
 {
 
-PascalScheduler::PascalScheduler(SchedLimits limits)
-    : IntraScheduler(limits)
+PascalScheduler::PascalScheduler(SchedLimits limits, bool keyed)
+    : IntraScheduler(limits, keyed)
 {
     if (this->limits.quantum <= 0)
         fatal("PascalScheduler requires a positive token quantum");
@@ -28,7 +28,7 @@ PascalScheduler::shouldDemote(const workload::Request* req) const
     return req->kvTokens() > limits.demoteThresholdTokens;
 }
 
-OrderedQueue<PascalQueueOrder>&
+OrderedQueue&
 PascalScheduler::queueOf(const workload::Request* r)
 {
     switch (r->schedQueueTag) {
@@ -39,20 +39,6 @@ PascalScheduler::queueOf(const workload::Request* r)
       default:
         panic("PascalScheduler: request " + std::to_string(r->id()) +
               " not in any queue");
-    }
-}
-
-void
-PascalScheduler::applyDemotion()
-{
-    for (auto* r : requests) {
-        if (!r->demoted && r->phase() == workload::Phase::Reasoning &&
-            shouldDemote(r)) {
-            // The request now competes as a low-priority request; its
-            // quantum restarts in the new queue.
-            r->demoted = true;
-            r->resetQuantum();
-        }
     }
 }
 
@@ -93,25 +79,9 @@ PascalScheduler::processPendingDemotions()
 }
 
 bool
-PascalScheduler::reuseVeto(const IterationPlan& prev)
+PascalScheduler::reuseVeto(const IterationPlan&)
 {
-    if (incrementalEnabled())
-        return processPendingDemotions();
-    // Keyed reuse: only the batch members' demotion inputs (KV, and
-    // the prediction) moved since the build applied the rule.
-    for (const auto* r : prev.decode) {
-        if (isHighPriority(r) && shouldDemote(r))
-            return true;
-    }
-    return false;
-}
-
-bool
-PascalScheduler::keysInOrder(const workload::Request* a,
-                             const workload::Request* b) const
-{
-    return isHighPriority(a) != isHighPriority(b) ||
-           PascalQueueOrder{}(a, b);
+    return processPendingDemotions();
 }
 
 void
@@ -120,12 +90,8 @@ PascalScheduler::onHostedAdded(workload::Request* req)
     if (isHighPriority(req)) {
         highQueue.insert(req);
         // A request arriving with a fat KV may demote at the very
-        // next plan boundary, just as recompute mode's full
-        // applyDemotion scan would find it.
-        if (demotionPossible(req)) {
-            req->schedDemotionPending = true;
-            demotionCandidates.push_back(req);
-        }
+        // next plan boundary.
+        addDemotionCandidate(req);
     } else {
         lowQueue.insert(req);
     }
@@ -151,92 +117,59 @@ PascalScheduler::onRequestExecuted(workload::Request* req,
     } else if (quanta_changed) {
         queueOf(req).markDirty(req);
         noteStateChanged();
+    } else if (keysUsePredictions()) {
+        // Its predicted length moved with its progress;
+        // keyedOrderHolds() decides plan reuse.
+        queueOf(req).markDirty(req);
     }
-    if (high && !req->schedDemotionPending && demotionPossible(req)) {
-        // Its KV grew into reach of the demotion rule; re-check at
-        // the next plan boundary.
-        req->schedDemotionPending = true;
-        demotionCandidates.push_back(req);
+    // Its KV grew, possibly into reach of the demotion rule.
+    if (high)
+        addDemotionCandidate(req);
+}
+
+void
+PascalScheduler::onPredictionsMoved()
+{
+    for (auto* r : requests) {
+        queueOf(r).markDirty(r);
+        if (isHighPriority(r))
+            addDemotionCandidate(r);
     }
 }
 
 void
-PascalScheduler::sortQueue(std::vector<workload::Request*>& queue,
-                           SortMemo& memo)
+PascalScheduler::rebuildQueues()
 {
-    if (keysUsePredictions()) {
-        // Precompute keys so predictor-backed variants pay one
-        // prediction per request, not one per comparison.
-        for (auto* r : queue)
-            r->schedScore = queueKey(r);
+    highQueue.clear();
+    lowQueue.clear();
+    for (auto* r : requests) {
+        if (isHighPriority(r) && shouldDemote(r)) {
+            // The request now competes as a low-priority request; its
+            // quantum restarts in the new queue.
+            r->demoted = true;
+            r->resetQuantum();
+        }
+        (isHighPriority(r) ? highQueue : lowQueue).insert(r);
     }
-    warmSort(queue, memo, PascalQueueOrder{});
 }
 
 void
 PascalScheduler::planInto(const model::KvPool& pool, IterationPlan& out)
 {
-    if (incrementalEnabled())
-        incrementalPlan(pool, out);
-    else
-        recomputePlan(pool, out);
-}
-
-void
-PascalScheduler::recomputePlan(const model::KvPool& pool,
-                               IterationPlan& out)
-{
-    applyDemotion();
-
-    // High-priority (reasoning) requests first, each queue internally
-    // round-robin ordered. The greedy walk then gives reasoning
-    // requests preferential KV allocation and evicts answering
-    // requests first when memory runs short.
-    highScratch.clear();
-    lowScratch.clear();
-    for (auto* r : requests) {
-        if (!schedulable(r))
-            continue;
-        (isHighPriority(r) ? highScratch : lowScratch).push_back(r);
-    }
-
-    sortQueue(highScratch, highMemo);
-    sortQueue(lowScratch, lowMemo);
-
-    orderScratch.clear();
-    orderScratch.insert(orderScratch.end(), highScratch.begin(),
-                        highScratch.end());
-    orderScratch.insert(orderScratch.end(), lowScratch.begin(),
-                        lowScratch.end());
+    processPendingDemotions();
+    highQueue.repair(rekey());
+    lowQueue.repair(rekey());
 
     // Optional answering reserve: cap how much KV the high queue may
     // claim so the low queue is never fully squeezed out.
     TokenCount high_cap = static_cast<TokenCount>(
         static_cast<double>(pool.gpuCapacity()) *
         (1.0 - limits.answeringReserveFraction));
-    std::size_t prefix = limits.answeringReserveFraction > 0.0
-                             ? highScratch.size()
-                             : 0;
 
-    greedySelectInto(orderScratch, pool, /*stop_at_unfit=*/false, out,
-                     prefix, high_cap);
-}
-
-void
-PascalScheduler::incrementalPlan(const model::KvPool& pool,
-                                 IterationPlan& out)
-{
-    processPendingDemotions();
-    highQueue.repair();
-    lowQueue.repair();
-
-    TokenCount high_cap = static_cast<TokenCount>(
-        static_cast<double>(pool.gpuCapacity()) *
-        (1.0 - limits.answeringReserveFraction));
-
-    // The queues are walked in place — no scratch concatenation pass;
-    // the high (reasoning) queue outranks the low queue exactly as the
-    // recompute sort's concatenated order does.
+    // High-priority (reasoning) requests first, each queue internally
+    // round-robin ordered: the greedy walk gives reasoning requests
+    // preferential KV allocation and evicts answering requests first
+    // when memory runs short. The queues are walked in place.
     greedySelectRanges(highQueue.begin(), highQueue.end(),
                        lowQueue.begin(), lowQueue.end(),
                        limits.answeringReserveFraction > 0.0, high_cap,
@@ -247,7 +180,7 @@ void
 PascalScheduler::onPhaseTransition(workload::Request* req)
 {
     req->resetQuantum();
-    if (!incrementalEnabled())
+    if (resortForced)
         return;
     req->schedCachedQuanta = req->quantaConsumed;
     syncCounters(req); // The quantum reset makes it "fresh" again.

@@ -15,12 +15,14 @@
  * (paper: 5000 tokens) is demoted to the low-priority queue so one
  * monster request cannot starve the answering phase.
  *
- * In incremental mode both queues are OrderedQueues (sorted vectors)
- * repaired only for requests whose quantaConsumed key or
- * phase/demotion membership changed, and the demotion rule is re-checked only for requests whose
- * KV moved since the last plan. Predictor-keyed variants build in
- * recompute mode and reuse plans between predictor changes (see
- * IntraScheduler's file comment).
+ * Both queues are OrderedQueues in QueueOrder, which for PASCAL
+ * reduces to (quantaConsumed, arrival, id) and for PASCAL-Spec to
+ * (quantaConsumed, predicted length, arrival, id). They are repaired
+ * only for requests whose key or phase/demotion membership changed.
+ * The demotion rule is re-checked only for candidates: high-queue
+ * requests whose KV moved into reach of the threshold since the last
+ * plan, and, when the predictor version moves, every high-queue
+ * request inside the lookahead window (demotionWindow()).
  */
 
 #ifndef PASCAL_CORE_PASCAL_SCHEDULER_HH
@@ -38,33 +40,6 @@ namespace core
 {
 
 /**
- * Within-queue strict total order shared by the reactive and
- * speculative PASCAL variants (and by both the incremental repair and
- * the recompute-mode full sort, so the two modes cannot diverge):
- * SLO-class rank first (all zero with classes off, so the level is
- * inert), then fewest quanta consumed, then cached rank score (always
- * 0 for the reactive policy, making the level a no-op), then arrival,
- * then id.
- */
-struct PascalQueueOrder
-{
-    bool
-    operator()(const workload::Request* a,
-               const workload::Request* b) const
-    {
-        if (a->schedClassRank != b->schedClassRank)
-            return a->schedClassRank < b->schedClassRank;
-        if (a->quantaConsumed != b->quantaConsumed)
-            return a->quantaConsumed < b->quantaConsumed;
-        if (a->schedScore != b->schedScore)
-            return a->schedScore < b->schedScore;
-        if (a->spec().arrival != b->spec().arrival)
-            return a->spec().arrival < b->spec().arrival;
-        return a->id() < b->id();
-    }
-};
-
-/**
  * Phase-aware two-queue scheduler.
  *
  * The demotion rule and the within-queue priority are virtual hooks so
@@ -75,7 +50,9 @@ struct PascalQueueOrder
 class PascalScheduler : public IntraScheduler
 {
   public:
-    explicit PascalScheduler(SchedLimits limits);
+    explicit PascalScheduler(SchedLimits limits)
+        : PascalScheduler(limits, false)
+    {}
 
     std::string name() const override { return "PASCAL"; }
 
@@ -84,20 +61,27 @@ class PascalScheduler : public IntraScheduler
     void onPhaseTransition(workload::Request* req) override;
 
   protected:
+    PascalScheduler(SchedLimits limits, bool keyed);
+
+    /** Processes pending demotions, repairs both queues, and walks the
+     *  high queue ahead of the low one. */
     void planInto(const model::KvPool& pool,
                   IterationPlan& out) override;
 
-    /** @name Incremental-mode hooks */
+    /** @name Queue-maintenance hooks */
     /** @{ */
     void onHostedAdded(workload::Request* req) override;
     void onHostedRemoved(workload::Request* req) override;
     void onRequestExecuted(workload::Request* req,
                            bool quanta_changed) override;
-    /** Incremental mode: applies pending demotions and vetoes the
-     *  reuse if any fired. Keyed reuse: vetoes if a high-queue member
-     *  of @p prev would now demote (the build applies it). */
+    void onPredictionsMoved() override;
+    /** Applies pending demotions and vetoes the reuse if any fired. */
     bool reuseVeto(const IterationPlan& prev) override;
     /** @} */
+
+    /** Twin: both queues from scratch, demoting every high-queue
+     *  request the rule now selects. */
+    void rebuildQueues() override;
 
     /**
      * Demotion rule for a not-yet-demoted reasoning request. The paper
@@ -106,41 +90,39 @@ class PascalScheduler : public IntraScheduler
      */
     virtual bool shouldDemote(const workload::Request* req) const;
 
-    /** Same queue and PascalQueueOrder, or different queues. */
-    bool keysInOrder(const workload::Request* a,
-                     const workload::Request* b) const override;
+    /** KV tokens below the threshold at which shouldDemote() may
+     *  first fire (0: only past the threshold). */
+    virtual TokenCount demotionWindow() const { return 0; }
 
   private:
     /**
-     * Cheap necessary condition for shouldDemote() in incremental mode:
-     * only requests passing it are queued as demotion candidates, so a
-     * steady batch far below the threshold re-checks nothing at all.
-     * Incremental mode runs only without predictor keys, where every
-     * variant's demotion rule is the reactive one this mirrors.
+     * Cheap necessary condition for shouldDemote(): only requests
+     * passing it are queued as demotion candidates, so a steady batch
+     * far below the threshold re-checks nothing at all.
      */
     bool
     demotionPossible(const workload::Request* req) const
     {
-        return req->kvTokens() > limits.demoteThresholdTokens;
+        return req->kvTokens() + demotionWindow() >
+               limits.demoteThresholdTokens;
+    }
+
+    /** Queue @p req for a demotion-rule re-check at the next plan
+     *  boundary (deduped via schedDemotionPending). */
+    void
+    addDemotionCandidate(workload::Request* req)
+    {
+        if (!req->schedDemotionPending && demotionPossible(req)) {
+            req->schedDemotionPending = true;
+            demotionCandidates.push_back(req);
+        }
     }
 
     /** True if @p req belongs to the high-priority queue. */
     static bool isHighPriority(const workload::Request* req);
 
-    /** Recompute-mode path: rebuild, sort, select (the reference
-     *  implementation the incremental path must match bit-for-bit). */
-    void recomputePlan(const model::KvPool& pool, IterationPlan& out);
-
-    /** Incremental path: process demotions, repair queues, select. */
-    void incrementalPlan(const model::KvPool& pool, IterationPlan& out);
-
-    /** Recompute mode: apply the demotion rule to every hosted
-     *  reasoning request. */
-    void applyDemotion();
-
     /**
-     * Incremental mode: re-check the demotion rule for the pending
-     * candidates only (requests whose KV moved).
+     * Re-check the demotion rule for the pending candidates only.
      * @return true if any request was demoted.
      */
     bool processPendingDemotions();
@@ -148,28 +130,16 @@ class PascalScheduler : public IntraScheduler
     /** Demote @p req into the low queue (flag, quantum, queues). */
     void demote(workload::Request* req);
 
-    /** Sort @p queue by (quantaConsumed, key, arrival, id), caching
-     *  queueKey() into schedScore first when keys use predictions;
-     *  @p memo warm-starts the sort from the queue's last one. */
-    void sortQueue(std::vector<workload::Request*>& queue,
-                   SortMemo& memo);
+    /** Queue of @p req per its tag. */
+    OrderedQueue& queueOf(const workload::Request* r);
 
-    /** Queue of @p req per its tag, for incremental maintenance. */
-    OrderedQueue<PascalQueueOrder>& queueOf(const workload::Request* r);
-
-    OrderedQueue<PascalQueueOrder> highQueue{1};
-    OrderedQueue<PascalQueueOrder> lowQueue{2};
+    /** The base queue (tag 1) holds the high-priority queue. */
+    OrderedQueue& highQueue = queue;
+    OrderedQueue lowQueue{2};
 
     /** Requests whose demotion rule must be re-checked at the next
      *  plan boundary (deduped via schedDemotionPending). */
     std::vector<workload::Request*> demotionCandidates;
-
-    /** Recompute-mode scratch partitions (capacity reused) and the
-     *  memos that warm-start their sorts. */
-    std::vector<workload::Request*> highScratch;
-    std::vector<workload::Request*> lowScratch;
-    SortMemo highMemo;
-    SortMemo lowMemo;
 };
 
 } // namespace core

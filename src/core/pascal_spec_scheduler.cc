@@ -8,7 +8,7 @@ namespace core
 {
 
 PascalSpecScheduler::PascalSpecScheduler(SchedLimits limits)
-    : PascalScheduler(limits)
+    : PascalScheduler(limits, /*keyed=*/true)
 {}
 
 bool

@@ -22,6 +22,11 @@
  *    (shortest first) instead of plain arrival order, blending SRPT
  *    into the round-robin fairness envelope: the quantum still bounds
  *    how long a mis-prediction can starve anyone.
+ *
+ * Both run on PascalScheduler's maintained queues: an executed member
+ * is re-keyed at the next repair, and a predictor version bump
+ * re-keys every member and re-checks demotion for every high-queue
+ * request inside the lookahead window.
  */
 
 #ifndef PASCAL_CORE_PASCAL_SPEC_SCHEDULER_HH
@@ -45,12 +50,18 @@ class PascalSpecScheduler : public PascalScheduler
 
     std::string name() const override { return "PASCAL-Spec"; }
 
-    bool keysUsePredictions() const override { return true; }
-
   protected:
     /** Reactive rule OR (inside the lookahead window AND predicted
      *  final reasoning KV exceeds the threshold). */
     bool shouldDemote(const workload::Request* req) const override;
+
+    /** The lookahead window: predictive demotion may fire once the KV
+     *  is within demoteLookaheadTokens of the threshold. */
+    TokenCount
+    demotionWindow() const override
+    {
+        return limits.demoteLookaheadTokens;
+    }
 
     /** Predicted remaining work (rank score); 0 without a predictor,
      *  which degrades to the paper's arrival-order round robin. */

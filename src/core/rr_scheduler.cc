@@ -1,7 +1,5 @@
 #include "src/core/rr_scheduler.hh"
 
-#include <algorithm>
-
 #include "src/common/log.hh"
 
 namespace pascal
@@ -22,21 +20,10 @@ RrScheduler::planInto(const model::KvPool& pool, IterationPlan& out)
     // then arrival order. Candidates that do not fit are skipped
     // rather than blocking the walk: time-sharing interleaves around
     // memory obstacles instead of queueing behind them.
-    if (incrementalEnabled()) {
-        queue.repair();
-        greedySelectRanges(queue.end(), queue.end(), queue.begin(),
-                           queue.end(), /*cap_high=*/false, 0, pool,
-                           /*stop_at_unfit=*/false, out);
-        return;
-    }
-
-    orderScratch.clear();
-    for (auto* r : requests) {
-        if (schedulable(r))
-            orderScratch.push_back(r);
-    }
-    std::sort(orderScratch.begin(), orderScratch.end(), RrOrder{});
-    greedySelectInto(orderScratch, pool, /*stop_at_unfit=*/false, out);
+    queue.repair();
+    greedySelectRanges(queue.end(), queue.end(), queue.begin(),
+                       queue.end(), /*cap_high=*/false, 0, pool,
+                       /*stop_at_unfit=*/false, out);
 }
 
 } // namespace core

@@ -10,11 +10,10 @@
  * phase-unaware: reasoning and answering tokens count against the same
  * quantum.
  *
- * The (quantaConsumed, arrival, id) key only moves on a quantum
- * rollover — once every `quantum` emitted tokens per request — so in
- * incremental mode a plan sorts only the handful of requests that
- * rolled over since the last plan and merges them back into the
- * queue's sorted vector.
+ * The queue's QueueOrder reduces to (quantaConsumed, arrival, id),
+ * which only moves on a quantum rollover — once every `quantum`
+ * emitted tokens per request — so a plan re-places only the handful of
+ * requests that rolled over since the last plan.
  */
 
 #ifndef PASCAL_CORE_RR_SCHEDULER_HH
@@ -23,30 +22,11 @@
 #include <string>
 
 #include "src/core/intra_scheduler.hh"
-#include "src/core/ordered_queue.hh"
 
 namespace pascal
 {
 namespace core
 {
-
-/** Classic RR priority: fewest quanta, then arrival order, below the
- *  SLO-class rank (inert all-zero level with classes off). */
-struct RrOrder
-{
-    bool
-    operator()(const workload::Request* a,
-               const workload::Request* b) const
-    {
-        if (a->schedClassRank != b->schedClassRank)
-            return a->schedClassRank < b->schedClassRank;
-        if (a->quantaConsumed != b->quantaConsumed)
-            return a->quantaConsumed < b->quantaConsumed;
-        if (a->spec().arrival != b->spec().arrival)
-            return a->spec().arrival < b->spec().arrival;
-        return a->id() < b->id();
-    }
-};
 
 /** Token-quantum round-robin across all hosted requests. */
 class RrScheduler : public IntraScheduler
@@ -59,28 +39,6 @@ class RrScheduler : public IntraScheduler
   protected:
     void planInto(const model::KvPool& pool,
                   IterationPlan& out) override;
-
-    void onHostedAdded(workload::Request* req) override
-    {
-        queue.insert(req);
-    }
-
-    void onHostedRemoved(workload::Request* req) override
-    {
-        queue.erase(req);
-    }
-
-    void onRequestExecuted(workload::Request* req,
-                           bool quanta_changed) override
-    {
-        if (quanta_changed) {
-            queue.markDirty(req);
-            noteStateChanged();
-        }
-    }
-
-  private:
-    OrderedQueue<RrOrder> queue{1};
 };
 
 } // namespace core

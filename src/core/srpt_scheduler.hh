@@ -14,11 +14,12 @@
  * Like FCFS, SRPT needs no token quantum: priorities come entirely
  * from the predictions, so quantum accounting is disabled.
  *
- * Rank scores move with the request's own progress, so SRPT builds in
- * recompute mode (one prediction per schedulable request and one
- * warm-started sort per plan) and reuses a plan between predictor
- * changes while its batch keeps its order (see IntraScheduler's file
- * comment).
+ * Without a quantum the queue's QueueOrder reduces to (rank score,
+ * arrival, id). Rank scores move with the request's own progress, so
+ * every executed member goes dirty each token and is re-keyed once at
+ * the next repair; a predictor version bump re-keys every member. A
+ * plan is reused between predictor changes while its batch keeps its
+ * order (see IntraScheduler's file comment).
  */
 
 #ifndef PASCAL_CORE_SRPT_SCHEDULER_HH
@@ -41,8 +42,6 @@ class SrptScheduler : public IntraScheduler
 
     std::string name() const override { return "SRPT"; }
 
-    bool keysUsePredictions() const override { return true; }
-
   protected:
     /** @throws FatalError if no predictor is wired (SRPT cannot rank
      *  requests blind). */
@@ -51,13 +50,6 @@ class SrptScheduler : public IntraScheduler
 
     /** The predictor's rank score. */
     double queueKey(const workload::Request* req) const override;
-
-    /** SRPT order over the cached rank scores. */
-    bool keysInOrder(const workload::Request* a,
-                     const workload::Request* b) const override;
-
-  private:
-    SortMemo orderMemo;
 };
 
 } // namespace core

@@ -297,21 +297,10 @@ class Request
     Request* schedNextHosted = nullptr;
 
     /** Cached predictor rank score used as the ordering key by
-     *  SRPT/PASCAL-Spec; computed once per request per plan so the
-     *  sort's comparisons never call the predictor (0 elsewhere). */
+     *  SRPT/PASCAL-Spec; re-read once per dirty member at its queue's
+     *  repair, so comparisons never call the predictor (0
+     *  elsewhere). */
     double schedScore = 0.0;
-
-    /** @name Warm-sort memo
-     *  The last sort of the request's queue: its stamp, the request's
-     *  position in it, and the mutable key fields it was sorted with
-     *  (core::IntraScheduler::warmSort()). */
-    /** @{ */
-    std::uint64_t sortStamp = 0;
-    std::uint32_t sortRank = 0;
-    int sortQuanta = 0;
-    double sortScore = 0.0;
-    std::uint8_t sortClassRank = 0;
-    /** @} */
 
     /** quantaConsumed at the last scheduler sync (change detector). */
     int schedCachedQuanta = 0;
@@ -319,7 +308,8 @@ class Request
     /** Which scheduler queue holds the request (0 = none). */
     std::uint8_t schedQueueTag = 0;
 
-    /** Awaiting re-insertion into its queue (key changed). */
+    /** Pending in its queue: new, or its key changed since the last
+     *  repair. */
     bool schedDirtyPending = false;
 
     /** Counted in the scheduler's maintained r_i counter. */

@@ -1,7 +1,9 @@
 /**
  * @file
  * Shared fixtures for scheduler unit tests: build requests in chosen
- * exec states against a KV pool.
+ * exec states against a KV pool. With a scheduler attached, every
+ * mutation of a request it hosts is reported to it the way the engine
+ * reports it (the dirty-set contract in intra_scheduler.hh).
  */
 
 #ifndef PASCAL_TESTS_SCHEDULER_TEST_UTIL_HH
@@ -24,7 +26,12 @@ namespace test
 class SchedulerHarness
 {
   public:
-    explicit SchedulerHarness(TokenCount capacity) : pool(capacity) {}
+    /** @param sched Optional scheduler to notify of every mutation of
+     *  a request it hosts (not owned). */
+    explicit SchedulerHarness(TokenCount capacity,
+                              core::IntraScheduler* sched = nullptr)
+        : pool(capacity), sched(sched)
+    {}
 
     /**
      * Create a request hosted on the instance.
@@ -66,6 +73,11 @@ class SchedulerHarness
             r->kvSlot = pool.allocGpu(r->id(), r->spec().promptTokens);
         }
         r->exec = workload::ExecState::ResidentGpu;
+        if (hosted(r)) {
+            sched->noteResidency(r);
+            if (!r->spec().startInAnswering)
+                sched->noteExecuted(r); // Prefill emitted a token.
+        }
     }
 
     /** Advance a resident request by @p n decode tokens. */
@@ -76,6 +88,8 @@ class SchedulerHarness
         for (TokenCount i = 0; i < n; ++i) {
             pool.growGpu(r->kvSlot, 1);
             r->emitToken(t, quantum);
+            if (hosted(r))
+                sched->noteExecuted(r);
         }
     }
 
@@ -85,6 +99,8 @@ class SchedulerHarness
     {
         pool.moveToCpu(r->kvSlot);
         r->exec = workload::ExecState::SwappedCpu;
+        if (hosted(r))
+            sched->noteResidency(r);
     }
 
     /** True if @p r appears in @p list. */
@@ -97,6 +113,17 @@ class SchedulerHarness
 
     model::KvPool pool;
     std::vector<std::unique_ptr<workload::Request>> owned;
+
+  private:
+    /** True if the attached scheduler hosts @p r (requests mutated
+     *  before their add() need no report: add() reads them whole). */
+    bool
+    hosted(const workload::Request* r) const
+    {
+        return sched != nullptr && sched->isHosted(r);
+    }
+
+    core::IntraScheduler* sched;
 };
 
 } // namespace test

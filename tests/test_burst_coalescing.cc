@@ -8,7 +8,7 @@
  * the whole burst is placed. The contract: on a quantized arrival
  * storm, every burst member is admitted before its instance's first
  * plan boundary at that timestamp, plan builds stay strictly below
- * arrivals, and the debug recompute modes stay byte-identical.
+ * arrivals, and the force twins stay byte-identical.
  */
 
 #include <gtest/gtest.h>

@@ -362,8 +362,8 @@ TEST_F(Chaos, ForceModeMatrixByteIdenticalUnderFaults)
 {
     // {FORCE_RESORT} x {FORCE_ACCRUE} with the fault schedule live:
     // the failover path (crash detach, backoff re-placement, KV
-    // restore, link-failure aborts) must be invisible to every debug
-    // recompute mode, so all 4 corners agree byte-for-byte.
+    // restore, link-failure aborts) must be invisible to every force
+    // twin, so all 4 corners agree byte-for-byte.
     auto trace = chaosTrace(313, 100);
     SystemConfig base = chaosConfig(SchedulerType::Pascal,
                                     predictorNamed("oracle"), 3);

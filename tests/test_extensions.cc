@@ -46,8 +46,8 @@ TEST(AnsweringReserve, HighQueueCannotClaimReservedMemory)
 {
     // Capacity 1000, 30% reserved for answering: the high queue may
     // charge at most 700.
-    SchedulerHarness h(1000);
     PascalScheduler sched(limitsWithReserve(0.3));
+    SchedulerHarness h(1000, &sched);
 
     auto* r1 = h.make(0, 0.0, 499, 100, 10); // Prefill cost 500.
     auto* r2 = h.make(1, 1.0, 299, 100, 10); // Prefill cost 300.
@@ -63,8 +63,8 @@ TEST(AnsweringReserve, HighQueueCannotClaimReservedMemory)
 
 TEST(AnsweringReserve, AnsweringUsesReservedMemory)
 {
-    SchedulerHarness h(1000);
     PascalScheduler sched(limitsWithReserve(0.3));
+    SchedulerHarness h(1000, &sched);
 
     auto* rea = h.make(0, 0.0, 499, 100, 10); // High queue, cost 500.
     auto* ans = h.make(1, 1.0, 199, 2, 50);   // Low queue, kv 201.
@@ -85,8 +85,8 @@ TEST(AnsweringReserve, AnsweringUsesReservedMemory)
 TEST(AnsweringReserve, ZeroReserveMatchesPaperBehaviour)
 {
     // With reserve 0 the high queue may take everything.
-    SchedulerHarness h(1000);
     PascalScheduler sched(limitsWithReserve(0.0));
+    SchedulerHarness h(1000, &sched);
 
     auto* r1 = h.make(0, 0.0, 499, 100, 10);
     auto* r2 = h.make(1, 1.0, 299, 100, 10);
@@ -115,11 +115,11 @@ TEST(AnsweringReserve, EndToEndRunStillCompletes)
 
 TEST(ChunkedPrefill, PlanKeepsDecodeAlongsidePrefill)
 {
-    SchedulerHarness h(100000);
     auto l = limitsWithReserve(0.0);
     l.quantum = 500;
     l.chunkedPrefill = true;
     PascalScheduler sched(l);
+    SchedulerHarness h(100000, &sched);
 
     auto* resident = h.make(0, 0.0, 128, 100, 10);
     auto* fresh = h.make(1, 1.0, 128, 100, 10);

@@ -30,8 +30,8 @@ limits()
 
 TEST(Fcfs, AdmitsNewRequestsInArrivalOrderAsPrefill)
 {
-    SchedulerHarness h(10000);
     FcfsScheduler sched(limits());
+    SchedulerHarness h(10000, &sched);
     auto* a = h.make(0, 0.0, 128, 100, 10);
     auto* b = h.make(1, 1.0, 128, 100, 10);
     sched.add(a);
@@ -46,8 +46,8 @@ TEST(Fcfs, AdmitsNewRequestsInArrivalOrderAsPrefill)
 
 TEST(Fcfs, DecodesResidentsWhenNoPrefillPending)
 {
-    SchedulerHarness h(10000);
     FcfsScheduler sched(limits());
+    SchedulerHarness h(10000, &sched);
     auto* a = h.make(0, 0.0, 128, 100, 10);
     sched.add(a);
     h.makeResident(a);
@@ -62,8 +62,8 @@ TEST(Fcfs, BlocksNewRequestBehindFirstUnfit)
 {
     // Capacity fits A resident but not B's prompt; C (smaller) must
     // still wait behind B: head-of-line blocking.
-    SchedulerHarness h(1000);
     FcfsScheduler sched(limits());
+    SchedulerHarness h(1000, &sched);
     auto* a = h.make(0, 0.0, 500, 100, 10);
     auto* b = h.make(1, 1.0, 600, 100, 10);
     auto* c = h.make(2, 2.0, 64, 100, 10);
@@ -80,8 +80,8 @@ TEST(Fcfs, BlocksNewRequestBehindFirstUnfit)
 
 TEST(Fcfs, AdmitsWhenMemoryFrees)
 {
-    SchedulerHarness h(1000);
     FcfsScheduler sched(limits());
+    SchedulerHarness h(1000, &sched);
     auto* b = h.make(1, 1.0, 600, 100, 10);
     sched.add(b);
 
@@ -92,8 +92,8 @@ TEST(Fcfs, AdmitsWhenMemoryFrees)
 
 TEST(Fcfs, ResumesSwappedBeforeAdmittingNew)
 {
-    SchedulerHarness h(1000);
     FcfsScheduler sched(limits());
+    SchedulerHarness h(1000, &sched);
     auto* a = h.make(0, 0.0, 400, 100, 10);
     auto* b = h.make(1, 1.0, 400, 100, 10);
     sched.add(a);
@@ -113,8 +113,8 @@ TEST(Fcfs, ResumesSwappedBeforeAdmittingNew)
 
 TEST(Fcfs, BlockedResumeBlocksAdmissions)
 {
-    SchedulerHarness h(1000);
     FcfsScheduler sched(limits());
+    SchedulerHarness h(1000, &sched);
     auto* a = h.make(0, 0.0, 599, 300, 10); // Resident, kv = 600.
     auto* b = h.make(1, 1.0, 499, 100, 10); // Swapped, kv = 500.
     auto* c = h.make(2, 2.0, 64, 100, 10);  // Waiting, small.
@@ -140,8 +140,8 @@ TEST(Fcfs, EvictsLatestArrivalUnderGrowthPressure)
 {
     // Pool exactly full with two residents; the +1 growth margin for
     // both cannot fit, so the later arrival is paused/evicted.
-    SchedulerHarness h(262); // a: 130+1, b: 130+1 => 262 exact.
     FcfsScheduler sched(limits());
+    SchedulerHarness h(262, &sched); // a: 130+1, b: 130+1 => 262 exact.
     auto* a = h.make(0, 0.0, 129, 100, 10);
     auto* b = h.make(1, 1.0, 129, 100, 10);
     sched.add(a);
@@ -173,15 +173,15 @@ TEST(Fcfs, EvictsLatestArrivalUnderGrowthPressure)
 
 TEST(Fcfs, IdleWhenNothingSchedulable)
 {
-    SchedulerHarness h(1000);
     FcfsScheduler sched(limits());
+    SchedulerHarness h(1000, &sched);
     EXPECT_TRUE(sched.plan(h.pool).idle());
 }
 
 TEST(Fcfs, FinishedRequestsIgnored)
 {
-    SchedulerHarness h(1000);
     FcfsScheduler sched(limits());
+    SchedulerHarness h(1000, &sched);
     auto* a = h.make(0, 0.0, 64, 1, 1);
     sched.add(a);
     h.makeResident(a);
@@ -192,10 +192,10 @@ TEST(Fcfs, FinishedRequestsIgnored)
 
 TEST(Fcfs, PrefillBatchRespectsTokenCap)
 {
-    SchedulerHarness h(100000);
     auto l = limits();
     l.maxPrefillTokens = 1000;
     FcfsScheduler sched(l);
+    SchedulerHarness h(100000, &sched);
     auto* a = h.make(0, 0.0, 600, 100, 10);
     auto* b = h.make(1, 1.0, 600, 100, 10);
     sched.add(a);
@@ -210,8 +210,8 @@ TEST(Fcfs, PrefillBatchRespectsTokenCap)
 
 TEST(Fcfs, QuantumNeverAdvances)
 {
-    SchedulerHarness h(10000);
     FcfsScheduler sched(limits());
+    SchedulerHarness h(10000, &sched);
     EXPECT_EQ(sched.schedLimits().quantum, 0);
 }
 

@@ -20,7 +20,9 @@ using core::IterationPlan;
 using core::SchedLimits;
 using test::SchedulerHarness;
 
-/** Minimal concrete scheduler exposing greedySelect directly. */
+/** Minimal concrete scheduler walking its hosted list in insertion
+ *  order through greedySelectRanges: the first highPrefix requests
+ *  form the capped high range (0 disables the cap). */
 class ProbeScheduler : public IntraScheduler
 {
   public:
@@ -33,9 +35,14 @@ class ProbeScheduler : public IntraScheduler
     void
     planInto(const model::KvPool& pool, IterationPlan& out) override
     {
-        greedySelectInto(requests, pool, stopAtUnfit, out, highPrefix,
-                         highCap);
+        auto split =
+            requests.cbegin() + static_cast<std::ptrdiff_t>(highPrefix);
+        greedySelectRanges(requests.cbegin(), split, split,
+                           requests.cend(), highPrefix > 0, highCap, pool,
+                           stopAtUnfit, out);
     }
+
+    void rebuildQueues() override {}
 
     bool stopAtUnfit = false;
     std::size_t highPrefix = 0;
@@ -52,8 +59,8 @@ limits()
 
 TEST(IntraCommon, AddRemoveHosted)
 {
-    SchedulerHarness h(1000);
     ProbeScheduler sched(limits());
+    SchedulerHarness h(1000, &sched);
     auto* a = h.make(0, 0.0, 64, 10, 10);
     auto* b = h.make(1, 1.0, 64, 10, 10);
     sched.add(a);
@@ -66,8 +73,8 @@ TEST(IntraCommon, AddRemoveHosted)
 
 TEST(IntraCommonDeath, RemovingUnknownPanics)
 {
-    SchedulerHarness h(1000);
     ProbeScheduler sched(limits());
+    SchedulerHarness h(1000, &sched);
     auto* a = h.make(0, 0.0, 64, 10, 10);
     EXPECT_DEATH(sched.remove(a), "not hosted");
 }
@@ -80,8 +87,8 @@ TEST(IntraCommonDeath, AddingNullPanics)
 
 TEST(IntraCommon, InTransitAndDoneAreUnschedulable)
 {
-    SchedulerHarness h(1000);
     ProbeScheduler sched(limits());
+    SchedulerHarness h(1000, &sched);
     auto* a = h.make(0, 0.0, 64, 10, 10);
     auto* b = h.make(1, 1.0, 64, 10, 10);
     sched.add(a);
@@ -94,10 +101,10 @@ TEST(IntraCommon, InTransitAndDoneAreUnschedulable)
 
 TEST(IntraCommon, MaxBatchSizeCapsSelection)
 {
-    SchedulerHarness h(100000);
     auto l = limits();
     l.maxBatchSize = 3;
     ProbeScheduler sched(l);
+    SchedulerHarness h(100000, &sched);
     for (int i = 0; i < 6; ++i) {
         auto* r = h.make(i, 0.1 * i, 64, 10, 10);
         sched.add(r);
@@ -110,10 +117,10 @@ TEST(IntraCommon, MaxBatchSizeCapsSelection)
 
 TEST(IntraCommon, PrefillSeqCapLimitsBatch)
 {
-    SchedulerHarness h(100000);
     auto l = limits();
     l.maxPrefillSeqs = 2;
     ProbeScheduler sched(l);
+    SchedulerHarness h(100000, &sched);
     for (int i = 0; i < 5; ++i)
         sched.add(h.make(i, 0.1 * i, 64, 10, 10));
     auto plan = sched.plan(h.pool);
@@ -122,10 +129,10 @@ TEST(IntraCommon, PrefillSeqCapLimitsBatch)
 
 TEST(IntraCommon, PrewarmsAreExemptFromPrefillCaps)
 {
-    SchedulerHarness h(100000);
     auto l = limits();
     l.maxPrefillSeqs = 1;
     ProbeScheduler sched(l);
+    SchedulerHarness h(100000, &sched);
     sched.add(h.make(0, 0.0, 64, 10, 10));
     for (int i = 1; i < 4; ++i)
         sched.add(h.make(i, 0.1 * i, 64, 0, 10, /*prewarm=*/true));
@@ -137,8 +144,8 @@ TEST(IntraCommon, PrewarmsAreExemptFromPrefillCaps)
 
 TEST(IntraCommon, StopAtUnfitFreezesWalk)
 {
-    SchedulerHarness h(200);
     ProbeScheduler sched(limits());
+    SchedulerHarness h(200, &sched);
     sched.stopAtUnfit = true;
     sched.add(h.make(0, 0.0, 300, 10, 10)); // Cannot fit (301 > 200).
     sched.add(h.make(1, 1.0, 32, 10, 10));  // Would fit.
@@ -148,8 +155,8 @@ TEST(IntraCommon, StopAtUnfitFreezesWalk)
 
 TEST(IntraCommon, SkipSemanticsAdmitLaterFits)
 {
-    SchedulerHarness h(200);
     ProbeScheduler sched(limits());
+    SchedulerHarness h(200, &sched);
     sched.stopAtUnfit = false;
     sched.add(h.make(0, 0.0, 300, 10, 10));
     auto* fits = h.make(1, 1.0, 32, 10, 10);
@@ -161,8 +168,8 @@ TEST(IntraCommon, SkipSemanticsAdmitLaterFits)
 
 TEST(IntraCommon, HighPrefixCapLimitsEarlyEntries)
 {
-    SchedulerHarness h(1000);
     ProbeScheduler sched(limits());
+    SchedulerHarness h(1000, &sched);
     sched.highPrefix = 1;
     sched.highCap = 100;
     sched.add(h.make(0, 0.0, 150, 10, 10)); // Cost 151 > cap 100.
@@ -177,8 +184,8 @@ TEST(IntraCommon, KeepWalkPreservesHighestPriorityResidents)
 {
     // Three residents; only the first two fit alongside growth, the
     // last (lowest priority = latest in order) is evicted.
-    SchedulerHarness h(330);
     ProbeScheduler sched(limits());
+    SchedulerHarness h(330, &sched);
     std::vector<workload::Request*> rs;
     for (int i = 0; i < 3; ++i) {
         auto* r = h.make(i, 0.1 * i, 99, 10, 10); // kv 100 each.
@@ -201,8 +208,8 @@ TEST(IntraCommon, KeepWalkPreservesHighestPriorityResidents)
 
 TEST(IntraCommon, MonitorCountersTrackPhases)
 {
-    SchedulerHarness h(100000);
     ProbeScheduler sched(limits());
+    SchedulerHarness h(100000, &sched);
     auto* rea = h.make(0, 0.0, 64, 100, 10);
     auto* ans = h.make(1, 1.0, 64, 2, 600);
     sched.add(rea);

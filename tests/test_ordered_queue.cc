@@ -2,7 +2,8 @@
  * @file
  * Unit tests for core::OrderedQueue: after every repair() the queue
  * iterates exactly as std::sort orders its live members, whatever mix
- * of inserts, erases and key changes led there.
+ * of inserts, erases, key changes (re-read at repair or set before
+ * it), whole-queue invalidations and twin-style rebuilds led there.
  */
 
 #include <gtest/gtest.h>
@@ -13,14 +14,13 @@
 
 #include "src/common/rng.hh"
 #include "src/core/ordered_queue.hh"
-#include "src/core/rr_scheduler.hh"
 
 namespace
 {
 
 using namespace pascal;
 using workload::Request;
-using Queue = core::OrderedQueue<core::RrOrder>;
+using Queue = core::OrderedQueue;
 
 constexpr std::uint8_t kTag = 3;
 
@@ -49,7 +49,7 @@ makeRequests(int n, Rng& rng)
 void
 expectSortedLike(const Queue& q, std::vector<Request*> live)
 {
-    std::sort(live.begin(), live.end(), core::RrOrder{});
+    std::sort(live.begin(), live.end(), core::QueueOrder{});
     std::vector<Request*> walked(q.begin(), q.end());
     ASSERT_EQ(walked, live);
     for (const Request* r : walked) {
@@ -166,6 +166,110 @@ TEST(OrderedQueue, PendingEraseAndDoubleMarkScripted)
     EXPECT_EQ(*q.begin(), a);
     EXPECT_EQ(c->schedQueueTag, 0);
     EXPECT_EQ(d->schedQueueTag, 0);
+}
+
+TEST(OrderedQueue, RekeyedTwoQueueRoundsMatchStdSort)
+{
+    // Two queues over 200 requests. Each round moves some
+    // members between the queues or out of both, re-keys some (ten
+    // score values, so ties fall through to arrival and id; the new
+    // score is read by the repair's re-key functor), bumps quanta or
+    // class ranks, and marks some dirty with their key unchanged or
+    // nudged, which mostly keeps them in place. Every seventh round
+    // marks every member dirty with fresh scores (a predictor version
+    // bump), and every eleventh rebuilds both queues from scratch like
+    // the force-resort twin. After each repair both queues must equal
+    // std::sort of their members.
+    Rng rng(2024);
+    std::vector<std::unique_ptr<Request>> reqs;
+    std::vector<std::int64_t> queue_of; // -1: in neither queue.
+    std::vector<double> next_score;     // Read by the re-key functor.
+    for (int i = 0; i < 200; ++i) {
+        workload::RequestSpec s;
+        s.id = i;
+        s.arrival = static_cast<double>(i % 37);
+        s.promptTokens = 10;
+        s.reasoningTokens = 10;
+        s.answerTokens = 10;
+        reqs.push_back(std::make_unique<Request>(s));
+        queue_of.push_back(-1);
+        next_score.push_back(0.0);
+    }
+    Queue queues[2] = {Queue(1), Queue(2)};
+    auto rekey = [&](Request* r) {
+        r->schedScore = next_score[static_cast<std::size_t>(r->id())];
+    };
+    auto members = [&](std::int64_t q) {
+        std::vector<Request*> v;
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+            if (queue_of[i] == q)
+                v.push_back(reqs[i].get());
+        }
+        return v;
+    };
+
+    for (std::size_t round = 0; round < 600; ++round) {
+        const bool all_dirty = round % 7 == 6;
+        const bool rebuild = round % 11 == 10;
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+            Request* r = reqs[i].get();
+            std::int64_t& q = queue_of[i];
+            double u = rng.uniformReal(0.0, 1.0);
+            auto v = rng.uniformInt(0, 9);
+            if (q < 0 || u < 0.05) {
+                if (q >= 0 && rng.uniformReal(0.0, 1.0) < 0.5)
+                    continue; // Stays put this round.
+                std::int64_t to = v % 3 - 1;
+                if (to == q)
+                    continue;
+                if (q >= 0)
+                    queues[q].erase(r);
+                q = to;
+                if (q >= 0) {
+                    next_score[i] = static_cast<double>(v);
+                    queues[q].insert(r);
+                }
+                continue;
+            }
+            Queue& queue = queues[q];
+            if (all_dirty) {
+                queue.markDirty(r);
+                if (u < 0.5)
+                    next_score[i] = static_cast<double>(v);
+            } else if (u < 0.15) {
+                queue.markDirty(r);
+                next_score[i] = static_cast<double>(v);
+            } else if (u < 0.18) {
+                queue.markDirty(r);
+                ++r->quantaConsumed;
+            } else if (u < 0.19) {
+                queue.markDirty(r);
+                r->schedClassRank = static_cast<std::uint8_t>(v % 3);
+            } else if (u < 0.25) {
+                // Keep-in-place candidates: unchanged or a nudge.
+                queue.markDirty(r);
+                if (u < 0.22)
+                    next_score[i] += 1e-9;
+            }
+        }
+        for (std::int64_t q = 0; q < 2; ++q) {
+            if (rebuild) {
+                queues[q].clear();
+                for (Request* r : members(q))
+                    queues[q].insert(r);
+            }
+            queues[q].repair(rekey);
+            auto cold = members(q);
+            std::sort(cold.begin(), cold.end(), core::QueueOrder{});
+            std::vector<Request*> walked(queues[q].begin(),
+                                         queues[q].end());
+            ASSERT_EQ(walked, cold) << "round " << round << " queue " << q;
+            for (const Request* r : walked) {
+                EXPECT_EQ(r->schedQueueTag, q + 1);
+                EXPECT_FALSE(r->schedDirtyPending);
+            }
+        }
+    }
 }
 
 } // namespace

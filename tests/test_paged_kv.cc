@@ -108,10 +108,10 @@ TEST(PagedKv, SchedulerBudgetsInChargedUnits)
     // Capacity 64, blocks of 16. A resident request with kv 17
     // charges 32 + growth rounding; a second with prompt 15 charges
     // 16. Together 48 <= 64: both schedulable.
-    test::SchedulerHarness h(64);
     core::SchedLimits limits;
     limits.quantum = 500;
     core::RrScheduler sched(limits);
+    test::SchedulerHarness h(64, &sched);
 
     // Build against a paged pool directly.
     model::KvPool pool(64, 16);

@@ -48,8 +48,8 @@ TEST(PascalSched, RequiresPositiveQuantum)
 
 TEST(PascalSched, ReasoningOutranksAnswering)
 {
-    SchedulerHarness h(250);
     PascalScheduler sched(limits());
+    SchedulerHarness h(250, &sched);
     auto* ans = h.make(0, 0.0, 99, 2, 50); // Answering, kv 101.
     auto* rea = h.make(1, 5.0, 99, 50, 10); // New reasoning request.
     sched.add(ans);
@@ -65,8 +65,8 @@ TEST(PascalSched, ReasoningOutranksAnswering)
 
 TEST(PascalSched, AnsweringEvictedBeforeReasoning)
 {
-    SchedulerHarness h(220);
     PascalScheduler sched(limits());
+    SchedulerHarness h(220, &sched);
     auto* ans = h.make(0, 0.0, 99, 2, 50); // Answering, kv 101.
     auto* rea = h.make(1, 5.0, 149, 50, 10); // Reasoning, prompt 149.
     sched.add(ans);
@@ -85,8 +85,8 @@ TEST(PascalSched, AnsweringEvictedBeforeReasoning)
 
 TEST(PascalSched, AnsweringUsesLeftoverMemory)
 {
-    SchedulerHarness h(100000);
     PascalScheduler sched(limits(500));
+    SchedulerHarness h(100000, &sched);
     auto* ans = h.make(0, 0.0, 128, 2, 50);
     auto* rea = h.make(1, 1.0, 128, 50, 10);
     sched.add(ans);
@@ -102,8 +102,8 @@ TEST(PascalSched, AnsweringUsesLeftoverMemory)
 
 TEST(PascalSched, DemotionMovesMonsterReasoningToLowQueue)
 {
-    SchedulerHarness h(100000);
     PascalScheduler sched(limits(500, /*demote=*/200));
+    SchedulerHarness h(100000, &sched);
     auto* big = h.make(0, 0.0, 128, 500, 10);
     auto* fresh = h.make(1, 1.0, 128, 50, 10);
     sched.add(big);
@@ -121,8 +121,8 @@ TEST(PascalSched, DemotionMovesMonsterReasoningToLowQueue)
 
 TEST(PascalSched, DemotedRequestLosesToReasoningUnderPressure)
 {
-    SchedulerHarness h(400);
     PascalScheduler sched(limits(500, /*demote=*/200));
+    SchedulerHarness h(400, &sched);
     auto* big = h.make(0, 0.0, 128, 500, 10);
     sched.add(big);
     h.makeResident(big, 500);
@@ -144,8 +144,8 @@ TEST(PascalSched, DemotedRequestLosesToReasoningUnderPressure)
 
 TEST(PascalSched, PhaseTransitionResetsQuantum)
 {
-    SchedulerHarness h(10000);
     PascalScheduler sched(limits(4));
+    SchedulerHarness h(10000, &sched);
     auto* r = h.make(0, 0.0, 128, 8, 10);
     sched.add(r);
     h.makeResident(r, 4);
@@ -159,8 +159,8 @@ TEST(PascalSched, PhaseTransitionResetsQuantum)
 
 TEST(PascalSched, FreshAnsweringCounter)
 {
-    SchedulerHarness h(100000);
     PascalScheduler sched(limits(4));
+    SchedulerHarness h(100000, &sched);
     auto* a1 = h.make(0, 0.0, 128, 2, 50);
     auto* a2 = h.make(1, 1.0, 128, 2, 50);
     sched.add(a1);
@@ -178,8 +178,8 @@ TEST(PascalSched, FreshAnsweringCounter)
 
 TEST(PascalSched, LowQueueRoundRobinOrder)
 {
-    SchedulerHarness h(300);
     PascalScheduler sched(limits(4));
+    SchedulerHarness h(300, &sched);
     auto* a1 = h.make(0, 0.0, 99, 2, 50); // kv 101.
     auto* a2 = h.make(1, 1.0, 99, 2, 50); // kv 101.
     sched.add(a1);
@@ -204,8 +204,8 @@ TEST(PascalSched, LowQueueRoundRobinOrder)
 
 TEST(PascalSched, StartInAnsweringGoesToLowQueue)
 {
-    SchedulerHarness h(100000);
     PascalScheduler sched(limits(500));
+    SchedulerHarness h(100000, &sched);
     auto* warm = h.make(0, 0.0, 128, 0, 50, /*start_in_answering=*/true);
     auto* rea = h.make(1, 1.0, 128, 50, 10);
     sched.add(warm);

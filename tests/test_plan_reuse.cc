@@ -1,22 +1,20 @@
 /**
  * @file
- * Plan-reuse / incremental-scheduling invariance tests.
+ * Plan-reuse / maintained-queue invariance tests.
  *
- * The iteration fast path (incremental queues + verbatim plan reuse)
+ * The iteration fast path (maintained queues + verbatim plan reuse)
  * is a pure speed optimization: its one non-negotiable contract is
- * that RunResults stay byte-identical to the force-resort debug mode
- * that recomputes every queue from scratch each iteration. These
- * tests run randomized constrained traces across the full
- * {FCFS, RR, PASCAL, SRPT, PASCAL-Spec} x predictor grid in both
- * modes and compare every metric field exactly, plus unit-level
- * checks of the maintained monitor counters and the fast-path
- * engagement itself: reactive policies run incremental queues, while
- * predictor-keyed SRPT and PASCAL-Spec build in recompute mode and
- * reuse a plan only while the predictor version holds and the batch
- * keeps its order. Scripted decode runs pin the ways such a batch
- * stops being the walk's answer (a tie at the profile's clamp, unequal
- * noise factors, a lookahead demotion, a rising key): each must
- * decline.
+ * that RunResults stay byte-identical to the force-resort twin that
+ * rebuilds and cold-sorts every queue from scratch each iteration.
+ * These tests run randomized constrained traces across the full
+ * {FCFS, RR, PASCAL, SRPT, PASCAL-Spec} x predictor grid both ways
+ * and compare the results exactly, plus unit-level checks of the
+ * maintained monitor counters and the fast-path engagement itself:
+ * predictor-keyed SRPT and PASCAL-Spec reuse a plan only while the
+ * predictor version holds and the batch keeps its order. Scripted
+ * decode runs pin the ways such a batch stops being the walk's answer
+ * (a tie at the profile's clamp, unequal noise factors, a lookahead
+ * demotion, a rising key): each must decline.
  */
 
 #include <gtest/gtest.h>
@@ -224,10 +222,10 @@ TEST_F(PlanReuseInvariance, FcfsMigrationKeepsStrictOrderUnderPressure)
 
 TEST_F(PlanReuseInvariance, EvictionStormTailStaysByteIdentical)
 {
-    // Swap-thrashing regime: the incremental walk reads maintained
-    // queues and exits early once the batch is full and every KV
-    // holder has been seen — the evicted set and swap-out sequence
-    // must still match the recompute walk exactly, every iteration.
+    // Swap-thrashing regime: the walk exits early once the batch is
+    // full and every KV holder has been seen — the evicted set and
+    // swap-out sequence of the maintained queues must still match the
+    // twin's rebuilt ones exactly, every iteration.
     Rng rng(4711);
     auto profile = workload::DatasetProfile::alpacaEval();
     profile.prompt = {96.0, 0.5, 48, 192};
@@ -268,7 +266,7 @@ TEST_F(PlanReuseInvariance, ReactiveSchedulersAcrossPredictors)
 {
     // Reactive policies ignore predictions for ordering, but wiring a
     // predictor still exercises the predictive-placement snapshots
-    // under incremental bookkeeping.
+    // under maintained bookkeeping.
     for (const GridInput& input : gridInputs(1234)) {
         for (SchedulerType sched :
              {SchedulerType::Fcfs, SchedulerType::Rr,
@@ -291,9 +289,9 @@ TEST_F(PlanReuseInvariance, ReactiveSchedulersAcrossPredictors)
 
 TEST_F(PlanReuseInvariance, SpeculativeSchedulersAcrossPredictors)
 {
-    // SRPT and PASCAL-Spec build in recompute mode; forceResort makes
-    // them sort from scratch instead of warm-starting from the last
-    // sort, and never reuse a plan, which must not change a byte.
+    // SRPT and PASCAL-Spec re-key their executed members at each
+    // repair; forceResort makes them re-key and sort every member from
+    // scratch and never reuse a plan, which must not change a byte.
     // Static predictors re-key only the executed members, online
     // learners (profile, rank) also the idle ones. Every cell must
     // actually reuse, or the identity would hold vacuously.
@@ -392,17 +390,19 @@ TEST_F(PlanReuseFastPath, MaintainedCountersTrackScriptedSequence)
 {
     if (std::getenv("PASCAL_FORCE_RESORT") != nullptr)
         GTEST_SKIP() << "fast path globally disabled by env";
-    // Drive a scheduler through the notification contract directly
-    // and check the O(1) counters against the states the recompute
-    // scan would report.
+    // Drive a scheduler through the notification contract (the
+    // harness reports every mutation) and check the O(1) counters
+    // against the states the twin's scan would report.
     core::SchedLimits limits;
     limits.quantum = 4;
     limits.demoteThresholdTokens = 200;
     core::PascalScheduler sched(limits);
     sched.enableIncremental();
-    ASSERT_TRUE(sched.incrementalEnabled());
+    SchedulerHarness h(100000, &sched);
+    core::IterationPlan none;
+    EXPECT_FALSE(sched.reusePlan(none, h.pool));
+    EXPECT_EQ(sched.lastReuseDecline(), core::PlanDecline::StateChanged);
 
-    SchedulerHarness h(100000);
     auto* rea = h.make(0, 0.0, 64, 300, 10);
     auto* ans = h.make(1, 1.0, 64, 2, 600);
     sched.add(rea);
@@ -411,27 +411,20 @@ TEST_F(PlanReuseFastPath, MaintainedCountersTrackScriptedSequence)
     EXPECT_EQ(sched.numFreshAnswering(), 0);
 
     // ans transitions to answering with a fresh quantum.
-    h.makeResident(ans, limits.quantum);
-    sched.noteExecuted(ans); // Prefill emitted its first token.
+    h.makeResident(ans, limits.quantum); // Prefill emits token 1.
     h.decodeTokens(ans, 1, 0.5, limits.quantum);
-    sched.noteExecuted(ans);
     sched.onPhaseTransition(ans);
     EXPECT_EQ(sched.numReasoning(), 1);
     EXPECT_EQ(sched.numFreshAnswering(), 1);
 
     // A full quantum of answering tokens: no longer fresh.
-    for (int i = 0; i < limits.quantum; ++i) {
-        h.decodeTokens(ans, 1, 2.0, limits.quantum);
-        sched.noteExecuted(ans);
-    }
+    h.decodeTokens(ans, limits.quantum, 2.0, limits.quantum);
     EXPECT_EQ(sched.numFreshAnswering(), 0);
 
     // rea crosses the demotion threshold; the rule applies at the
-    // next plan boundary (exactly like recompute mode).
+    // next plan boundary.
     h.makeResident(rea, limits.quantum);
-    sched.noteExecuted(rea);
     h.decodeTokens(rea, 149, 3.0, limits.quantum); // kv 65 -> 214.
-    sched.noteExecuted(rea);
     EXPECT_EQ(sched.numReasoning(), 1);
     auto plan = sched.plan(h.pool);
     EXPECT_FALSE(plan.idle());
@@ -455,13 +448,36 @@ TEST_F(PlanReuseFastPath, RemovePanicNamesInstance)
                  "request 7 not hosted on instance 3");
 }
 
-TEST_F(PlanReuseFastPath, ForceResortEnvAndLimitDisableIncremental)
+TEST_F(PlanReuseFastPath, ForceResortTwinNeverReusesAPlan)
 {
-    core::SchedLimits limits;
-    limits.forceResort = true;
-    core::PascalScheduler sched(limits);
-    sched.enableIncremental();
-    EXPECT_FALSE(sched.incrementalEnabled());
+    // The twin (the limit, or the env var for every scheduler)
+    // ignores enableIncremental(): every boundary declines as
+    // Inactive, and its counters, answered by scanning, still track
+    // requests it was never notified about.
+    const bool env = std::getenv("PASCAL_FORCE_RESORT") != nullptr;
+    for (const bool force : {true, false}) {
+        SCOPED_TRACE(force ? "forceResort" : "default limits");
+        core::SchedLimits limits;
+        limits.forceResort = force;
+        core::PascalScheduler sched(limits);
+        sched.enableIncremental();
+        SchedulerHarness h(100000, &sched);
+        auto* r = h.make(0, 0.0, 64, 300, 10);
+        sched.add(r);
+        h.makeResident(r, limits.quantum);
+        core::IterationPlan plan;
+        for (int b = 0; b < 3; ++b) {
+            if (!sched.reusePlan(plan, h.pool))
+                sched.buildPlan(h.pool, plan);
+            ASSERT_EQ(plan.decode.size(), 1u);
+            h.decodeTokens(r, 1, static_cast<Time>(b), limits.quantum);
+        }
+        const bool twin = force || env;
+        EXPECT_EQ(sched.reusePlan(plan, h.pool), !twin);
+        EXPECT_EQ(sched.lastReuseDecline() == core::PlanDecline::Inactive,
+                  twin);
+        EXPECT_EQ(sched.numReasoning(), 1);
+    }
 }
 
 TEST_F(PlanReuseInvariance, AllFourForceCornersByteIdentical)
@@ -493,12 +509,10 @@ TEST_F(PlanReuseFastPath, PredictorKeyedSchedulersReusePlans)
 {
     if (fastPathForcedOff())
         GTEST_SKIP() << "fast path globally disabled by env";
-    // SRPT and PASCAL-Spec never maintain queues, but between
-    // predictor changes a running member's key only falls and an idle
-    // request's key holds, so their plans are reused. Wiring a
-    // predictor only for predictive placement leaves reactive
-    // PASCAL's queues unkeyed, and it keeps the incremental fast
-    // path.
+    // Between predictor changes a running member's key of SRPT and
+    // PASCAL-Spec only falls and an idle request's key holds, so their
+    // plans are reused. Wiring a predictor only for predictive
+    // placement leaves reactive PASCAL's queues unkeyed.
     auto trace = transitionTrace(99, 500);
     struct Case
     {
@@ -519,7 +533,7 @@ TEST_F(PlanReuseFastPath, PredictorKeyedSchedulersReusePlans)
         ctx.submit(trace);
         ctx.run();
         for (const auto& inst : ctx.cluster().getInstances())
-            EXPECT_EQ(inst->scheduler().incrementalEnabled(), !c.keyed);
+            EXPECT_EQ(inst->scheduler().keysUsePredictions(), c.keyed);
         EXPECT_GT(planReuses(ctx), 0u);
     }
 }
@@ -549,7 +563,7 @@ std::vector<Boundary>
 driveDecodeRun(core::IntraScheduler& sched, const MakeRequests& make,
                int boundaries, TokenCount capacity)
 {
-    SchedulerHarness h(capacity);
+    SchedulerHarness h(capacity, &sched);
     const TokenCount quantum = sched.schedLimits().quantum;
     sched.enableIncremental();
     std::vector<workload::Request*> reqs = make(h, quantum);
@@ -564,10 +578,8 @@ driveDecodeRun(core::IntraScheduler& sched, const MakeRequests& make,
         if (!rec.reused)
             sched.buildPlan(h.pool, plan);
         EXPECT_TRUE(plan.prefill.empty() && plan.prewarm.empty());
-        for (auto* r : plan.swapOut) {
+        for (auto* r : plan.swapOut)
             h.swapOut(r);
-            sched.noteResidency(r);
-        }
         for (auto* r : plan.swapIn) {
             h.pool.moveToGpu(r->kvSlot);
             r->exec = workload::ExecState::ResidentGpu;
@@ -577,10 +589,8 @@ driveDecodeRun(core::IntraScheduler& sched, const MakeRequests& make,
             rec.decode.push_back(r->id());
         for (const auto* r : reqs)
             rec.demoted.push_back(r->demoted);
-        for (auto* r : plan.decode) {
+        for (auto* r : plan.decode)
             h.decodeTokens(r, 1, static_cast<Time>(b), quantum);
-            sched.noteExecuted(r);
-        }
         run.push_back(rec);
     }
     return run;

@@ -37,8 +37,8 @@ TEST(Rr, RequiresPositiveQuantum)
 
 TEST(Rr, FreshRequestsOutrankServedOnes)
 {
-    SchedulerHarness h(400);
     RrScheduler sched(limits(4));
+    SchedulerHarness h(400, &sched);
     auto* a = h.make(0, 0.0, 128, 100, 10);
     auto* c = h.make(2, 2.0, 128, 100, 10);
     sched.add(a);
@@ -61,8 +61,8 @@ TEST(Rr, FreshRequestsOutrankServedOnes)
 TEST(Rr, EvictsMostServedUnderPressure)
 {
     // Two residents, capacity only fits one + a newcomer's prompt.
-    SchedulerHarness h(600);
     RrScheduler sched(limits(4));
+    SchedulerHarness h(600, &sched);
     auto* a = h.make(0, 0.0, 199, 100, 10); // kv 200 after prefill.
     auto* b = h.make(1, 1.0, 199, 100, 10); // kv 200.
     sched.add(a);
@@ -89,8 +89,8 @@ TEST(Rr, EvictsMostServedUnderPressure)
 
 TEST(Rr, SkipsUnfitAndServesSmallerLaterRequest)
 {
-    SchedulerHarness h(500);
     RrScheduler sched(limits(4));
+    SchedulerHarness h(500, &sched);
     auto* a = h.make(0, 0.0, 450, 100, 10); // Resident kv 451.
     auto* b = h.make(1, 1.0, 400, 100, 10); // Waiting, prompt 400.
     auto* c = h.make(2, 2.0, 32, 100, 10);  // Waiting, small.
@@ -114,8 +114,8 @@ TEST(Rr, SkipsUnfitAndServesSmallerLaterRequest)
 
 TEST(Rr, SwappedRequestResumesByPriority)
 {
-    SchedulerHarness h(1000);
     RrScheduler sched(limits(4));
+    SchedulerHarness h(1000, &sched);
     auto* a = h.make(0, 0.0, 99, 100, 10);
     sched.add(a);
     h.makeResident(a, 4);
@@ -130,8 +130,8 @@ TEST(Rr, SwappedRequestResumesByPriority)
 
 TEST(Rr, AllFitMeansNoEvictions)
 {
-    SchedulerHarness h(100000);
     RrScheduler sched(limits(500));
+    SchedulerHarness h(100000, &sched);
     std::vector<workload::Request*> reqs;
     for (int i = 0; i < 10; ++i) {
         auto* r = h.make(i, 0.1 * i, 128, 100, 10);
@@ -146,10 +146,10 @@ TEST(Rr, AllFitMeansNoEvictions)
 
 TEST(Rr, RespectsMaxBatchSize)
 {
-    SchedulerHarness h(100000);
     auto l = limits(500);
     l.maxBatchSize = 4;
     RrScheduler sched(l);
+    SchedulerHarness h(100000, &sched);
     for (int i = 0; i < 10; ++i) {
         auto* r = h.make(i, 0.1 * i, 128, 100, 10);
         sched.add(r);
@@ -164,8 +164,8 @@ TEST(Rr, RespectsMaxBatchSize)
 TEST(Rr, InterleavesAtQuantumBoundaries)
 {
     // Fig. 2(c): capacity for one request; they alternate per quantum.
-    SchedulerHarness h(140);
     RrScheduler sched(limits(4));
+    SchedulerHarness h(140, &sched);
     auto* a = h.make(0, 0.0, 99, 100, 10); // kv 100 after prefill.
     auto* b = h.make(1, 1.0, 99, 100, 10);
     sched.add(a);

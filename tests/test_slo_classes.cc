@@ -309,8 +309,8 @@ TEST_F(ClassDormancy, DisabledConfigByteIdenticalAcrossForceMatrix)
 TEST_F(ClassBehavior, ClassesOnForceMatrixByteIdenticalUnderChaos)
 {
     // With the full class policy live (deadlines, demotion, overload
-    // control) on top of the chaos fault schedule, the debug
-    // recompute modes must still all agree: the class layer adds no
+    // control) on top of the chaos fault schedule, the force twins
+    // must still all agree: the class layer adds no
     // order-dependent state to any force-mode path.
     auto trace = stormTrace(911, 100);
     workload::assignSloClasses(trace);

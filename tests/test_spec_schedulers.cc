@@ -2,8 +2,9 @@
  * @file
  * Tests for the speculative schedulers (SRPT, PASCAL-Spec) and the
  * predictive placement variant: ordering under oracle predictions,
- * predictive demotion timing (including the exact-threshold boundary
- * and startInAnswering edge cases), the no-predictor failure mode, and
+ * predictive demotion timing (including the exact-threshold boundary,
+ * startInAnswering edge cases and an idle request re-checked after a
+ * predictor version bump), the no-predictor failure mode, and
  * the acceptance-criteria sweep {FCFS, RR, PASCAL, SRPT, PASCAL-Spec}
  * x {oracle, noisy(0.2), noisy(0.5), profile, rank} on a
  * reasoning-heavy trace.
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "src/core/pascal_spec_scheduler.hh"
 #include "src/core/srpt_scheduler.hh"
 #include "src/predict/oracle_predictor.hh"
+#include "src/predict/profile_predictor.hh"
 #include "src/workload/generator.hh"
 #include "tests/scheduler_test_util.hh"
 
@@ -57,17 +60,17 @@ using SpecAcceptance = QuietLogs;
 
 TEST(SrptScheduler, RequiresPredictor)
 {
-    SchedulerHarness h(100000);
     SrptScheduler sched(specLimits());
+    SchedulerHarness h(100000, &sched);
     sched.add(h.make(0, 0.0, 100, 200, 50));
     EXPECT_THROW(sched.plan(h.pool), FatalError);
 }
 
 TEST(SrptScheduler, OrdersByPredictedRemainingWork)
 {
-    SchedulerHarness h(100000);
     predict::OraclePredictor oracle;
     SrptScheduler sched(specLimits());
+    SchedulerHarness h(100000, &sched);
     sched.setPredictor(&oracle);
     EXPECT_EQ(sched.predictor(), &oracle);
 
@@ -90,63 +93,11 @@ TEST(SrptScheduler, OrdersByPredictedRemainingWork)
     EXPECT_EQ(sched.schedLimits().quantum, 0);
 }
 
-/** Exposes the protected warm-started sort. */
-struct WarmSortProbe : SrptScheduler
-{
-    using SrptScheduler::SrptScheduler;
-    using SrptScheduler::SortMemo;
-    using SrptScheduler::warmSort;
-};
-
-TEST(SpecSchedulers, WarmSortMatchesColdSort)
-{
-    // Two queues over one pool. Each round re-keys some members (ten
-    // score values, so ties fall through to arrival and id) and moves
-    // some between the queues or out of both, and each queue arrives
-    // in a rotated order. The warm sort must equal std::sort each time.
-    SchedulerHarness h(100000);
-    std::vector<workload::Request*> pool;
-    std::vector<std::int64_t> queue_of;
-    Rng rng(2024);
-    for (int i = 0; i < 200; ++i) {
-        pool.push_back(h.make(i, static_cast<double>(i % 37), 10, 10, 10));
-        queue_of.push_back(rng.uniformInt(-1, 1));
-    }
-    WarmSortProbe probe(specLimits());
-    WarmSortProbe::SortMemo memos[2];
-    for (std::size_t round = 0; round < 500; ++round) {
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-            double u = rng.uniformReal(0.0, 1.0);
-            auto v = rng.uniformInt(0, 9);
-            if (u < 0.05)
-                queue_of[i] = v % 3 - 1;
-            else if (u < 0.15)
-                pool[i]->schedScore = static_cast<double>(v);
-            else if (u < 0.18)
-                ++pool[i]->quantaConsumed;
-            else if (u < 0.19)
-                pool[i]->schedClassRank = static_cast<std::uint8_t>(v % 3);
-        }
-        for (int q = 0; q < 2; ++q) {
-            std::vector<workload::Request*> items;
-            for (std::size_t i = 0; i < pool.size(); ++i) {
-                std::size_t k = (i + round) % pool.size();
-                if (queue_of[k] == q)
-                    items.push_back(pool[k]);
-            }
-            auto cold = items;
-            std::sort(cold.begin(), cold.end(), core::PascalQueueOrder{});
-            probe.warmSort(items, memos[q], core::PascalQueueOrder{});
-            ASSERT_EQ(items, cold) << "round " << round << " queue " << q;
-        }
-    }
-}
-
 TEST(PascalSpecScheduler, PredictiveDemotionFiresInsideLookahead)
 {
-    SchedulerHarness h(100000);
     predict::OraclePredictor oracle;
     PascalSpecScheduler sched(specLimits(1000, 200));
+    SchedulerHarness h(100000, &sched);
     sched.setPredictor(&oracle);
 
     // Monster: final reasoning KV = 100 + 2000 = 2100 >> 1000.
@@ -175,11 +126,82 @@ TEST(PascalSpecScheduler, PredictiveDemotionFiresInsideLookahead)
     EXPECT_EQ(monster->quantaConsumed, 0);
 }
 
+TEST(PascalSpecScheduler, IdleRequestDemotesAtTheBuildAfterAVersionBump)
+{
+    // idle sits in the high queue inside the lookahead window (KV 850,
+    // threshold 1000, window 200) behind a higher-class runner that
+    // fills the one-request batch, so it never executes. The profile
+    // serves a 760-token reasoning median, so idle's predicted final
+    // KV is 860 and it stays. Two long completions then raise the
+    // median: the version bump must re-check idle at the very next
+    // build and demote it, on the fast path and the twin alike.
+    const bool env_twin = std::getenv("PASCAL_FORCE_RESORT") != nullptr;
+    for (const bool force : {false, true}) {
+        SCOPED_TRACE(force ? "force-resort twin" : "default limits");
+        const bool twin = force || env_twin;
+        predict::DatasetProfilePredictor profile(0.5, 1);
+        RequestId next_done = 100;
+        auto complete = [&](TokenCount reasoning) {
+            workload::RequestSpec spec;
+            spec.id = next_done++;
+            spec.promptTokens = 8;
+            spec.reasoningTokens = reasoning;
+            spec.answerTokens = 50;
+            profile.observeCompletion(workload::Request(spec));
+        };
+        complete(760);
+
+        SchedLimits limits = specLimits(1000, 200);
+        limits.maxBatchSize = 1;
+        limits.forceResort = force;
+        PascalSpecScheduler sched(limits);
+        sched.setPredictor(&profile);
+        sched.enableIncremental();
+        SchedulerHarness h(100000, &sched);
+        auto* runner = h.make(0, 0.0, 100, 5000, 50);
+        auto* idle = h.make(1, 1.0, 100, 5000, 50);
+        idle->schedClassRank = 1; // Behind the runner in every order.
+        h.makeResident(runner, limits.quantum);
+        h.makeResident(idle, limits.quantum);
+        h.decodeTokens(idle, 749, 0.0, limits.quantum); // KV 850.
+        sched.add(runner);
+        sched.add(idle);
+
+        constexpr int kBump = 5;
+        core::IterationPlan plan;
+        int reuses = 0;
+        for (int b = 0; b < 8; ++b) {
+            SCOPED_TRACE("boundary " + std::to_string(b));
+            if (b == kBump) {
+                const std::uint64_t before = profile.version();
+                complete(3000);
+                complete(3000);
+                ASSERT_GT(profile.version(), before);
+            }
+            const bool reused = sched.reusePlan(plan, h.pool);
+            if (!reused)
+                sched.buildPlan(h.pool, plan);
+            reuses += reused ? 1 : 0;
+            if (b == kBump && !twin) {
+                EXPECT_EQ(sched.lastReuseDecline(),
+                          core::PlanDecline::StateChanged);
+            }
+            ASSERT_EQ(plan.decode.size(), 1u);
+            EXPECT_EQ(plan.decode[0], runner);
+            EXPECT_EQ(idle->demoted, b >= kBump);
+            h.decodeTokens(runner, 1, static_cast<Time>(b),
+                           limits.quantum);
+        }
+        EXPECT_EQ(idle->kvTokens(), 850); // It never ran.
+        EXPECT_EQ(reuses > 0, !twin);
+    }
+}
+
 TEST(PascalSpecScheduler, ExactThresholdFinisherIsNeverDemoted)
 {
-    SchedulerHarness h(100000);
     predict::OraclePredictor oracle;
     PascalSpecScheduler sched(specLimits(1000, 200));
+    SchedulerHarness h(100000, &sched);
     sched.setPredictor(&oracle);
 
     // Final reasoning KV lands exactly ON the threshold: 100 + 900 =
@@ -212,8 +234,8 @@ TEST(PascalSpecScheduler, ExactThresholdFinisherIsNeverDemoted)
 
 TEST(PascalSpecScheduler, ReactiveSafetyNetWithoutPredictor)
 {
-    SchedulerHarness h(100000);
     PascalSpecScheduler sched(specLimits(1000, 200));
+    SchedulerHarness h(100000, &sched);
     // No predictor wired: behaves exactly like reactive PASCAL.
 
     auto* big = h.make(0, 0.0, 100, 2000, 50);
@@ -230,9 +252,9 @@ TEST(PascalSpecScheduler, ReactiveSafetyNetWithoutPredictor)
 
 TEST(PascalSpecScheduler, PredictedLengthBreaksRoundRobinTies)
 {
-    SchedulerHarness h(100000);
     predict::OraclePredictor oracle;
     PascalSpecScheduler sched(specLimits());
+    SchedulerHarness h(100000, &sched);
     sched.setPredictor(&oracle);
 
     // Same quanta consumed; the later arrival has less remaining work
@@ -252,9 +274,9 @@ TEST(PascalSpecScheduler, PredictedLengthBreaksRoundRobinTies)
 
 TEST(PascalSpecScheduler, StartInAnsweringRidesTheLowQueue)
 {
-    SchedulerHarness h(100000);
     predict::OraclePredictor oracle;
     PascalSpecScheduler sched(specLimits());
+    SchedulerHarness h(100000, &sched);
     sched.setPredictor(&oracle);
 
     // Fig. 5 shape: reasoningTokens == 0, KV pre-generated. The
