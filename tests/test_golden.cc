@@ -1,7 +1,8 @@
 /**
  * @file
  * Golden digests: every policy x predictor cell of a scaled-down
- * constrained deployment, plus one chaos + SLO-class point, must hash
+ * constrained deployment, one chaos + SLO-class point, and small-n
+ * versions of the four perfbench workload shapes must hash
  * (cluster::digest) to the value committed in tests/golden/digests.txt.
  *
  * The force twins reproduce a run's canonical text, so these digests
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "src/cluster/run_context.hh"
 #include "src/cluster/system_config.hh"
 #include "src/common/log.hh"
@@ -114,6 +116,82 @@ chaosConfig()
     return cfg;
 }
 
+/** Requests per perfbench-shape cell: enough for each shape's
+ *  mechanisms to fire, few enough to keep the suite fast. */
+constexpr int kShapeRequests = 300;
+
+/** The perfbench workloads' recipes (bench_util.hh) at small n: the
+ *  8-instance H100 cluster under PASCAL with AlpacaEval at its low
+ *  rate and Arena-Hard at its high rate, PASCAL-Spec over predictive
+ *  placement with the profile predictor, and the 4-instance
+ *  fault + SLO-class cluster. */
+std::vector<std::pair<std::string, cluster::RunResult>>
+perfbenchShapes()
+{
+    const bench::PolicyUnderTest pascal{"PASCAL", SchedulerType::Pascal,
+                                        PlacementType::Pascal};
+    const bench::DatasetBench alpaca = bench::alpacaBench();
+    const bench::DatasetBench arena = bench::arenaBench();
+    std::vector<std::pair<std::string, cluster::RunResult>> out;
+
+    Rng steady_rng(11);
+    const workload::Trace steady = workload::generateTrace(
+        alpaca.profile, kShapeRequests, alpaca.lowRate, steady_rng);
+    out.emplace_back("perfbench/alpaca-steady",
+                     cluster::RunContext::execute(
+                         bench::clusterConfig(pascal, 8), steady));
+
+    Rng arena_rng(12);
+    out.emplace_back(
+        "perfbench/arena-overload",
+        cluster::RunContext::execute(
+            bench::clusterConfig(pascal, 8),
+            workload::generateTrace(arena.profile, kShapeRequests,
+                                    arena.highRate, arena_rng)));
+
+    auto profile = workload::DatasetProfile::alpacaEval();
+    profile.prompt = {96.0, 0.5, 32, 256};
+    profile.reasoning = {200.0, 0.7, 32, 800};
+    profile.answering = {80.0, 0.6, 16, 350};
+    Rng chaos_rng(13);
+    workload::Trace chaos =
+        workload::generateTrace(profile, kShapeRequests, 24.0, chaos_rng);
+    workload::assignSloClasses(chaos);
+    SystemConfig chaos_cfg = bench::clusterConfig(pascal, 4);
+    chaos_cfg.gpuKvCapacityTokens = 32768;
+    chaos_cfg.sloClasses.enabled = true;
+    chaos_cfg.sloClasses.overloadControl = false;
+    for (auto& c : chaos_cfg.sloClasses.classes)
+        c.demoteOnExpiry = true;
+    chaos_cfg.sloClasses
+        .classes[workload::sloClassIndex(workload::SloClass::Interactive)]
+        .relativeDeadline = 20.0;
+    chaos_cfg.fault.enabled = true;
+    chaos_cfg.fault.seed = 14;
+    chaos_cfg.fault.crashRate = 0.02;
+    chaos_cfg.fault.mttr = 8.0;
+    chaos_cfg.fault.decommissionRate = 0.005;
+    chaos_cfg.fault.drainGrace = 5.0;
+    chaos_cfg.fault.stragglerRate = 0.02;
+    chaos_cfg.fault.stragglerFactor = 3.0;
+    chaos_cfg.fault.stragglerDuration = 6.0;
+    chaos_cfg.fault.linkFailureProb = 0.1;
+    chaos_cfg.fault.retryBudget = 1000;
+    chaos_cfg.fault.backoffBase = 0.25;
+    chaos_cfg.fault.backoffCap = 4.0;
+    out.emplace_back("perfbench/chaos-classes",
+                     cluster::RunContext::execute(chaos_cfg, chaos));
+
+    predict::PredictorConfig pred;
+    pred.type = predict::PredictorType::Profile;
+    out.emplace_back("perfbench/alpaca-spec",
+                     cluster::RunContext::execute(
+                         SystemConfig::speculative(
+                             SchedulerType::PascalSpec, pred, 8),
+                         steady));
+    return out;
+}
+
 /** name -> hex digest, in file order. */
 using Digests = std::vector<std::pair<std::string, std::string>>;
 
@@ -159,6 +237,8 @@ computeDigests()
         "chaos-classes/pascal-spec/profile",
         hex(cluster::digest(
             cluster::RunContext::execute(chaosConfig(), chaosTrace()))));
+    for (const auto& [name, result] : perfbenchShapes())
+        out.emplace_back(name, hex(cluster::digest(result)));
     return out;
 }
 
