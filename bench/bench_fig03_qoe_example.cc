@@ -62,6 +62,6 @@ main()
     for (int i = 0; i < 30; ++i)
         steady.push_back(i * pace);
     std::printf("steady-pace QoE  : %.4f (reference)\n",
-                qoe::computeQoe(steady, 0.0, pace));
+                qoe::buildQoeCurves(steady, 0.0, pace).qoe);
     return 0;
 }

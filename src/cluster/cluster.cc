@@ -237,6 +237,7 @@ Cluster::onArrivals(workload::Request* first, std::uint32_t n)
     }
     for (std::uint32_t i = 0; i < n; ++i) {
         workload::Request* req = first + i;
+        qoe::bindQoeTargets(*req, cfg.slo, &cfg.sloClasses);
         if (classesOn) {
             // The class layer owns the scheduler-visible rank: traces
             // may carry class annotations, but with classes off every

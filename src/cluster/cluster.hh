@@ -54,8 +54,8 @@ class Cluster
      * Opt-in for long-lived clusters fed thousands of traces: once
      * every request of a submitted trace has finished, score the
      * chunk into compact per-request metrics rows and recycle its
-     * arena storage, so resident Request memory (including the
-     * per-token emission vectors) stays bounded by *live* requests.
+     * arena storage, so resident Request memory stays bounded by
+     * *live* requests.
      * collectMetrics() output is byte-identical either way (same
      * rows, same order). Call before the simulation runs.
      */

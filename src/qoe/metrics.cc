@@ -1,7 +1,9 @@
 #include "src/qoe/metrics.hh"
 
 #include <algorithm>
+#include <string>
 
+#include "src/common/log.hh"
 #include "src/common/stats.hh"
 #include "src/qoe/qoe.hh"
 
@@ -10,23 +12,57 @@ namespace pascal
 namespace qoe
 {
 
+namespace
+{
+
+/** The target sets a request folds its QoE with (see bindQoeTargets). */
+struct QoeBinding
+{
+    QoeTargets own;
+    QoeTargets demoted;
+    std::uint8_t count = 1; //!< 2 when demoted is folded too.
+};
+
+QoeBinding
+qoeBinding(workload::SloClass c, const SloConfig& slo,
+           const SloClassConfig* classes)
+{
+    // Per-class targets override the global ones when the class
+    // subsystem is on; the anchoring mode stays global.
+    QoeBinding b;
+    b.own = {slo.tpotTarget, slo.ttfatTarget, slo.qoeFromFirstToken};
+    if (classes == nullptr || !classes->enabled)
+        return b;
+    auto targets = [&](const SloClassParams& p) {
+        return QoeTargets{p.tpotTarget, p.ttfatTarget,
+                          slo.qoeFromFirstToken};
+    };
+    b.own = targets(classes->of(c));
+    b.demoted = targets(classes->of(workload::SloClass::Batch));
+    if (classes->of(c).demoteOnExpiry && !(b.demoted == b.own))
+        b.count = 2;
+    return b;
+}
+
+} // namespace
+
+void
+bindQoeTargets(workload::Request& req, const SloConfig& slo,
+               const SloClassConfig* classes)
+{
+    if (req.numQoeFolds != 0)
+        panic("QoE targets of request " + std::to_string(req.id()) +
+              " bound twice");
+    const QoeBinding b = qoeBinding(req.spec().sloClass, slo, classes);
+    req.qoeFolds = {QoeFold(b.own), QoeFold(b.demoted)};
+    req.numQoeFolds = b.count;
+}
+
 RequestMetrics
 computeRequestMetrics(const workload::Request& req, const SloConfig& slo,
                       const SloClassConfig* classes)
 {
     slo.validate();
-
-    // Per-class targets override the global ones when the class
-    // subsystem is on; everything else (threshold, anchoring mode)
-    // stays global.
-    Time tpot_target = slo.tpotTarget;
-    Time ttfat_target = slo.ttfatTarget;
-    if (classes != nullptr && classes->enabled) {
-        const SloClassParams& p =
-            classes->effective(req.spec().sloClass, req.bestEffort);
-        tpot_target = p.tpotTarget;
-        ttfat_target = p.ttfatTarget;
-    }
 
     const auto& spec = req.spec();
     RequestMetrics m;
@@ -64,16 +100,24 @@ computeRequestMetrics(const workload::Request& req, const SloConfig& slo,
     m.e2eLatency = req.finish - spec.arrival;
     m.answeringLatency = req.finish - req.reasoningEnd;
 
-    const auto& emits = req.answerEmitTimes;
-    if (emits.size() > 1) {
-        m.meanTpot = (emits.back() - emits.front()) /
-                     static_cast<double>(emits.size() - 1);
+    if (spec.answerTokens > 1) {
+        m.meanTpot = (req.finish - req.firstAnswer) /
+                     static_cast<double>(spec.answerTokens - 1);
     }
 
-    Time expected_start = slo.qoeFromFirstToken
-                              ? req.firstAnswer
-                              : req.reasoningEnd + ttfat_target;
-    m.qoe = computeQoe(emits, expected_start, tpot_target);
+    // The fold ran against the targets bound at admission; scoring
+    // under any other config would silently mix two target sets.
+    const QoeBinding b = qoeBinding(spec.sloClass, slo, classes);
+    if (req.numQoeFolds != b.count || !(req.qoeFolds[0].targets() == b.own) ||
+        (b.count == 2 && !(req.qoeFolds[1].targets() == b.demoted))) {
+        panic("request " + std::to_string(spec.id) +
+              " is scored under QoE targets other than the ones bound "
+              "at its admission");
+    }
+    // A best-effort request is scored against Batch's targets.
+    const QoeFold& fold =
+        req.bestEffort && b.count == 2 ? req.qoeFolds[1] : req.qoeFolds[0];
+    m.qoe = fold.score(spec.answerTokens);
     m.sloViolated = m.qoe < slo.qoeThreshold;
     return m;
 }

@@ -81,15 +81,26 @@ struct RequestMetrics
 };
 
 /**
- * Score one simulated request against @p slo.
+ * Bind the QoE targets @p req folds its answer with; call once, at
+ * admission, before its first answering token.
  *
- * When @p classes is non-null and enabled, the class's TPOT/TTFAT
- * targets (Batch's for best-effort requests) replace the global ones
- * for QoE scoring; every other SloConfig knob still comes from
- * @p slo.
+ * The targets are @p slo's, or the class's TPOT/TTFAT when @p classes
+ * is non-null and enabled (the anchoring mode stays @p slo's). When a
+ * deadline expiry can demote the request to best-effort, which is
+ * scored against Batch's targets, it folds Batch's targets as well,
+ * since a demotion may land mid-answer.
+ */
+void bindQoeTargets(workload::Request& req, const SloConfig& slo,
+                    const SloClassConfig* classes = nullptr);
+
+/**
+ * Score one simulated request against @p slo and @p classes, which
+ * must be the configs its QoE targets were bound under
+ * (bindQoeTargets); a finished request scored under any other targets
+ * panics. A best-effort request scores against Batch's targets.
  *
- * @pre The request finished (metrics of unfinished requests have
- *      finished == false and only the fields known so far).
+ * Metrics of an unfinished request have finished == false and only
+ * the fields known so far.
  */
 RequestMetrics computeRequestMetrics(
     const workload::Request& req, const SloConfig& slo,

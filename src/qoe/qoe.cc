@@ -9,12 +9,31 @@ namespace pascal
 namespace qoe
 {
 
+bool
+operator==(const QoeTargets& a, const QoeTargets& b)
+{
+    return a.tpot == b.tpot && a.ttfat == b.ttfat &&
+           a.fromFirstToken == b.fromFirstToken;
+}
+
+double
+QoeFold::score(TokenCount n) const
+{
+    const auto count = static_cast<double>(n);
+    const double width = std::max(digest, expectedAt(n - 1)) - anchor;
+    const double digested_area = count * width - digestedSum;
+    const double expected_area = count * width - expectedSum;
+    return expected_area <= 0.0
+               ? 1.0
+               : std::clamp(digested_area / expected_area, 0.0, 1.0);
+}
+
 QoeCurves
 buildQoeCurves(const std::vector<Time>& emit_times, Time expected_start,
                Time tpot)
 {
     if (tpot <= 0.0)
-        fatal("computeQoe: tpot must be positive");
+        fatal("buildQoeCurves: tpot must be positive");
 
     QoeCurves curves;
     curves.generated = emit_times;
@@ -26,7 +45,7 @@ buildQoeCurves(const std::vector<Time>& emit_times, Time expected_start,
     curves.digested.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
         if (k > 0 && emit_times[k] < emit_times[k - 1])
-            fatal("computeQoe: emission times must be non-decreasing");
+            fatal("buildQoeCurves: emission times must be non-decreasing");
         curves.expected[k] =
             expected_start + static_cast<double>(k) * tpot;
         Time earliest = (k == 0) ? expected_start
@@ -51,50 +70,6 @@ buildQoeCurves(const std::vector<Time>& emit_times, Time expected_start,
                      ? 1.0
                      : std::clamp(digested_area / expected_area, 0.0, 1.0);
     return curves;
-}
-
-double
-computeQoe(const std::vector<Time>& emit_times, Time expected_start,
-           Time tpot)
-{
-    // Scalar twin of buildQoeCurves: scoring a million-request run
-    // calls this once per request, and materializing the three Fig. 3
-    // curve vectors per call dominated the scoring pass. The digested
-    // recursion only ever needs its previous value, so two allocation-
-    // free passes (one for the horizon, one for the areas, with the
-    // identical expressions in the identical order) produce the exact
-    // same double as the curve-building path — pinned by the qoe
-    // equivalence tests.
-    if (tpot <= 0.0)
-        fatal("computeQoe: tpot must be positive");
-    std::size_t n = emit_times.size();
-    if (n == 0)
-        return 1.0;
-
-    Time digested = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-        if (k > 0 && emit_times[k] < emit_times[k - 1])
-            fatal("computeQoe: emission times must be non-decreasing");
-        Time earliest = (k == 0) ? expected_start : digested + tpot;
-        digested = std::max(emit_times[k], earliest);
-    }
-    Time horizon = std::max(
-        digested,
-        expected_start + static_cast<double>(n - 1) * tpot);
-
-    double digested_area = 0.0;
-    double expected_area = 0.0;
-    digested = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-        Time earliest = (k == 0) ? expected_start : digested + tpot;
-        digested = std::max(emit_times[k], earliest);
-        digested_area += horizon - digested;
-        expected_area +=
-            horizon - (expected_start + static_cast<double>(k) * tpot);
-    }
-    return expected_area <= 0.0
-               ? 1.0
-               : std::clamp(digested_area / expected_area, 0.0, 1.0);
 }
 
 } // namespace qoe

@@ -10,17 +10,23 @@
  * includes the prefill stage. The phase transition is *observed* when
  * the final reasoning token (the </think> marker) is emitted; it cannot
  * be predicted in advance.
+ *
+ * A request keeps no per-token history: each answering token is folded
+ * into fixed-size QoE state on emission (qoe::QoeFold), so a request's
+ * footprint does not grow with its answer length.
  */
 
 #ifndef PASCAL_WORKLOAD_REQUEST_HH
 #define PASCAL_WORKLOAD_REQUEST_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/common/types.hh"
+#include "src/qoe/qoe.hh"
 #include "src/workload/slo_class.hh"
 
 namespace pascal
@@ -192,18 +198,17 @@ class Request
             // transition.
             reasoningEnd = now;
         }
-        if (generatedTokens == specData.reasoningTokens + 1 ||
-            (specData.startInAnswering && generatedTokens == 1)) {
+        if (generatedTokens == specData.reasoningTokens + 1) {
+            // First answering token (for startInAnswering requests,
+            // whose reasoningTokens is 0, the first token of all).
             firstAnswer = now;
-        }
-        if (generatedTokens > specData.reasoningTokens) {
-            // One exact reservation instead of doubling reallocs: the
-            // final answering length is known from the spec, and a
-            // long answer otherwise pays ~log2(n) grow-copy passes.
-            if (answerEmitTimes.capacity() == 0)
-                answerEmitTimes.reserve(
-                    static_cast<std::size_t>(specData.answerTokens));
-            answerEmitTimes.push_back(now);
+            for (std::uint8_t i = 0; i < numQoeFolds; ++i)
+                qoeFolds[i].first(now, reasoningEnd);
+        } else if (generatedTokens > specData.reasoningTokens) {
+            const TokenCount k =
+                generatedTokens - specData.reasoningTokens - 1;
+            for (std::uint8_t i = 0; i < numQoeFolds; ++i)
+                qoeFolds[i].next(now, k);
         }
         if (generatedTokens == totalToGenerate())
             finish = now;
@@ -441,8 +446,12 @@ class Request
                                       //!< step start (Fig. 13 blocking
                                       //!< latency reference).
 
-    /** Emission time of each answering token (pacer/QoE input). */
-    std::vector<Time> answerEmitTimes;
+    /** Streaming QoE of the answer, folded at each answering token
+     *  (qoe::QoeFold) against the targets bound at admission by
+     *  qoe::bindQoeTargets(): [0] the request's own, [1] Batch's while
+     *  a demotion to best-effort can still move it there. */
+    std::array<qoe::QoeFold, 2> qoeFolds;
+    std::uint8_t numQoeFolds = 0; //!< 0 until bound.
 
     int migrationCount = 0;
     /** Per-migration end-to-end KV transfer latency (Sec. V-C). */

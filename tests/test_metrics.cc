@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/qoe/metrics.hh"
+#include "src/qoe/qoe.hh"
 
 namespace
 {
@@ -20,7 +23,7 @@ using workload::RequestSpec;
 
 Request
 runPacedRequest(Time arrival, TokenCount reasoning, TokenCount answer,
-                Time step)
+                Time step, const SloConfig& slo = {})
 {
     RequestSpec s;
     s.id = 1;
@@ -29,6 +32,7 @@ runPacedRequest(Time arrival, TokenCount reasoning, TokenCount answer,
     s.reasoningTokens = reasoning;
     s.answerTokens = answer;
     Request r(s);
+    qoe::bindQoeTargets(r, slo);
     Time t = arrival + 0.5; // Prefill finishes 0.5 s after arrival.
     r.completePrefill(t, 0);
     for (TokenCount i = 1; i < reasoning + answer; ++i) {
@@ -74,11 +78,11 @@ TEST(Metrics, SlowGenerationViolatesSlo)
     EXPECT_TRUE(m.sloViolated);
 }
 
-TEST(Metrics, Fig5ModeChargesLateFirstToken)
+/** A startInAnswering request bound under @p slo whose 20 answer
+ *  tokens start 5 s after arrival (its reasoning end) at 50 ms. */
+Request
+lateStartInAnswering(const SloConfig& slo)
 {
-    // startInAnswering request whose first token arrives 5 s after
-    // the reasoning end: fine in main-eval mode, violation in the
-    // characterization (TTFAT-anchored) mode.
     RequestSpec s;
     s.id = 2;
     s.arrival = 0.0;
@@ -87,21 +91,175 @@ TEST(Metrics, Fig5ModeChargesLateFirstToken)
     s.answerTokens = 20;
     s.startInAnswering = true;
     Request r(s);
+    qoe::bindQoeTargets(r, slo);
     Time t = 5.0;
     for (TokenCount i = 0; i < s.answerTokens; ++i) {
         r.emitToken(t, 0);
         t += 0.05;
     }
+    return r;
+}
 
+/** The request's 20 answer-token emission times, as emitted by
+ *  lateStartInAnswering. */
+std::vector<Time>
+lateStartEmissions()
+{
+    std::vector<Time> emits;
+    Time t = 5.0;
+    for (int i = 0; i < 20; ++i) {
+        emits.push_back(t);
+        t += 0.05;
+    }
+    return emits;
+}
+
+TEST(Metrics, Fig5ModeChargesLateFirstToken)
+{
+    // startInAnswering request whose first token arrives 5 s after
+    // the reasoning end: fine in main-eval mode, violation in the
+    // characterization (TTFAT-anchored) mode. Each mode folds on its
+    // own request.
     SloConfig main_eval;
     main_eval.qoeFromFirstToken = true;
-    EXPECT_FALSE(computeRequestMetrics(r, main_eval).sloViolated);
+    EXPECT_FALSE(
+        computeRequestMetrics(lateStartInAnswering(main_eval), main_eval)
+            .sloViolated);
 
     SloConfig characterization;
     characterization.qoeFromFirstToken = false;
-    auto m = computeRequestMetrics(r, characterization);
+    auto m = computeRequestMetrics(lateStartInAnswering(characterization),
+                                   characterization);
     EXPECT_TRUE(m.sloViolated);
     EXPECT_LT(m.qoe, 0.95);
+}
+
+TEST(Metrics, StartInAnsweringScoresLikeTheCurves)
+{
+    const auto emits = lateStartEmissions();
+    for (bool from_first : {true, false}) {
+        SloConfig slo;
+        slo.qoeFromFirstToken = from_first;
+        auto m = computeRequestMetrics(lateStartInAnswering(slo), slo);
+        ASSERT_TRUE(m.finished);
+        const Time start =
+            from_first ? emits.front() : 0.0 + slo.ttfatTarget;
+        EXPECT_NEAR(m.qoe,
+                    qoe::buildQoeCurves(emits, start, slo.tpotTarget).qoe,
+                    1e-12);
+        EXPECT_NEAR(m.meanTpot, 0.05, 1e-12);
+    }
+}
+
+/** A classes-on config whose Interactive requests demote on expiry. */
+qoe::SloClassConfig
+demotingClasses()
+{
+    qoe::SloClassConfig classes;
+    classes.enabled = true;
+    classes.classes[workload::sloClassIndex(workload::SloClass::Interactive)]
+        .demoteOnExpiry = true;
+    return classes;
+}
+
+TEST(Metrics, MidAnswerDemotionScoresAgainstBatchTargets)
+{
+    // An Interactive request answering at 80 ms/token: behind its own
+    // 50 ms TPOT target, ahead of Batch's 200 ms. It is demoted to
+    // best-effort after its first answer tokens, so the targets it is
+    // scored against change mid-answer.
+    const qoe::SloClassConfig classes = demotingClasses();
+    SloConfig slo;
+    for (bool from_first : {true, false}) {
+        slo.qoeFromFirstToken = from_first;
+        RequestSpec s;
+        s.id = 5;
+        s.arrival = 0.0;
+        s.promptTokens = 64;
+        s.reasoningTokens = 3;
+        s.answerTokens = 30;
+        s.sloClass = workload::SloClass::Interactive;
+        Request r(s);
+        qoe::bindQoeTargets(r, slo, &classes);
+        ASSERT_EQ(r.numQoeFolds, 2u);
+        std::vector<Time> emits;
+        r.completePrefill(0.4, 0);
+        r.emitToken(0.5, 0);
+        r.emitToken(0.6, 0); // </think>
+        Time t = 1.0;
+        for (TokenCount i = 0; i < s.answerTokens; ++i) {
+            if (i == 3)
+                r.bestEffort = true; // Demoted mid-answer.
+            r.emitToken(t, 0);
+            emits.push_back(t);
+            t += i == 10 ? 4.0 : 0.08; // One preemption gap.
+        }
+
+        const qoe::SloClassParams& batch =
+            classes.of(workload::SloClass::Batch);
+        const Time start =
+            from_first ? emits.front() : 0.6 + batch.ttfatTarget;
+        auto m = computeRequestMetrics(r, slo, &classes);
+        EXPECT_TRUE(m.bestEffort);
+        EXPECT_NEAR(m.qoe,
+                    qoe::buildQoeCurves(emits, start, batch.tpotTarget).qoe,
+                    1e-12);
+        // The Interactive targets would have scored it lower.
+        const qoe::SloClassParams& own =
+            classes.of(workload::SloClass::Interactive);
+        const Time own_start =
+            from_first ? emits.front() : 0.6 + own.ttfatTarget;
+        EXPECT_LT(qoe::buildQoeCurves(emits, own_start, own.tpotTarget).qoe,
+                  m.qoe);
+    }
+}
+
+TEST(Metrics, BatchRequestFoldsOneTargetSet)
+{
+    const qoe::SloClassConfig classes = demotingClasses();
+    RequestSpec s;
+    s.id = 6;
+    s.arrival = 0.0;
+    s.promptTokens = 64;
+    s.reasoningTokens = 3;
+    s.answerTokens = 4;
+    s.sloClass = workload::SloClass::Batch;
+    Request r(s);
+    qoe::bindQoeTargets(r, SloConfig{}, &classes);
+    EXPECT_EQ(r.numQoeFolds, 1u);
+}
+
+TEST(MetricsDeathTest, ScoringUnderOtherTargetsPanics)
+{
+    // Bound under the default SLO, scored under a tighter TPOT.
+    SloConfig tight;
+    tight.tpotTarget = 0.02;
+    EXPECT_DEATH(computeRequestMetrics(runPacedRequest(0.0, 4, 20, 0.05),
+                                       tight),
+                 "request 1 is scored under QoE targets");
+
+    // Bound with classes off, scored with them on under a Standard
+    // class that demotes on expiry (and so would fold Batch's targets
+    // as well).
+    qoe::SloClassConfig classes = demotingClasses();
+    classes.classes[workload::sloClassIndex(workload::SloClass::Standard)]
+        .demoteOnExpiry = true;
+    EXPECT_DEATH(computeRequestMetrics(runPacedRequest(0.0, 4, 20, 0.05),
+                                       SloConfig{}, &classes),
+                 "request 1 is scored under QoE targets");
+
+    // Never bound at all.
+    RequestSpec s;
+    s.id = 7;
+    s.arrival = 0.0;
+    s.promptTokens = 64;
+    s.reasoningTokens = 0;
+    s.answerTokens = 1;
+    s.startInAnswering = true;
+    Request unbound(s);
+    unbound.emitToken(1.0, 0);
+    EXPECT_DEATH(computeRequestMetrics(unbound, SloConfig{}),
+                 "request 7 is scored under QoE targets");
 }
 
 TEST(Metrics, UnfinishedRequestMarked)

@@ -1,21 +1,49 @@
 /**
  * @file
- * Unit tests for the QoE area-ratio metric (Fig. 3 semantics).
+ * Unit tests for the QoE area-ratio metric (Fig. 3 semantics): the
+ * streaming QoeFold that scores runs, checked against the
+ * buildQoeCurves reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "src/common/log.hh"
+#include "src/common/rng.hh"
 #include "src/qoe/qoe.hh"
 
 namespace
 {
 
+using pascal::Rng;
 using pascal::Time;
+using pascal::TokenCount;
 using pascal::qoe::buildQoeCurves;
-using pascal::qoe::computeQoe;
+using pascal::qoe::QoeFold;
+using pascal::qoe::QoeTargets;
+
+/** Fold @p emits (non-empty) with @p targets, as Request::emitToken
+ *  does, and score them. */
+double
+foldQoe(const std::vector<Time>& emits, const QoeTargets& targets,
+        Time reasoning_end)
+{
+    QoeFold fold(targets);
+    fold.first(emits.front(), reasoning_end);
+    for (std::size_t k = 1; k < emits.size(); ++k)
+        fold.next(emits[k], static_cast<TokenCount>(k));
+    return fold.score(static_cast<TokenCount>(emits.size()));
+}
+
+/** Fold @p emits against an expected curve starting at
+ *  @p expected_start (the Fig. 5 anchoring with a zero TTFAT). */
+double
+computeQoe(const std::vector<Time>& emits, Time expected_start, Time tpot)
+{
+    return foldQoe(emits, QoeTargets{tpot, 0.0, false}, expected_start);
+}
 
 std::vector<Time>
 pacedEmissions(int n, Time start, Time gap)
@@ -42,7 +70,14 @@ TEST(Qoe, FasterThanPaceStillOne)
 
 TEST(Qoe, EmptyEmissionsScoreOne)
 {
-    EXPECT_DOUBLE_EQ(computeQoe({}, 0.0, 0.1), 1.0);
+    EXPECT_DOUBLE_EQ(buildQoeCurves({}, 0.0, 0.1).qoe, 1.0);
+}
+
+TEST(Qoe, SingleTokenScoresOneOnTimeAndZeroLate)
+{
+    EXPECT_DOUBLE_EQ(computeQoe({2.0}, 2.0, 0.1), 1.0);
+    EXPECT_DOUBLE_EQ(computeQoe({2.0}, 3.0, 0.1), 1.0);
+    EXPECT_DOUBLE_EQ(computeQoe({2.0}, 1.0, 0.1), 0.0);
 }
 
 TEST(Qoe, PauseLowersScore)
@@ -84,7 +119,8 @@ TEST(Qoe, ExpectedStartAtFirstTokenIgnoresTtft)
     // Main-evaluation mode: the expected curve starts at the first
     // answering token, so a late start alone does not hurt QoE.
     auto emits = pacedEmissions(20, 100.0, 0.1);
-    EXPECT_DOUBLE_EQ(computeQoe(emits, emits.front(), 0.1), 1.0);
+    EXPECT_DOUBLE_EQ(foldQoe(emits, QoeTargets{0.1, 0.25, true}, 0.0),
+                     1.0);
 }
 
 TEST(Qoe, ScoreAlwaysInUnitInterval)
@@ -118,8 +154,58 @@ TEST(Qoe, DigestedNeverBeforeExpected)
 
 TEST(Qoe, RejectsBadInput)
 {
-    EXPECT_THROW(computeQoe({1.0, 0.5}, 0.0, 0.1), pascal::FatalError);
-    EXPECT_THROW(computeQoe({1.0}, 0.0, 0.0), pascal::FatalError);
+    EXPECT_THROW(buildQoeCurves({1.0, 0.5}, 0.0, 0.1),
+                 pascal::FatalError);
+    EXPECT_THROW(buildQoeCurves({1.0}, 0.0, 0.0), pascal::FatalError);
+}
+
+/**
+ * The fold against the curves reference on randomized timelines:
+ * 1 to 15000 tokens at absolute times up to hours into a run, mixing
+ * tied timestamps (bursts), paced and slow stretches and long
+ * preemption gaps, with the Fig. 5 anchor before or after the first
+ * token, in both anchoring modes.
+ */
+TEST(Qoe, FoldMatchesCurvesOnRandomTimelines)
+{
+    Rng rng(20260);
+    const TokenCount sizes[] = {1, 2, 3, 15000, 14999};
+    double worst = 0.0;
+    for (int trial = 0; trial < 600; ++trial) {
+        TokenCount n = trial < 5 ? sizes[trial]
+                                 : static_cast<TokenCount>(std::exp(
+                                       rng.uniformReal(0.0, std::log(15000.0))));
+        const Time tpot = rng.uniformReal(0.01, 0.3);
+        const Time reasoning_end = rng.uniformReal(0.0, 20000.0);
+        Time t = reasoning_end + rng.uniformReal(0.0, 3.0);
+        std::vector<Time> emits;
+        emits.reserve(static_cast<std::size_t>(n));
+        for (TokenCount k = 0; k < n; ++k) {
+            emits.push_back(t);
+            const double kind = rng.uniformReal(0.0, 1.0);
+            if (kind < 0.3)
+                continue; // Tied with the next token.
+            if (kind < 0.33)
+                t += rng.uniformReal(10.0, 600.0); // Preemption gap.
+            else
+                t += rng.uniformReal(0.0, 2.5 * tpot);
+        }
+        for (bool from_first : {true, false}) {
+            const QoeTargets targets{tpot, rng.uniformReal(0.0, 2.0),
+                                     from_first};
+            const Time expected_start =
+                from_first ? emits.front() : reasoning_end + targets.ttfat;
+            const double reference =
+                buildQoeCurves(emits, expected_start, tpot).qoe;
+            const double folded = foldQoe(emits, targets, reasoning_end);
+            const double delta = std::fabs(folded - reference);
+            worst = std::max(worst, delta);
+            ASSERT_LE(delta, 1e-12)
+                << "trial " << trial << ", " << n << " tokens, "
+                << (from_first ? "first-token" : "TTFAT") << " anchor";
+        }
+    }
+    RecordProperty("worst_abs_delta", std::to_string(worst));
 }
 
 } // namespace

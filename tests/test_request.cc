@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "src/common/log.hh"
+#include "src/qoe/metrics.hh"
+#include "src/qoe/qoe.hh"
 #include "src/workload/request.hh"
 
 namespace
@@ -55,37 +57,50 @@ TEST(RequestSpec, ValidatesFields)
 
 TEST(Request, PhaseProgression)
 {
-    Request r(makeSpec(3, 2));
-    EXPECT_EQ(r.phase(), Phase::Reasoning);
-    EXPECT_EQ(r.totalToGenerate(), 5);
-    EXPECT_EQ(r.kvTokens(), 128);
+    // Each QoE anchoring mode folds the answer on its own request.
+    for (bool from_first : {true, false}) {
+        Request r(makeSpec(3, 2));
+        qoe::SloConfig slo;
+        slo.tpotTarget = 0.5;
+        slo.ttfatTarget = 0.25;
+        slo.qoeFromFirstToken = from_first;
+        qoe::bindQoeTargets(r, slo);
+        EXPECT_EQ(r.phase(), Phase::Reasoning);
+        EXPECT_EQ(r.totalToGenerate(), 5);
+        EXPECT_EQ(r.kvTokens(), 128);
 
-    r.completePrefill(1.0, 0); // Emits r1.
-    EXPECT_EQ(r.generated(), 1);
-    EXPECT_EQ(r.phase(), Phase::Reasoning);
-    EXPECT_EQ(r.kvTokens(), 129);
-    EXPECT_DOUBLE_EQ(r.prefillEnd, 1.0);
+        r.completePrefill(1.0, 0); // Emits r1.
+        EXPECT_EQ(r.generated(), 1);
+        EXPECT_EQ(r.phase(), Phase::Reasoning);
+        EXPECT_EQ(r.kvTokens(), 129);
+        EXPECT_DOUBLE_EQ(r.prefillEnd, 1.0);
 
-    r.emitToken(2.0, 0); // r2.
-    r.emitToken(3.0, 0); // r3 = </think>: transition observed.
-    EXPECT_EQ(r.phase(), Phase::Answering);
-    EXPECT_DOUBLE_EQ(r.reasoningEnd, 3.0);
-    EXPECT_EQ(r.reasoningGenerated(), 3);
-    EXPECT_EQ(r.answerGenerated(), 0);
-    EXPECT_LT(r.firstAnswer, 0.0);
+        r.emitToken(2.0, 0); // r2.
+        r.emitToken(3.0, 0); // r3 = </think>: transition observed.
+        EXPECT_EQ(r.phase(), Phase::Answering);
+        EXPECT_DOUBLE_EQ(r.reasoningEnd, 3.0);
+        EXPECT_EQ(r.reasoningGenerated(), 3);
+        EXPECT_EQ(r.answerGenerated(), 0);
+        EXPECT_LT(r.firstAnswer, 0.0);
 
-    r.emitToken(4.0, 0); // t1: first answering token.
-    EXPECT_DOUBLE_EQ(r.firstAnswer, 4.0);
-    EXPECT_EQ(r.answerGenerated(), 1);
-    EXPECT_FALSE(r.finished());
+        r.emitToken(4.0, 0); // t1: first answering token.
+        EXPECT_DOUBLE_EQ(r.firstAnswer, 4.0);
+        EXPECT_EQ(r.answerGenerated(), 1);
+        EXPECT_FALSE(r.finished());
 
-    r.emitToken(5.0, 0); // t2: done.
-    EXPECT_TRUE(r.finished());
-    EXPECT_EQ(r.phase(), Phase::Finished);
-    EXPECT_DOUBLE_EQ(r.finish, 5.0);
-    ASSERT_EQ(r.answerEmitTimes.size(), 2u);
-    EXPECT_DOUBLE_EQ(r.answerEmitTimes[0], 4.0);
-    EXPECT_DOUBLE_EQ(r.answerEmitTimes[1], 5.0);
+        r.emitToken(5.0, 0); // t2: done.
+        EXPECT_TRUE(r.finished());
+        EXPECT_EQ(r.phase(), Phase::Finished);
+        EXPECT_DOUBLE_EQ(r.finish, 5.0);
+        // Both answering emissions (4.0 and 5.0) went into the fold:
+        // 2/3 anchored at t1, 1/3 anchored at 3.0 + 0.25.
+        ASSERT_EQ(r.numQoeFolds, 1u);
+        const Time start = from_first ? 4.0 : 3.25;
+        EXPECT_DOUBLE_EQ(r.qoeFolds[0].score(2),
+                         qoe::buildQoeCurves({4.0, 5.0}, start, 0.5).qoe);
+        EXPECT_NEAR(r.qoeFolds[0].score(2), from_first ? 2.0 / 3 : 1.0 / 3,
+                    1e-12);
+    }
 }
 
 TEST(Request, StartInAnsweringSkipsReasoning)

@@ -70,8 +70,7 @@ TEST_F(RequestArenaRecycling, LongLivedClusterRecyclesFinishedChunks)
 {
     // Several traces into ONE cluster: every chunk whose requests all
     // finish is scored and its storage released, so resident Request
-    // memory stays bounded by live requests (the per-token emission
-    // vectors are the bulk of it).
+    // memory stays bounded by live requests.
     SystemConfig cfg = SystemConfig::pascal(2);
     cfg.gpuKvCapacityTokens = 16384;
 
