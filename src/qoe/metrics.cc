@@ -1,6 +1,7 @@
 #include "src/qoe/metrics.hh"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "src/common/log.hh"
@@ -19,8 +20,8 @@ namespace
 struct QoeBinding
 {
     QoeTargets own;
-    QoeTargets demoted;
-    std::uint8_t count = 1; //!< 2 when demoted is folded too.
+    QoeTargets demoted;     //!< Batch's targets.
+    bool demotable = false; //!< Fold demoted as well.
 };
 
 QoeBinding
@@ -39,8 +40,7 @@ qoeBinding(workload::SloClass c, const SloConfig& slo,
     };
     b.own = targets(classes->of(c));
     b.demoted = targets(classes->of(workload::SloClass::Batch));
-    if (classes->of(c).demoteOnExpiry && !(b.demoted == b.own))
-        b.count = 2;
+    b.demotable = classes->of(c).demoteOnExpiry && !(b.demoted == b.own);
     return b;
 }
 
@@ -50,12 +50,10 @@ void
 bindQoeTargets(workload::Request& req, const SloConfig& slo,
                const SloClassConfig* classes)
 {
-    if (req.numQoeFolds != 0)
-        panic("QoE targets of request " + std::to_string(req.id()) +
-              " bound twice");
     const QoeBinding b = qoeBinding(req.spec().sloClass, slo, classes);
-    req.qoeFolds = {QoeFold(b.own), QoeFold(b.demoted)};
-    req.numQoeFolds = b.count;
+    req.qoe = QoeFold(b.own);
+    req.bestEffortQoe =
+        b.demotable ? std::make_unique<QoeFold>(b.demoted) : nullptr;
 }
 
 RequestMetrics
@@ -108,15 +106,16 @@ computeRequestMetrics(const workload::Request& req, const SloConfig& slo,
     // The fold ran against the targets bound at admission; scoring
     // under any other config would silently mix two target sets.
     const QoeBinding b = qoeBinding(spec.sloClass, slo, classes);
-    if (req.numQoeFolds != b.count || !(req.qoeFolds[0].targets() == b.own) ||
-        (b.count == 2 && !(req.qoeFolds[1].targets() == b.demoted))) {
+    if (!(req.qoe.targets() == b.own) ||
+        (req.bestEffortQoe != nullptr) != b.demotable ||
+        (b.demotable && !(req.bestEffortQoe->targets() == b.demoted))) {
         panic("request " + std::to_string(spec.id) +
               " is scored under QoE targets other than the ones bound "
               "at its admission");
     }
     // A best-effort request is scored against Batch's targets.
     const QoeFold& fold =
-        req.bestEffort && b.count == 2 ? req.qoeFolds[1] : req.qoeFolds[0];
+        req.bestEffort && b.demotable ? *req.bestEffortQoe : req.qoe;
     m.qoe = fold.score(spec.answerTokens);
     m.sloViolated = m.qoe < slo.qoeThreshold;
     return m;

@@ -58,7 +58,7 @@ bool operator==(const QoeTargets& a, const QoeTargets& b);
  * buildQoeCurves computes, so the score differs from the reference
  * only by summation order. (The closed form X = tpot * n(n-1)/2 would
  * skip the rounding of x_k at the magnitude of absolute time, which
- * moves a short answer's score by up to ~1e-11.)
+ * moves a short answer's score by up to 2e-11.)
  */
 class QoeFold
 {

@@ -19,9 +19,9 @@
 #ifndef PASCAL_WORKLOAD_REQUEST_HH
 #define PASCAL_WORKLOAD_REQUEST_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -202,13 +202,15 @@ class Request
             // First answering token (for startInAnswering requests,
             // whose reasoningTokens is 0, the first token of all).
             firstAnswer = now;
-            for (std::uint8_t i = 0; i < numQoeFolds; ++i)
-                qoeFolds[i].first(now, reasoningEnd);
+            qoe.first(now, reasoningEnd);
+            if (bestEffortQoe)
+                bestEffortQoe->first(now, reasoningEnd);
         } else if (generatedTokens > specData.reasoningTokens) {
             const TokenCount k =
                 generatedTokens - specData.reasoningTokens - 1;
-            for (std::uint8_t i = 0; i < numQoeFolds; ++i)
-                qoeFolds[i].next(now, k);
+            qoe.next(now, k);
+            if (bestEffortQoe)
+                bestEffortQoe->next(now, k);
         }
         if (generatedTokens == totalToGenerate())
             finish = now;
@@ -447,11 +449,14 @@ class Request
                                       //!< latency reference).
 
     /** Streaming QoE of the answer, folded at each answering token
-     *  (qoe::QoeFold) against the targets bound at admission by
-     *  qoe::bindQoeTargets(): [0] the request's own, [1] Batch's while
-     *  a demotion to best-effort can still move it there. */
-    std::array<qoe::QoeFold, 2> qoeFolds;
-    std::uint8_t numQoeFolds = 0; //!< 0 until bound.
+     *  against the request's own targets, bound at admission by
+     *  qoe::bindQoeTargets() (zero targets until then). */
+    qoe::QoeFold qoe;
+
+    /** The same answer folded against Batch's targets, for a request
+     *  that a deadline expiry can demote to best-effort mid-answer;
+     *  null otherwise (most requests, so it lives off the request). */
+    std::unique_ptr<qoe::QoeFold> bestEffortQoe;
 
     int migrationCount = 0;
     /** Per-migration end-to-end KV transfer latency (Sec. V-C). */

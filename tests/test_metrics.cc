@@ -181,7 +181,7 @@ TEST(Metrics, MidAnswerDemotionScoresAgainstBatchTargets)
         s.sloClass = workload::SloClass::Interactive;
         Request r(s);
         qoe::bindQoeTargets(r, slo, &classes);
-        ASSERT_EQ(r.numQoeFolds, 2u);
+        ASSERT_NE(r.bestEffortQoe, nullptr);
         std::vector<Time> emits;
         r.completePrefill(0.4, 0);
         r.emitToken(0.5, 0);
@@ -226,7 +226,7 @@ TEST(Metrics, BatchRequestFoldsOneTargetSet)
     s.sloClass = workload::SloClass::Batch;
     Request r(s);
     qoe::bindQoeTargets(r, SloConfig{}, &classes);
-    EXPECT_EQ(r.numQoeFolds, 1u);
+    EXPECT_EQ(r.bestEffortQoe, nullptr);
 }
 
 TEST(MetricsDeathTest, ScoringUnderOtherTargetsPanics)

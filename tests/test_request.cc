@@ -92,13 +92,13 @@ TEST(Request, PhaseProgression)
         EXPECT_TRUE(r.finished());
         EXPECT_EQ(r.phase(), Phase::Finished);
         EXPECT_DOUBLE_EQ(r.finish, 5.0);
+        EXPECT_EQ(r.bestEffortQoe, nullptr);
         // Both answering emissions (4.0 and 5.0) went into the fold:
         // 2/3 anchored at t1, 1/3 anchored at 3.0 + 0.25.
-        ASSERT_EQ(r.numQoeFolds, 1u);
         const Time start = from_first ? 4.0 : 3.25;
-        EXPECT_DOUBLE_EQ(r.qoeFolds[0].score(2),
+        EXPECT_DOUBLE_EQ(r.qoe.score(2),
                          qoe::buildQoeCurves({4.0, 5.0}, start, 0.5).qoe);
-        EXPECT_NEAR(r.qoeFolds[0].score(2), from_first ? 2.0 / 3 : 1.0 / 3,
+        EXPECT_NEAR(r.qoe.score(2), from_first ? 2.0 / 3 : 1.0 / 3,
                     1e-12);
     }
 }
