@@ -455,7 +455,8 @@ class Request
 
     /** The same answer folded against Batch's targets, for a request
      *  that a deadline expiry can demote to best-effort mid-answer;
-     *  null otherwise (most requests, so it lives off the request). */
+     *  null otherwise. Most requests cannot be demoted, so the fold
+     *  is allocated only for those that can. */
     std::unique_ptr<qoe::QoeFold> bestEffortQoe;
 
     int migrationCount = 0;

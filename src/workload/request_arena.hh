@@ -18,11 +18,11 @@
  * and will never be dereferenced again).
  *
  * Recycling: a long-lived cluster that ingests thousands of traces
- * would otherwise hold every Request until teardown. recycleChunk() frees a fully-finished
- * chunk's storage so resident memory stays bounded by *live*
- * requests; the owner is responsible for harvesting anything it still
- * needs (the Cluster scores a chunk into compact RequestMetrics rows
- * first).
+ * would otherwise hold every Request until teardown. recycleChunk()
+ * frees a fully-finished chunk's storage so resident memory stays
+ * bounded by *live* requests; the owner is responsible for harvesting
+ * anything it still needs (the Cluster scores a chunk into compact
+ * RequestMetrics rows first).
  */
 
 #ifndef PASCAL_WORKLOAD_REQUEST_ARENA_HH

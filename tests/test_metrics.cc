@@ -23,7 +23,7 @@ using workload::RequestSpec;
 
 Request
 runPacedRequest(Time arrival, TokenCount reasoning, TokenCount answer,
-                Time step, const SloConfig& slo = {})
+                Time step)
 {
     RequestSpec s;
     s.id = 1;
@@ -32,7 +32,7 @@ runPacedRequest(Time arrival, TokenCount reasoning, TokenCount answer,
     s.reasoningTokens = reasoning;
     s.answerTokens = answer;
     Request r(s);
-    qoe::bindQoeTargets(r, slo);
+    qoe::bindQoeTargets(r, SloConfig{});
     Time t = arrival + 0.5; // Prefill finishes 0.5 s after arrival.
     r.completePrefill(t, 0);
     for (TokenCount i = 1; i < reasoning + answer; ++i) {
@@ -78,30 +78,7 @@ TEST(Metrics, SlowGenerationViolatesSlo)
     EXPECT_TRUE(m.sloViolated);
 }
 
-/** A startInAnswering request bound under @p slo whose 20 answer
- *  tokens start 5 s after arrival (its reasoning end) at 50 ms. */
-Request
-lateStartInAnswering(const SloConfig& slo)
-{
-    RequestSpec s;
-    s.id = 2;
-    s.arrival = 0.0;
-    s.promptTokens = 128;
-    s.reasoningTokens = 0;
-    s.answerTokens = 20;
-    s.startInAnswering = true;
-    Request r(s);
-    qoe::bindQoeTargets(r, slo);
-    Time t = 5.0;
-    for (TokenCount i = 0; i < s.answerTokens; ++i) {
-        r.emitToken(t, 0);
-        t += 0.05;
-    }
-    return r;
-}
-
-/** The request's 20 answer-token emission times, as emitted by
- *  lateStartInAnswering. */
+/** Emission times of 20 answer tokens at 50 ms, starting at 5 s. */
 std::vector<Time>
 lateStartEmissions()
 {
@@ -112,6 +89,26 @@ lateStartEmissions()
         t += 0.05;
     }
     return emits;
+}
+
+/** A startInAnswering request arriving at 0 (its reasoning end),
+ *  bound under @p slo, that emits lateStartEmissions(). */
+Request
+lateStartInAnswering(const SloConfig& slo)
+{
+    const std::vector<Time> emits = lateStartEmissions();
+    RequestSpec s;
+    s.id = 2;
+    s.arrival = 0.0;
+    s.promptTokens = 128;
+    s.reasoningTokens = 0;
+    s.answerTokens = static_cast<TokenCount>(emits.size());
+    s.startInAnswering = true;
+    Request r(s);
+    qoe::bindQoeTargets(r, slo);
+    for (Time t : emits)
+        r.emitToken(t, 0);
+    return r;
 }
 
 TEST(Metrics, Fig5ModeChargesLateFirstToken)

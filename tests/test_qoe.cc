@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "src/common/log.hh"
@@ -40,7 +41,7 @@ foldQoe(const std::vector<Time>& emits, const QoeTargets& targets,
 /** Fold @p emits against an expected curve starting at
  *  @p expected_start (the Fig. 5 anchoring with a zero TTFAT). */
 double
-computeQoe(const std::vector<Time>& emits, Time expected_start, Time tpot)
+foldedQoe(const std::vector<Time>& emits, Time expected_start, Time tpot)
 {
     return foldQoe(emits, QoeTargets{tpot, 0.0, false}, expected_start);
 }
@@ -57,7 +58,7 @@ pacedEmissions(int n, Time start, Time gap)
 TEST(Qoe, PerfectPaceScoresOne)
 {
     auto emits = pacedEmissions(10, 0.0, 0.1);
-    EXPECT_DOUBLE_EQ(computeQoe(emits, 0.0, 0.1), 1.0);
+    EXPECT_DOUBLE_EQ(foldedQoe(emits, 0.0, 0.1), 1.0);
 }
 
 TEST(Qoe, FasterThanPaceStillOne)
@@ -65,7 +66,7 @@ TEST(Qoe, FasterThanPaceStillOne)
     // Generation faster than the user's reading pace is buffered by
     // the pacer; the user experience is exactly on schedule.
     auto emits = pacedEmissions(10, 0.0, 0.01);
-    EXPECT_DOUBLE_EQ(computeQoe(emits, 0.0, 0.1), 1.0);
+    EXPECT_DOUBLE_EQ(foldedQoe(emits, 0.0, 0.1), 1.0);
 }
 
 TEST(Qoe, EmptyEmissionsScoreOne)
@@ -75,9 +76,9 @@ TEST(Qoe, EmptyEmissionsScoreOne)
 
 TEST(Qoe, SingleTokenScoresOneOnTimeAndZeroLate)
 {
-    EXPECT_DOUBLE_EQ(computeQoe({2.0}, 2.0, 0.1), 1.0);
-    EXPECT_DOUBLE_EQ(computeQoe({2.0}, 3.0, 0.1), 1.0);
-    EXPECT_DOUBLE_EQ(computeQoe({2.0}, 1.0, 0.1), 0.0);
+    EXPECT_DOUBLE_EQ(foldedQoe({2.0}, 2.0, 0.1), 1.0);
+    EXPECT_DOUBLE_EQ(foldedQoe({2.0}, 3.0, 0.1), 1.0);
+    EXPECT_DOUBLE_EQ(foldedQoe({2.0}, 1.0, 0.1), 0.0);
 }
 
 TEST(Qoe, PauseLowersScore)
@@ -89,7 +90,7 @@ TEST(Qoe, PauseLowersScore)
         emits.push_back(0.0); // Burst.
     for (int i = 0; i < 5; ++i)
         emits.push_back(5.0 + i * 0.1); // Resume after a pause.
-    double qoe = computeQoe(emits, 0.0, 0.1);
+    double qoe = foldedQoe(emits, 0.0, 0.1);
     EXPECT_LT(qoe, 0.95);
     EXPECT_GT(qoe, 0.0);
 }
@@ -102,15 +103,15 @@ TEST(Qoe, LongerPauseScoresWorse)
         emits.push_back(pause + 0.1);
         return emits;
     };
-    EXPECT_GT(computeQoe(make(1.0), 0.0, 0.1),
-              computeQoe(make(5.0), 0.0, 0.1));
+    EXPECT_GT(foldedQoe(make(1.0), 0.0, 0.1),
+              foldedQoe(make(5.0), 0.0, 0.1));
 }
 
 TEST(Qoe, LateStartPenalizedWhenExpectedEarlier)
 {
     // Expected start at 0 but generation begins at 2: digestion lags.
     auto emits = pacedEmissions(20, 2.0, 0.1);
-    double qoe = computeQoe(emits, 0.0, 0.1);
+    double qoe = foldedQoe(emits, 0.0, 0.1);
     EXPECT_LT(qoe, 0.95);
 }
 
@@ -126,7 +127,7 @@ TEST(Qoe, ExpectedStartAtFirstTokenIgnoresTtft)
 TEST(Qoe, ScoreAlwaysInUnitInterval)
 {
     std::vector<Time> emits{0.0, 50.0, 100.0};
-    double qoe = computeQoe(emits, 0.0, 0.1);
+    double qoe = foldedQoe(emits, 0.0, 0.1);
     EXPECT_GE(qoe, 0.0);
     EXPECT_LE(qoe, 1.0);
 }
@@ -172,9 +173,11 @@ TEST(Qoe, FoldMatchesCurvesOnRandomTimelines)
     const TokenCount sizes[] = {1, 2, 3, 15000, 14999};
     double worst = 0.0;
     for (int trial = 0; trial < 600; ++trial) {
-        TokenCount n = trial < 5 ? sizes[trial]
-                                 : static_cast<TokenCount>(std::exp(
-                                       rng.uniformReal(0.0, std::log(15000.0))));
+        // Log-uniform lengths after the fixed edge sizes.
+        const double log_n = rng.uniformReal(0.0, std::log(15000.0));
+        const TokenCount n =
+            trial < 5 ? sizes[trial]
+                      : static_cast<TokenCount>(std::exp(log_n));
         const Time tpot = rng.uniformReal(0.01, 0.3);
         const Time reasoning_end = rng.uniformReal(0.0, 20000.0);
         Time t = reasoning_end + rng.uniformReal(0.0, 3.0);
@@ -205,7 +208,9 @@ TEST(Qoe, FoldMatchesCurvesOnRandomTimelines)
                 << (from_first ? "first-token" : "TTFAT") << " anchor";
         }
     }
-    RecordProperty("worst_abs_delta", std::to_string(worst));
+    std::ostringstream worst_text;
+    worst_text << worst;
+    RecordProperty("worst_abs_delta", worst_text.str());
 }
 
 } // namespace
