@@ -25,20 +25,30 @@ main()
                      "digested-vs-expected areas)");
 
     // Scenario mirroring the figure: target pace 1 token/s.
-    //  (i)  t in [0, 8): generation at 2 tokens/s (faster than pace)
-    //  (ii) t in [8, 14): server paused (buffer drains)
-    //  (iv) t >= 14: generation resumes at pace.
+    //  (i)   t in [0, 8): generation at 2 tokens/s (faster than pace)
+    //  (ii)  t in [8, 16): server paused, the buffer drains
+    //  (iii) t in [16, 20): buffer empty, the user starves
+    //  (iv)  t >= 20: generation resumes at pace.
     const Time pace = 1.0;
     std::vector<Time> emits;
     for (int i = 0; i < 16; ++i)
         emits.push_back(i * 0.5); // 16 tokens by t=7.5.
     for (int i = 0; i < 14; ++i)
-        emits.push_back(14.0 + i); // Resume at t=14.
+        emits.push_back(20.0 + i); // Resume at t=20.
 
     auto curves = qoe::buildQoeCurves(emits, 0.0, pace);
     qoe::TokenPacer pacer(pace);
     for (Time t : emits)
         pacer.onTokenGenerated(t);
+    // A pacer fed only the tokens generated by time t, so starvedAt
+    // sees what existed at that moment.
+    auto pacer_at = [&](Time t) {
+        qoe::TokenPacer p(pace);
+        for (Time e : emits)
+            if (e <= t)
+                p.onTokenGenerated(e);
+        return p;
+    };
 
     std::printf("%6s %12s %12s %12s %10s\n", "token", "generated",
                 "digested", "expected", "buffered");
@@ -50,10 +60,10 @@ main()
     }
     rule();
     std::printf("tokens generated : %zu\n", emits.size());
-    std::printf("starved at t=12? : %s (buffer empty, server paused)\n",
-                pacer.starvedAt(12.0) ? "yes" : "no");
+    std::printf("starved at t=18? : %s (buffer empty, server paused)\n",
+                pacer_at(18.0).starvedAt(18.0) ? "yes" : "no");
     std::printf("starved at t=5?  : %s (buffer holds surplus)\n",
-                pacer.starvedAt(5.0) ? "yes" : "no");
+                pacer_at(5.0).starvedAt(5.0) ? "yes" : "no");
     std::printf("QoE (area ratio) : %.4f  -> %s 0.95 threshold\n",
                 curves.qoe, curves.qoe < 0.95 ? "below" : "meets");
 

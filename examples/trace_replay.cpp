@@ -25,7 +25,8 @@
  * (`<path>.<policy>` when sweeping — drop it on ui.perfetto.dev);
  * `--streaming-metrics` swaps per-request rows for bounded-memory
  * sketches, so the per-request CSVs come out empty but the summary
- * aggregates still populate (the long-soak configuration).
+ * aggregates still populate (percentiles within 1 % of the plain
+ * run's).
  */
 
 #include <cstdio>

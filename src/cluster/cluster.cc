@@ -60,12 +60,6 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
         trace->setReasonTable(core::planDeclineNames(),
                               core::numPlanDeclineNames());
     }
-    if (cfg.telemetry.streamingMetrics) {
-        // Streaming implies recycling: the sketch is what makes
-        // retiring a chunk lossless for the aggregate report.
-        chunkRecycling = true;
-        streaming = std::make_unique<obs::StreamingMetrics>();
-    }
 
     instances.reserve(cfg.numInstances);
     ingress.reserve(cfg.numInstances);
@@ -107,12 +101,12 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
     // Stat registry: cluster-level rollups first, then one subtree
     // per instance. Registration order is dump order, so the dump is
     // deterministic by construction.
-    registry.counter("cluster.view.refreshes", &viewRefreshes);
+    // Every view build snapshots every instance.
+    registry.counter("cluster.view.refreshes", [this] {
+        return viewBuilds * static_cast<std::uint64_t>(instances.size());
+    });
     registry.counter("cluster.view.builds", &viewBuilds);
     registry.counter("cluster.migrations", &migrations);
-    registry.counter("cluster.recycled_chunks", [this] {
-        return static_cast<std::uint64_t>(requests.numRecycledChunks());
-    });
     registry.counter("cluster.plan.builds", [this] {
         std::uint64_t n = 0;
         for (const auto& inst : instances)
@@ -164,29 +158,28 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
 void
 Cluster::submitTrace(const workload::Trace& trace)
 {
+    if (traceSubmitted)
+        fatal("Cluster: a run takes exactly one trace; merge the traces "
+              "into one, or build a new RunContext per trace");
     trace.validate();
-    // One contiguous chunk per trace: submission is a single
-    // allocation instead of one heap node per request.
-    std::vector<workload::Request>& chunk = requests.addChunk(trace);
-    auto chunk_idx =
-        static_cast<std::int32_t>(requests.numChunks() - 1);
-    chunkLive.push_back(chunk.size());
-    retiredMetrics.emplace_back();
-    chunkRetired.push_back(0);
-    liveRequests += static_cast<std::int64_t>(chunk.size());
+    traceSubmitted = true;
+    // Reserved once, so submission is a single allocation and the
+    // Request* handed to instances stay valid (the vector never grows).
+    requests.reserve(trace.size());
+    for (const auto& spec : trace.requests)
+        requests.emplace_back(spec);
+    liveRequests = static_cast<std::int64_t>(requests.size());
     // Consecutive same-timestamp requests become one burst event:
     // their placements and admissions drain back-to-back, and every
     // member defers its plan boundary until the burst is placed.
-    for (std::size_t i = 0; i < chunk.size();) {
+    for (std::size_t i = 0; i < requests.size();) {
         std::size_t j = i + 1;
-        while (j < chunk.size() &&
-               chunk[j].spec().arrival == chunk[i].spec().arrival) {
+        while (j < requests.size() &&
+               requests[j].spec().arrival == requests[i].spec().arrival) {
             ++j;
         }
-        workload::Request* first = &chunk[i];
+        workload::Request* first = &requests[i];
         auto n = static_cast<std::uint32_t>(j - i);
-        for (std::size_t k = i; k < j; ++k)
-            chunk[k].arenaChunk = chunk_idx;
         sim.at(first->spec().arrival,
                [this, first, n]() { onArrivals(first, n); });
         i = j;
@@ -202,7 +195,6 @@ Cluster::buildView(Time now)
             instances[i]->verifySloHeap(now);
         const bool was_ok = view[i].answeringSloOk;
         view[i] = instances[i]->snapshot(now);
-        ++viewRefreshes;
         if (trace != nullptr && viewBuilds > 1 &&
             view[i].answeringSloOk != was_ok) {
             // The paper's t_i verdict flipped for this instance — the
@@ -278,37 +270,6 @@ Cluster::noteRequestFinished(workload::Request* req)
         req->deadlineEventId = sim::kNoEvent;
     }
     --liveRequests;
-    if (req->arenaChunk < 0)
-        return;
-    auto idx = static_cast<std::size_t>(req->arenaChunk);
-    // Retire from a same-timestamp event, never from here: this runs
-    // inside the engine's completion and deadline-drain loops, which
-    // still read the request after the callback returns.
-    if (--chunkLive[idx] == 0 && chunkRecycling)
-        sim.at(sim.now(), [this, idx] { retireChunk(idx); });
-}
-
-void
-Cluster::retireChunk(std::size_t idx)
-{
-    // Every request in the chunk is finished: it holds no KV, sits in
-    // no scheduler queue or SLO heap, and was settled at its final
-    // emission, so the scored rows are exactly what collectMetrics
-    // would produce at teardown.
-    std::vector<workload::Request>& chunk = requests.chunk(idx);
-    if (streaming != nullptr) {
-        // Streaming mode: fold each scored row into the sketches and
-        // store nothing — this is what bounds soak-run memory.
-        for (auto& req : chunk)
-            streaming->fold(qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
-    } else {
-        std::vector<qoe::RequestMetrics>& out = retiredMetrics[idx];
-        out.reserve(chunk.size());
-        for (auto& req : chunk)
-            out.push_back(qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
-    }
-    chunkRetired[idx] = 1;
-    requests.recycleChunk(idx);
 }
 
 void
@@ -749,35 +710,21 @@ Cluster::failTerminally(workload::Request* req,
     noteRequestFinished(req);
 }
 
-std::vector<qoe::RequestMetrics>
-Cluster::collectMetrics() const
+void
+Cluster::scoreRequests(
+    const std::function<void(qoe::RequestMetrics&&)>& sink) const
 {
-    std::vector<qoe::RequestMetrics> out;
-    out.reserve(requests.size());
     Time now = sim.now();
-    for (std::size_t c = 0; c < requests.numChunks(); ++c) {
-        const std::vector<qoe::RequestMetrics>& retired =
-            retiredMetrics[c];
-        if (!retired.empty()) {
-            // Recycled chunk: the rows were scored (in chunk order)
-            // the moment its last request finished.
-            out.insert(out.end(), retired.begin(), retired.end());
-            continue;
+    for (auto& req : requests) {
+        // Finished requests settled at their final emission; unarrived
+        // ones have nothing accrued.
+        if (!req.finished() &&
+            req.exec != workload::ExecState::Unassigned &&
+            req.exec != workload::ExecState::Done) {
+            req.settleAccrual(now);
         }
-        for (auto& req : requests.chunk(c)) {
-            // Observation point: settle lazily accrued phase time for
-            // requests still in flight (finished requests settled at
-            // their final emission; unarrived ones have nothing
-            // accrued).
-            if (!req.finished() &&
-                req.exec != workload::ExecState::Unassigned &&
-                req.exec != workload::ExecState::Done) {
-                req.settleAccrual(now);
-            }
-            out.push_back(qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
-        }
+        sink(qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
     }
-    return out;
 }
 
 TokenCount
@@ -787,32 +734,6 @@ Cluster::maxPeakGpuKv() const
     for (const auto& inst : instances)
         peak = std::max(peak, inst->pool().peakGpuUsed());
     return peak;
-}
-
-std::shared_ptr<const obs::StreamingMetrics>
-Cluster::finalStreamingMetrics() const
-{
-    if (streaming == nullptr)
-        return nullptr;
-    // Copy the running sketch, then fold every chunk that has not
-    // retired — its rows were never folded. Same settle-then-score
-    // walk as collectMetrics, so both modes cover the identical
-    // population.
-    auto snap = std::make_shared<obs::StreamingMetrics>(*streaming);
-    Time now = sim.now();
-    for (std::size_t c = 0; c < requests.numChunks(); ++c) {
-        if (chunkRetired[c] != 0)
-            continue;
-        for (auto& req : requests.chunk(c)) {
-            if (!req.finished() &&
-                req.exec != workload::ExecState::Unassigned &&
-                req.exec != workload::ExecState::Done) {
-                req.settleAccrual(now);
-            }
-            snap->fold(qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
-        }
-    }
-    return snap;
 }
 
 } // namespace cluster

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -21,11 +22,10 @@
 #include "src/cluster/system_config.hh"
 #include "src/core/placement.hh"
 #include "src/fault/fault_injector.hh"
-#include "src/obs/streaming_metrics.hh"
 #include "src/predict/predictor.hh"
 #include "src/qoe/metrics.hh"
 #include "src/sim/simulator.hh"
-#include "src/workload/request_arena.hh"
+#include "src/workload/request.hh"
 #include "src/workload/trace.hh"
 
 namespace pascal
@@ -47,25 +47,24 @@ class Cluster
      *  Consecutive same-timestamp requests are scheduled as ONE burst
      *  event, so their placement decisions and admissions drain
      *  back-to-back and each instance plans the burst only after it
-     *  is fully placed. */
+     *  is fully placed. A cluster runs exactly one trace: a second
+     *  call is a fatal error. */
     void submitTrace(const workload::Trace& trace);
-
-    /**
-     * Opt-in for long-lived clusters fed thousands of traces: once
-     * every request of a submitted trace has finished, score the
-     * chunk into compact per-request metrics rows and recycle its
-     * arena storage, so resident Request memory stays bounded by
-     * *live* requests.
-     * collectMetrics() output is byte-identical either way (same
-     * rows, same order). Call before the simulation runs.
-     */
-    void enableChunkRecycling() { chunkRecycling = true; }
 
     /** Resolved per-instance GPU KV capacity (tokens). */
     TokenCount kvCapacityTokens() const { return kvCapacity; }
 
-    /** Score all requests against the configured SLO. */
-    std::vector<qoe::RequestMetrics> collectMetrics() const;
+    /** Requests of the submitted trace (0 before submitTrace). */
+    std::size_t numRequests() const { return requests.size(); }
+
+    /**
+     * Score every request against the configured SLO, in trace
+     * order, handing each row to @p sink. Requests still in flight
+     * first settle their lazily accrued phase time at the current
+     * clock (an observation, not a simulation step).
+     */
+    void scoreRequests(
+        const std::function<void(qoe::RequestMetrics&&)>& sink) const;
 
     /** Requests that never finished: the ones still live (trace
      *  infeasible or horizon hit) plus the terminal failures. */
@@ -170,19 +169,6 @@ class Cluster
         return trace ? trace->writeJson() : std::string();
     }
 
-    /** Streaming-sketch mode active (implies chunk recycling). */
-    bool streamingEnabled() const { return streaming != nullptr; }
-
-    /**
-     * Streaming mode's end-of-run rollup: a copy of the running
-     * sketch with every still-unretired request folded in (settling
-     * lazily accrued phase time exactly like collectMetrics), so it
-     * covers the same population collectMetrics would score. nullptr
-     * when streaming is off.
-     */
-    std::shared_ptr<const obs::StreamingMetrics>
-    finalStreamingMetrics() const;
-
     /** @} */
 
   private:
@@ -193,12 +179,8 @@ class Cluster
      *  instance. */
     void onArrivals(workload::Request* first, std::uint32_t n);
 
-    /** Chunk-recycling bookkeeping at request completion. */
+    /** Completion bookkeeping (deadline cancel, live count). */
     void noteRequestFinished(workload::Request* req);
-
-    /** Score and recycle a fully-finished trace chunk (from its own
-     *  event, outside every engine loop that holds its requests). */
-    void retireChunk(std::size_t idx);
 
     /** Handle a reasoning->answering transition (Algorithm 2 +
      *  adaptive override). */
@@ -295,37 +277,23 @@ class Cluster
     std::vector<std::unique_ptr<Instance>> instances;
     std::vector<std::unique_ptr<model::Link>> ingress;
 
-    /** All Requests of every submitted trace, in contiguous per-trace
-     *  chunks (mutable: scoring lazily settles accrued phase time —
-     *  an observation, not a simulation step). */
-    mutable workload::RequestArena requests;
-
-    /** @name Chunk recycling state */
-    /** @{ */
-    bool chunkRecycling = false;
-    std::vector<std::size_t> chunkLive; //!< Unfinished per chunk.
-    /** Scored rows of retired chunks, in chunk order (so
-     *  collectMetrics output is order-identical with recycling).
-     *  Streaming mode leaves these empty — rows fold into the sketch
-     *  at retire time instead of being stored. */
-    std::vector<std::vector<qoe::RequestMetrics>> retiredMetrics;
-    /** Chunks already retired (streaming mode leaves retiredMetrics
-     *  empty, so emptiness cannot mark retirement). */
-    std::vector<std::uint8_t> chunkRetired;
-    /** @} */
+    /** The trace's Requests, reserved to its size before any is
+     *  constructed, so the vector never grows and Request* stay valid
+     *  for the cluster's lifetime (mutable: scoring lazily settles
+     *  accrued phase time — an observation, not a simulation step). */
+    mutable std::vector<workload::Request> requests;
+    bool traceSubmitted = false; //!< Set by the one submitTrace call.
 
     /** @name Observability state */
     /** @{ */
     obs::StatRegistry registry;
     std::unique_ptr<obs::TraceSink> trace;  //!< Null unless tracing.
-    std::unique_ptr<obs::StreamingMetrics> streaming; //!< Null unless on.
     /** @} */
 
     /** @name Cluster view state */
     /** @{ */
     core::ClusterView view; //!< Reused storage for buildView().
     bool viewAudit = false;
-    std::uint64_t viewRefreshes = 0;
     std::uint64_t viewBuilds = 0;
     /** @} */
 

@@ -362,9 +362,9 @@ Instance::startIteration()
     // The completion event carries the crash generation it was
     // scheduled under: a crash abandons the step by bumping the
     // generation, turning the stale event into a no-op.
-    sim.at(step_end, [this, t0, gen = crashGen] {
+    sim.at(step_end, [this, gen = crashGen] {
         if (gen == crashGen)
-            completeIteration(t0);
+            completeIteration();
     });
 }
 
@@ -451,9 +451,8 @@ Instance::verifyAccrualStamps(bool prefill_iteration) const
 }
 
 void
-Instance::completeIteration(Time step_start)
+Instance::completeIteration()
 {
-    (void)step_start;
     // The plan stays parked in `inflight` so the steady-state fast
     // path can run it again verbatim; the next startIteration()
     // rebuilds it only if the scheduler observed a state change.

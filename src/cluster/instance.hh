@@ -236,7 +236,7 @@ class Instance
 
   private:
     void startIteration();
-    void completeIteration(Time step_start);
+    void completeIteration();
 
     /** Shared admission body (exec/home/accrual/scheduler/SLO heap). */
     void admit(workload::Request* req);

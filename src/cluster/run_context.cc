@@ -1,8 +1,11 @@
 #include "src/cluster/run_context.hh"
 
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "src/common/log.hh"
+#include "src/obs/streaming_metrics.hh"
 #include "src/qoe/metrics.hh"
 
 namespace pascal
@@ -81,13 +84,19 @@ RunContext::result() const
     }
 
     RunResult result;
-    if (clusterPtr->streamingEnabled()) {
-        // Streaming mode: no per-request rows exist to collect — the
-        // aggregate comes from the bounded-memory sketches.
-        result.streaming = clusterPtr->finalStreamingMetrics();
-        result.aggregate = result.streaming->aggregate();
+    if (cfg.telemetry.streamingMetrics) {
+        // Streaming mode keeps no per-request rows: each one folds
+        // into the sketches, in the same trace order as perRequest.
+        auto sketch = std::make_shared<obs::StreamingMetrics>();
+        clusterPtr->scoreRequests(
+            [&](qoe::RequestMetrics&& row) { sketch->fold(row); });
+        result.aggregate = sketch->aggregate();
+        result.streaming = std::move(sketch);
     } else {
-        result.perRequest = clusterPtr->collectMetrics();
+        result.perRequest.reserve(clusterPtr->numRequests());
+        clusterPtr->scoreRequests([&](qoe::RequestMetrics&& row) {
+            result.perRequest.push_back(std::move(row));
+        });
         result.aggregate = qoe::aggregateMetrics(result.perRequest);
     }
     result.statsDump = clusterPtr->dumpStats();

@@ -35,7 +35,8 @@ class RunContext
      *  validated). */
     explicit RunContext(const SystemConfig& cfg);
 
-    /** Schedule every request of @p trace as an arrival event. */
+    /** Schedule every request of @p trace as an arrival event. A run
+     *  takes exactly one trace: a second call is a fatal error. */
     void submit(const workload::Trace& trace);
 
     /**

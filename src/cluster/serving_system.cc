@@ -75,16 +75,15 @@ class Lines
     std::string text;
 };
 
-/** Stat entries that count fast-path or recycling work, not simulated
- *  behaviour: they differ between a run and its force twins. */
+/** Stat entries that count fast-path work, not simulated behaviour:
+ *  they differ between a run and its force twins. */
 bool
 workStat(const std::string& name)
 {
     const std::string ns = "_ns";
     return name.find(".plan.") != std::string::npos ||
            (name.size() >= ns.size() &&
-            name.compare(name.size() - ns.size(), ns.size(), ns) == 0) ||
-           name == "cluster.recycled_chunks";
+            name.compare(name.size() - ns.size(), ns.size(), ns) == 0);
 }
 
 } // namespace

@@ -153,11 +153,10 @@ struct RunResult
  * printed with 17 significant digits so equal text means equal bits.
  * Covers every per-request row, the aggregates, the failure and class
  * outcomes, the transfer latencies, the component names and the stat
- * dump, minus the entries that count fast-path or memory-recycling
- * work rather than simulated behaviour ("*.plan.*", any "*_ns" host
- * time, "cluster.recycled_chunks"), so the force twins and a recycled
- * run render the same text. traceJson and the streaming sketches are
- * left out.
+ * dump, minus the entries that count fast-path work rather than
+ * simulated behaviour ("*.plan.*" and any "*_ns" host time), so a run
+ * and its force twins render the same text. traceJson and the
+ * streaming sketches are left out.
  */
 std::string canonicalText(const RunResult& r);
 

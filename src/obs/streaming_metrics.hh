@@ -3,11 +3,10 @@
  * Streaming metric sketches: bounded-memory replacement for the
  * per-request RequestMetrics vector.
  *
- * With --streaming-metrics the cluster folds each request's metrics
- * into fixed-size accumulators the moment its arena chunk retires,
- * instead of growing a RunResult::perRequest row per request. Chunk
- * recycling then fully bounds simulation memory: a 10M-request soak
- * holds only live requests plus these sketches.
+ * With --streaming-metrics, RunContext::result() folds each request's
+ * metrics into fixed-size accumulators instead of growing a
+ * RunResult::perRequest row per request, so the result's size does
+ * not grow with the trace.
  *
  * Per metric family (TTFT, E2E, answering, blocking, QoE, KV
  * transfer):
@@ -18,7 +17,7 @@
  *     at most sqrt(gamma) - 1 ~= 0.25%, well inside the 1% tolerance
  *     the tier-1 test pins for p50/p95/p99 TTFT.
  *
- * Folding is deterministic: requests retire in simulation order, and
+ * Folding is deterministic: requests fold in trace order, and
  * every accumulator is order-insensitive for the values it reports
  * exactly (count/mean via Welford, min/max) and order-dependent only
  * in ways the same seed reproduces bit-for-bit.
@@ -114,9 +113,8 @@ class MetricFamily
 };
 
 /**
- * Bounded-memory aggregate over a run's requests. Copyable: the
- * cluster snapshots it at result time and folds still-live requests
- * into the copy without disturbing the running accumulation.
+ * Bounded-memory aggregate over a run's requests, filled by
+ * RunContext::result() one scored row at a time.
  */
 class StreamingMetrics
 {

@@ -38,12 +38,12 @@ struct TelemetryConfig
     std::size_t traceCapacity = 1u << 18;
 
     /**
-     * Replace per-request RequestMetrics accumulation with streaming
-     * Welford moments + quantile sketches, so chunk recycling fully
-     * bounds resident memory on soak runs. RunResult::perRequest
-     * stays empty; means/counts in the aggregate are exact and the
+     * Fold each request's RequestMetrics row into streaming Welford
+     * moments + quantile sketches instead of storing it, so a run's
+     * result holds no per-request rows. RunResult::perRequest stays
+     * empty; means/counts in the aggregate are exact and the
      * reported percentiles carry a <= 0.5 % relative-error guarantee
-     * from the log-bucketed sketch. Implies chunk recycling.
+     * from the log-bucketed sketch.
      */
     bool streamingMetrics = false;
 };

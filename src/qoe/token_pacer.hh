@@ -57,7 +57,9 @@ class TokenPacer
 
     /**
      * True if the user is starved at @p t: the pace calls for another
-     * token but none has been generated yet.
+     * token but none has been generated yet. Judged against every
+     * token fed so far, whatever its generation time: to ask about a
+     * past moment, ask a pacer fed only the tokens generated by @p t.
      */
     bool starvedAt(Time t) const;
 

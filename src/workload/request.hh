@@ -349,10 +349,6 @@ class Request
      *  pacing (valid while sloHeapPos >= 0). */
     std::int8_t sloHeapId = -1;
 
-    /** Index of the owning RequestArena chunk inside the Cluster's
-     *  arena (-1 outside a cluster run); drives chunk recycling. */
-    std::int32_t arenaChunk = -1;
-
     /** Compact KV-pool slot on the hosting instance's KvPool
      *  (model::KvPool hands it out on alloc); -1 when no KV is
      *  tracked. Keeping the handle here makes every per-token pool

@@ -13,9 +13,9 @@
  *     zero GPU tokens once the event queue drains;
  *   - determinism: a same-seed replay is byte-identical, including
  *     the phase-time buckets and failure accounting;
- *   - audits: seeded random fault x SLO-class x chunk-recycling
- *     configs run clean under the per-decision SLO monitor audit and
- *     the eager accrual walk;
+ *   - audits: seeded random fault x SLO-class configs run clean
+ *     under the per-decision SLO monitor audit and the eager accrual
+ *     walk;
  *   - dormancy: enabling the fault layer with every rate at zero is
  *     byte-identical to cfg.fault.enabled = false (the pre-fault
  *     code path), across the whole force-mode matrix.
@@ -290,14 +290,13 @@ TEST_F(Chaos, ShedFloorRejectsArrivalsWhileCapacityIsDown)
 
 TEST_F(Chaos, SeededConfigFuzzUnderAudits)
 {
-    // Each seed draws a fault schedule, an SLO-class policy, a grid
-    // point and chunk recycling on or off, then runs with the
-    // per-decision SLO monitor audit and the eager accrual walk on
-    // (either panics on a divergence), through the full invariant
-    // audit, and against a same-seed replay.
+    // Each seed draws a fault schedule, an SLO-class policy and a
+    // grid point, then runs with the per-decision SLO monitor audit
+    // and the eager accrual walk on (either panics on a divergence),
+    // through the full invariant audit, and against a same-seed
+    // replay.
     const std::vector<GridPoint> grid = chaosGrid();
     std::uint64_t crashes = 0, retries = 0, shed = 0, expired = 0;
-    std::size_t recycled = 0;
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         Rng rng(seed);
         const GridPoint& point = grid[rng.pickIndex(grid.size())];
@@ -326,24 +325,16 @@ TEST_F(Chaos, SeededConfigFuzzUnderAudits)
             c.demoteOnExpiry = rng.bernoulli(0.5);
         }
         cfg.limits.forceAccrue = true;
-        const bool recycle = rng.bernoulli(0.5);
         auto trace = chaosTrace(seed);
         workload::assignSloClasses(trace);
 
         RunContext ctx(cfg);
         ctx.cluster().enableViewAudit();
-        // Recycling frees the trace's requests once the last one
-        // finishes; the rows must not change and nothing may read the
-        // freed storage (the sanitizer build checks the latter).
-        if (recycle)
-            ctx.cluster().enableChunkRecycling();
         ctx.submit(trace);
         ctx.run();
         auto result = ctx.result();
         auditRun(ctx, result, trace.size());
         test::expectIdentical(result, RunContext::execute(cfg, trace));
-        recycled += static_cast<std::size_t>(
-            test::statValue(result.statsDump, "cluster.recycled_chunks"));
         crashes += result.numCrashes;
         retries += result.numRetries;
         shed += result.numShed;
@@ -355,7 +346,6 @@ TEST_F(Chaos, SeededConfigFuzzUnderAudits)
     EXPECT_GT(retries, 0u);
     EXPECT_GT(shed, 0u);
     EXPECT_GT(expired, 0u);
-    EXPECT_GT(recycled, 0u);
 }
 
 TEST_F(Chaos, ForceModeMatrixByteIdenticalUnderFaults)

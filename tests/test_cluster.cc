@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/cluster/run_context.hh"
 #include "src/cluster/serving_system.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
@@ -110,6 +113,42 @@ TEST(Cluster, MetricsArePerRequestComplete)
         EXPECT_GE(m.qoe, 0.0);
         EXPECT_LE(m.qoe, 1.0);
     }
+}
+
+TEST(Cluster, HorizonCutRunScoresEverySubmittedRequest)
+{
+    // Requests the horizon strands (mid-flight or never arrived) are
+    // still scored, as unfinished rows.
+    auto trace = smallTrace(120, 40.0, 77);
+    auto cfg = smallConfig(SchedulerType::Pascal, PlacementType::Pascal,
+                           8192, 1);
+    cfg.maxSimTime = 0.5;
+    auto result = ServingSystem(cfg).run(trace);
+    EXPECT_GT(result.numUnfinished, 0u);
+    EXPECT_EQ(result.perRequest.size(), trace.size());
+}
+
+TEST(Cluster, SecondTraceOnOneRunFailsFast)
+{
+    // A run replays exactly one trace: a second submit is a fatal
+    // error that says what to do instead, and leaves the first trace
+    // intact.
+    auto trace = smallTrace(10);
+    cluster::RunContext ctx(
+        smallConfig(SchedulerType::Pascal, PlacementType::Pascal));
+    ctx.submit(trace);
+    try {
+        ctx.submit(trace);
+        ADD_FAILURE() << "second submit was accepted";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("merge the traces"),
+                  std::string::npos)
+            << e.what();
+    }
+    ctx.run();
+    auto result = ctx.result();
+    EXPECT_EQ(result.perRequest.size(), trace.size());
+    EXPECT_EQ(result.numUnfinished, 0u);
 }
 
 TEST(Cluster, OracleCapacityNeverPreempts)

@@ -191,9 +191,7 @@ TEST_F(DeadlineEdgeCases, ExpiryAtExactCompletionBoundary)
     // were inserted at arrival. The expiry must ride the mid-step
     // deferral (the step is in flight at that instant) and then find
     // the request already finished: everything completes, nothing
-    // double-resolves, nothing leaks. With chunk recycling on, that
-    // last completion also retires the trace's chunk; the deferred
-    // expiry must still find its request's storage alive.
+    // double-resolves, nothing leaks.
     auto trace = flatTrace(6, 0.0);
     SystemConfig cfg = scriptedConfig(1);
 
@@ -206,24 +204,16 @@ TEST_F(DeadlineEdgeCases, ExpiryAtExactCompletionBoundary)
 
     SystemConfig armed = cfg;
     params(armed, SloClass::Standard).relativeDeadline = max_e2e;
-    for (const bool recycle : {false, true}) {
-        SCOPED_TRACE(recycle ? "recycling on" : "recycling off");
-        RunContext ctx(armed);
-        if (recycle)
-            ctx.cluster().enableChunkRecycling();
-        ctx.submit(trace);
-        ctx.run();
-        auto result = ctx.result();
-        EXPECT_EQ(
-            test::statValue(result.statsDump, "cluster.recycled_chunks"),
-            recycle ? 1.0 : 0.0);
-        EXPECT_EQ(result.aggregate.numFinished, 6u);
-        EXPECT_EQ(result.numTerminalFailures, 0u);
-        expectSingleOutcomes(result);
-        expectNoKvLeaks(ctx);
-        // The boundary race is deterministic: replay to the bit.
-        test::expectIdentical(result, RunContext::execute(armed, trace));
-    }
+    RunContext ctx(armed);
+    ctx.submit(trace);
+    ctx.run();
+    auto result = ctx.result();
+    EXPECT_EQ(result.aggregate.numFinished, 6u);
+    EXPECT_EQ(result.numTerminalFailures, 0u);
+    expectSingleOutcomes(result);
+    expectNoKvLeaks(ctx);
+    // The boundary race is deterministic: replay to the bit.
+    test::expectIdentical(result, RunContext::execute(armed, trace));
 }
 
 TEST_F(DeadlineEdgeCases, MidStepExpiryDefersToThePlanBoundary)
