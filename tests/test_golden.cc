@@ -1,7 +1,8 @@
 /**
  * @file
  * Golden digests: every policy x predictor cell of a scaled-down
- * constrained deployment, one chaos + SLO-class point, and small-n
+ * constrained deployment (the noisy-oracle and rank predictors only
+ * under the predictor-keyed policies), one chaos + SLO-class point, and small-n
  * versions of the four perfbench workload shapes must hash
  * (cluster::digest) to the value committed in tests/golden/digests.txt.
  *
@@ -49,12 +50,12 @@ constrainedTrace()
 }
 
 SystemConfig
-constrainedConfig(SchedulerType sched, predict::PredictorType pred)
+constrainedConfig(SchedulerType sched, const predict::PredictorConfig& pred)
 {
     SystemConfig cfg;
     cfg.scheduler = sched;
-    cfg.predictor.type = pred;
-    cfg.placement = pred == predict::PredictorType::None
+    cfg.predictor = pred;
+    cfg.placement = pred.type == predict::PredictorType::None
                         ? PlacementType::Pascal
                         : PlacementType::PascalPredictive;
     cfg.numInstances = 2;
@@ -205,11 +206,16 @@ computeDigests()
         {"srpt", SchedulerType::Srpt},
         {"pascal-spec", SchedulerType::PascalSpec},
     };
-    const std::pair<const char*, predict::PredictorType> preds[] = {
-        {"none", predict::PredictorType::None},
-        {"oracle", predict::PredictorType::Oracle},
-        {"profile", predict::PredictorType::Profile},
-    };
+    // Every policy runs under none/oracle/profile; the predictor-keyed
+    // policies also under a noisy oracle (sigma 0.5), whose unequal
+    // per-request factors let members overtake each other, and under
+    // the rank predictor, whose win rates move every completion.
+    std::vector<predict::PredictorConfig> preds(5);
+    preds[1].type = predict::PredictorType::Oracle;
+    preds[2].type = predict::PredictorType::Profile;
+    preds[3].type = predict::PredictorType::NoisyOracle;
+    preds[3].noiseSigma = 0.5;
+    preds[4].type = predict::PredictorType::Rank;
     auto hex = [](std::uint64_t d) {
         char buf[20];
         std::snprintf(buf, sizeof(buf), "%016" PRIx64, d);
@@ -218,17 +224,21 @@ computeDigests()
     Digests out;
     const workload::Trace trace = constrainedTrace();
     for (const auto& [sched_name, sched] : scheds) {
-        for (const auto& [pred_name, pred] : preds) {
-            SystemConfig cfg = constrainedConfig(sched, pred);
-            // Speculative policies cannot run without a predictor; the
-            // config layer rejects that cell.
-            bool speculative = sched == SchedulerType::Srpt ||
-                               sched == SchedulerType::PascalSpec;
-            if (speculative && pred == predict::PredictorType::None)
+        // Speculative policies cannot run without a predictor; the
+        // config layer rejects that cell.
+        bool speculative = sched == SchedulerType::Srpt ||
+                           sched == SchedulerType::PascalSpec;
+        for (const auto& pred : preds) {
+            bool keyed_only =
+                pred.type == predict::PredictorType::NoisyOracle ||
+                pred.type == predict::PredictorType::Rank;
+            if (speculative ? pred.type == predict::PredictorType::None
+                            : keyed_only)
                 continue;
+            SystemConfig cfg = constrainedConfig(sched, pred);
             out.emplace_back(
                 std::string("constrained/") + sched_name + "/" +
-                    pred_name,
+                    pred.name(),
                 hex(cluster::digest(
                     cluster::RunContext::execute(cfg, trace))));
         }
