@@ -63,8 +63,9 @@ prequentialError(const predict::PredictorConfig& cfg,
         return 0.0;
     double sum = 0.0;
     std::size_t n = 0;
+    workload::DatasetTable datasets;
     for (const auto& spec : trace.requests) {
-        workload::Request req(spec);
+        workload::Request req(spec, datasets.intern(spec.dataset));
         double actual = static_cast<double>(req.totalToGenerate());
         if (actual <= 0.0)
             continue;

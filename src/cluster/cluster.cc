@@ -165,9 +165,12 @@ Cluster::submitTrace(const workload::Trace& trace)
     traceSubmitted = true;
     // Reserved once, so submission is a single allocation and the
     // Request* handed to instances stay valid (the vector never grows).
+    // Dataset labels are interned here, once per run, so predictors
+    // index their per-dataset state instead of matching labels.
     requests.reserve(trace.size());
+    workload::DatasetTable datasets;
     for (const auto& spec : trace.requests)
-        requests.emplace_back(spec);
+        requests.emplace_back(spec, datasets.intern(spec.dataset));
     liveRequests = static_cast<std::int64_t>(requests.size());
     // Consecutive same-timestamp requests become one burst event:
     // their placements and admissions drain back-to-back, and every
@@ -187,14 +190,14 @@ Cluster::submitTrace(const workload::Trace& trace)
 }
 
 const core::ClusterView&
-Cluster::buildView(Time now)
+Cluster::buildView(Time now, bool for_new_request)
 {
     ++viewBuilds;
     for (std::size_t i = 0; i < instances.size(); ++i) {
         if (viewAudit)
             instances[i]->verifySloHeap(now);
         const bool was_ok = view[i].answeringSloOk;
-        view[i] = instances[i]->snapshot(now);
+        view[i] = instances[i]->snapshot(now, for_new_request);
         if (trace != nullptr && viewBuilds > 1 &&
             view[i].answeringSloOk != was_ok) {
             // The paper's t_i verdict flipped for this instance — the
@@ -243,7 +246,7 @@ Cluster::onArrivals(workload::Request* first, std::uint32_t n)
                 continue;
             armDeadline(req);
         }
-        const core::ClusterView& v = buildView(sim.now());
+        const core::ClusterView& v = buildView(sim.now(), true);
         InstanceId target = placement->placeNew(v, *req);
         if (target == kNoInstance && injector != nullptr) {
             // Whole fleet down/draining: hold the arrival in the
@@ -275,7 +278,7 @@ Cluster::noteRequestFinished(workload::Request* req)
 void
 Cluster::onPhaseTransition(workload::Request* req, InstanceId from)
 {
-    const core::ClusterView& v = buildView(sim.now());
+    const core::ClusterView& v = buildView(sim.now(), false);
     InstanceId target = placement->placeTransition(v, *req, from);
     if (target < 0 || target >= static_cast<InstanceId>(instances.size()))
         panic("placement returned invalid instance " +
@@ -647,7 +650,7 @@ Cluster::retryPlace(workload::Request* req)
     // owned by nobody); a fail-policy expiry waits here, at the wakeup.
     if (enforceExpiry(req, /*touchdown=*/true))
         return;
-    const core::ClusterView& v = buildView(sim.now());
+    const core::ClusterView& v = buildView(sim.now(), true);
     InstanceId target = placement->placeNew(v, *req);
     if (target == kNoInstance) {
         // Still no live capacity; the retry budget bounds this loop.

@@ -264,9 +264,11 @@ class Cluster
     /**
      * The placement algorithms' cluster view: every instance's
      * snapshot taken fresh at @p now, so a decision always sees
-     * current state.
+     * current state. @p for_new_request: the view feeds placeNew(), the
+     * only reader of the predicted KV footprint, so only then is it
+     * summed over the hosted requests.
      */
-    const core::ClusterView& buildView(Time now);
+    const core::ClusterView& buildView(Time now, bool for_new_request);
 
     sim::Simulator& sim;
     SystemConfig cfg;

@@ -534,7 +534,7 @@ Instance::verifySloHeap(Time now) const
 }
 
 core::InstanceSnapshot
-Instance::snapshot(Time now) const
+Instance::snapshot(Time now, bool predict_footprint) const
 {
     core::InstanceSnapshot snap;
     snap.id = instanceId;
@@ -546,7 +546,7 @@ Instance::snapshot(Time now) const
     snap.gpuFreeTokens = kvPool.gpuFree();
     snap.gpuCapacityTokens = kvPool.gpuCapacity();
     snap.predictedKvFootprintTokens = snap.kvFootprintTokens;
-    if (predictor != nullptr) {
+    if (predictor != nullptr && predict_footprint) {
         double growth = 0.0;
         // Insertion-order walk: the float sum depends on summation
         // order, so iterating the swap-pop hosted vector would let a

@@ -179,8 +179,16 @@ class Instance
      *  expected pace (SloMonitor::answeringSloOk). */
     bool answeringSloOk(Time now) const;
 
-    /** Monitor snapshot for the placement algorithms. */
-    core::InstanceSnapshot snapshot(Time now) const;
+    /**
+     * Monitor snapshot for the placement algorithms.
+     *
+     * @param predict_footprint Fill predictedKvFootprintTokens (with
+     *        predictive snapshots on; see setPredictor()). Only a new
+     *        request's placement reads it, so views taken for phase
+     *        transitions pass false and it stays kvFootprintTokens.
+     */
+    core::InstanceSnapshot snapshot(Time now,
+                                    bool predict_footprint = true) const;
 
     /**
      * Wire the cluster's shared length predictor (not owned; may be

@@ -39,9 +39,11 @@ struct InstanceSnapshot
      * Speculative m_i: current footprint plus the predicted remaining
      * decode tokens of every hosted request (each future token appends
      * one KV entry). Equals kvFootprintTokens when the cluster runs
-     * without a predictor. The predictive placement variant routes on
-     * this, so an instance full of nearly-done requests looks emptier
-     * than one full of just-started monsters.
+     * without a predictor, and in the views taken for phase
+     * transitions, which never read it. The predictive placement
+     * variant routes new requests on this, so an instance full of
+     * nearly-done requests looks emptier than one full of
+     * just-started monsters.
      */
     TokenCount predictedKvFootprintTokens = 0;
 

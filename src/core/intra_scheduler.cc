@@ -93,6 +93,8 @@ IntraScheduler::add(workload::Request* req)
     else
         hostedFirst = req;
     hostedLast = req;
+    // Another scheduler's key epoch means nothing here.
+    req->schedKeyEpoch = 0;
     if (resortForced)
         return;
     // A migrated request carries stale bookkeeping from its previous
@@ -178,17 +180,32 @@ void
 IntraScheduler::onRequestExecuted(workload::Request* req,
                                   bool quanta_changed)
 {
-    if (quanta_changed || keyed)
+    if (quanta_changed) {
         queue.markDirty(req);
-    if (quanta_changed)
         noteStateChanged();
+    }
 }
 
 void
 IntraScheduler::onPredictionsMoved()
 {
     for (auto* r : requests)
-        queue.markDirty(r);
+        queueOf(r).markDirty(r);
+}
+
+bool
+IntraScheduler::repairQueues()
+{
+    return queue.repair(rekey());
+}
+
+void
+IntraScheduler::markMembersDirty(const IterationPlan& plan)
+{
+    for (auto* r : plan.prefill)
+        queueOf(r).markDirty(r);
+    for (auto* r : plan.decode)
+        queueOf(r).markDirty(r);
 }
 
 void
@@ -253,6 +270,9 @@ IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
         onPredictionsMoved();
     lastPredictorVersion = predictorVersion();
     planInto(pool, out);
+    if (keyed && !resortForced)
+        markMembersDirty(out);
+    advanceKeyEpoch();
     stateChanged = false;
     lastPlanReusable =
         reuseEnabled && out.prefill.empty() && out.prewarm.empty() &&
@@ -311,42 +331,58 @@ IntraScheduler::reusePlan(const IterationPlan& prev,
         return false;
     }
     ++planAge;
+    advanceKeyEpoch();
     return true;
 }
 
 bool
 IntraScheduler::keyedOrderHolds(const IterationPlan& prev)
 {
-    // Only the members ran since the build, so only their keys can
-    // have moved: an idle request's prediction is a pure function of
-    // its own progress and the predictor state.
-    if (predictorVersion() != lastPredictorVersion)
-        return false;
+    // While the version holds, only the members ran since their keys
+    // were recorded, so only their keys can have moved: an idle
+    // request's prediction is a pure function of its own progress and
+    // the predictor state. A moved version may move every key, so
+    // every queue is re-keyed and repaired here, at this boundary; if
+    // no member moved, the order the walk saw still holds.
+    const bool bumped = predictorVersion() != lastPredictorVersion;
+    if (bumped) {
+        lastPredictorVersion = predictorVersion();
+        onPredictionsMoved();
+        if (repairQueues())
+            return false; // The build walks the repaired queues.
+    }
+    const QueueOrder order{};
     for (std::size_t i = 0; i < prev.decode.size(); ++i) {
         workload::Request* r = prev.decode[i];
-        const DecodeKeys& rec = lastDecodeKeys[i];
+        DecodeKeys& rec = lastDecodeKeys[i];
         if (r->exec != workload::ExecState::ResidentGpu ||
             r->phase() != rec.phase ||
             r->quantaConsumed != rec.quanta ||
             r->schedClassRank != rec.classRank)
             return false;
+        const double key = freshKey(r);
+        if (bumped) {
+            // Every key was just re-read and the whole order verified:
+            // later boundaries compare against these.
+            rec.score = key;
+            continue;
+        }
         // A key that only fell moves its member up: every request
         // the walk skipped keeps at least the members it had ahead,
         // each now charging no less, so it still does not fit.
-        double key = queueKey(r);
         if (key > rec.score)
             return false;
-        r->schedScore = key;
-    }
-    // Members may still overtake each other (ties at a clamp, unequal
-    // noise factors), and the decode list order drives the engine's
-    // callback order.
-    for (std::size_t i = 1; i < prev.decode.size(); ++i) {
-        const workload::Request* a = prev.decode[i - 1];
-        const workload::Request* b = prev.decode[i];
-        if (a->schedQueueTag == b->schedQueueTag && !QueueOrder{}(a, b))
+        // Members may still overtake each other (ties at a clamp,
+        // unequal noise factors), and the decode list order drives
+        // the engine's callback order.
+        if (i > 0 &&
+            prev.decode[i - 1]->schedQueueTag == r->schedQueueTag &&
+            !order(prev.decode[i - 1], r))
             return false;
     }
+    // The repair consumed the members' dirty marks; they run again.
+    if (bumped)
+        markMembersDirty(prev);
     return true;
 }
 

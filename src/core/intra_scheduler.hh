@@ -29,13 +29,18 @@
  *                           only block verbatim reuse.
  *
  * Predictor-keyed policies (keysUsePredictions(): SRPT, PASCAL-Spec)
- * order by a prediction that moves with the request's own progress,
- * so an executed member goes dirty every token and its key is re-read
- * once at the next repair. While LengthPredictor::version() holds, an
- * idle request's prediction cannot move; when it moves, the next build
- * marks every member dirty (onPredictionsMoved()). Their plans are
- * reused only while the batch provably keeps its order
- * (keyedOrderHolds()).
+ * order by a prediction that moves with the request's own progress.
+ * Only the members of the plan in flight execute, so a build marks its
+ * own decode and prefill members dirty once, as it hands the plan out;
+ * no per-token notification re-keys them, and each key is re-read at
+ * most once per boundary (the key epoch, see freshKey()). While
+ * LengthPredictor::version() holds, an idle request's prediction
+ * cannot move, and a plan is reused while its batch provably keeps its
+ * order (keyedOrderHolds()). At the first boundary after the version
+ * moves, every member goes dirty (onPredictionsMoved()) and the queues
+ * are repaired there: if no member moved, the walk's order still holds
+ * and the plan may be reused; otherwise the boundary builds on the
+ * repaired queues.
  *
  * The force-resort twin (SchedLimits::forceResort, or the
  * PASCAL_FORCE_RESORT environment variable) is the independent
@@ -171,13 +176,16 @@ class IntraScheduler
      *
      * A predictor-keyed member's key moves every token without
      * raising (c), so for those policies (c) is also checked here, in
-     * O(batch): the predictor version is unchanged, every decode
-     * member keeps its build-time phase, quanta, class rank and GPU
-     * residency, its re-read key (queueKey()) is at most its
-     * build-time key, and members of one queue are still in
-     * QueueOrder. Idle requests' keys are frozen and the budget ahead
-     * of them only shrinks, so none can overtake a member. When it
-     * returns false the caller walks: buildPlan().
+     * O(batch): every decode member keeps its build-time phase,
+     * quanta, class rank and GPU residency, its re-read key
+     * (queueKey()) is at most its recorded key, and members of one
+     * queue are still in QueueOrder. Idle requests' keys are frozen
+     * while the predictor version holds and the budget ahead of them
+     * only shrinks, so none can overtake a member. A moved version
+     * re-keys and repairs every queue first; the plan survives only if
+     * no member moved, and the members' recorded keys are refreshed.
+     * When it returns false the caller walks: buildPlan(), at the same
+     * boundary, before any request executes.
      */
     bool reusePlan(const IterationPlan& prev, const model::KvPool& pool);
 
@@ -235,9 +243,9 @@ class IntraScheduler
         return lengthPredictor;
     }
 
-    /** True if ordering keys come from the predictor: executed members
-     *  re-key every token, and plans are reused only while the
-     *  predictor version holds and the batch keeps its order. */
+    /** True if ordering keys come from the predictor: the members of
+     *  each built plan go dirty once, and plans are reused only while
+     *  the batch keeps its order. */
     bool keysUsePredictions() const { return keyed; }
 
     /**
@@ -296,20 +304,32 @@ class IntraScheduler
     /** @p req left the hosted set (erase it from your queues). */
     virtual void onHostedRemoved(workload::Request* req) { queue.erase(req); }
 
+    /** The queue that holds @p r. */
+    virtual OrderedQueue& queueOf(const workload::Request* r)
+    {
+        (void)r;
+        return queue;
+    }
+
     /**
      * @p req ran in the just-completed iteration: its generated-token
      * count (hence KV and any prediction) advanced, and possibly its
-     * quantum or phase. Mark it dirty in your queues if its ordering
-     * key changed. A quantum rollover blocks plan reuse; a keyed
-     * policy's moved prediction does not (keyedOrderHolds() decides).
+     * quantum or phase. Mark it dirty in your queues if a key level
+     * other than the prediction changed, and block plan reuse if it
+     * did. A keyed member's moved prediction needs nothing here: the
+     * build that selected it already marked it dirty.
      */
     virtual void onRequestExecuted(workload::Request* req,
                                    bool quanta_changed);
 
     /** Keyed policies: the predictor version moved since the last
-     *  build, so every member's key may have. Runs at the start of
-     *  the build. */
+     *  boundary, so every member's key may have. Marks every member
+     *  dirty; runs before the queues are next repaired. */
     virtual void onPredictionsMoved();
+
+    /** Repair every queue (re-keying pending members).
+     *  @return true if any member moved or joined. */
+    virtual bool repairQueues();
 
     /** @} */
 
@@ -332,10 +352,9 @@ class IntraScheduler
     }
 
     /**
-     * Ordering key cached into schedScore at repair (ascending =
-     * served first): the predictor's rank score for keyed policies, 0
-     * otherwise. Also called by reusePlan() to re-key the last plan's
-     * decode members.
+     * Ordering key cached into schedScore (ascending = served first):
+     * the predictor's rank score for keyed policies, 0 otherwise. Read
+     * only through freshKey().
      */
     virtual double
     queueKey(const workload::Request* req) const
@@ -344,13 +363,28 @@ class IntraScheduler
         return 0.0;
     }
 
-    /** Repair functor caching queueKey() into schedScore. */
+    /**
+     * @p r's key at this boundary: read once into schedScore and
+     * stamped with the key epoch, which moves each time a plan is
+     * handed out for execution. So the re-key of a reuse check and the
+     * repair of the build that may follow it at the same boundary
+     * predict each member once between them.
+     */
+    double
+    freshKey(workload::Request* r) const
+    {
+        if (r->schedKeyEpoch != keyEpoch) {
+            r->schedScore = queueKey(r);
+            r->schedKeyEpoch = keyEpoch;
+        }
+        return r->schedScore;
+    }
+
+    /** Repair functor caching fresh keys into schedScore. */
     auto
     rekey() const
     {
-        return [this](workload::Request* r) {
-            r->schedScore = queueKey(r);
-        };
+        return [this](workload::Request* r) { freshKey(r); };
     }
 
     /** Subclasses call this whenever queue contents or keys changed
@@ -439,9 +473,23 @@ class IntraScheduler
                             TokenCount leftover_budget);
 
     /** Keyed reuse, check (c) of reusePlan(): re-keys @p prev's decode
-     *  members (updating their schedScore) and proves the walk would
-     *  still select them in the same order. */
+     *  members (updating their schedScore), after repairing every queue
+     *  if the predictor version moved, and proves the walk would still
+     *  select them in the same order. */
     bool keyedOrderHolds(const IterationPlan& prev);
+
+    /** Keyed policies: @p plan's decode and prefill members are about
+     *  to execute, which moves their predictions. */
+    void markMembersDirty(const IterationPlan& plan);
+
+    /** A plan is handed out for execution: every key read so far goes
+     *  stale (0 stays reserved for "never read"). */
+    void
+    advanceKeyEpoch()
+    {
+        if (++keyEpoch == 0)
+            keyEpoch = 1;
+    }
 
     /** Current predictor version (0 without a predictor). */
     std::uint64_t
@@ -487,7 +535,8 @@ class IntraScheduler
     TokenCount lastHighBudgetCap = -1; //!< -1: no high-queue cap.
 
     /** Keyed reuse: a decode member's key fields as the walk saw
-     *  them. */
+     *  them (scores refreshed where a version bump re-verified the
+     *  whole order). */
     struct DecodeKeys
     {
         double score = 0.0;         //!< schedScore.
@@ -499,8 +548,11 @@ class IntraScheduler
     /** Parallel to lastDecodeCapped (keyed policies only). */
     std::vector<DecodeKeys> lastDecodeKeys;
 
-    /** Predictor version the last plan was built under. */
+    /** Predictor version the queues were last re-keyed under. */
     std::uint64_t lastPredictorVersion = 0;
+
+    /** Key freshness stamp (see freshKey()). */
+    std::uint32_t keyEpoch = 1;
 
     /**
      * O(1) steady-state budget check (uncapped walks only): histogram

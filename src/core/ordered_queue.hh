@@ -16,7 +16,11 @@
  *    member in place while it still sorts between the last member kept
  *    and the next clean one, then sorts the displaced and new members
  *    and std::inplace_merge()s them in: O(n + d log d) for d of them,
- *    and a no-op in the steady state (nothing pending).
+ *    and a no-op in the steady state (nothing pending). It reports
+ *    whether the order changed: a displaced member sorts on the other
+ *    side of a neighbour it used to follow or precede, so "none
+ *    displaced and none new" is exactly "every member kept its
+ *    place".
  *
  * Every queue of every policy uses one order, QueueOrder, a strict
  * TOTAL order (it tie-breaks by request id), so after repair()
@@ -147,13 +151,14 @@ class OrderedQueue
     }
 
     /** Restore the order after @p rekey(r) re-read every pending
-     *  member's key. */
+     *  member's key.
+     *  @return true if any member moved or joined. */
     template <typename Rekey>
-    void
+    bool
     repair(Rekey rekey)
     {
         if (pending.empty())
-            return;
+            return false;
         for (auto* r : pending)
             rekey(r);
         const QueueOrder order{};
@@ -196,17 +201,20 @@ class OrderedQueue
             }
         }
         pending.clear();
+        if (displaced.empty())
+            return false;
         std::sort(displaced.begin(), displaced.end(), order);
         auto mid = sorted.insert(sorted.end(), displaced.begin(),
                                  displaced.end());
         std::inplace_merge(sorted.begin(), mid, sorted.end(), order);
+        return true;
     }
 
     /** repair() for keys that need no re-read. */
-    void
+    bool
     repair()
     {
-        repair([](workload::Request*) {});
+        return repair([](workload::Request*) {});
     }
 
   private:

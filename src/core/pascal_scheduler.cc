@@ -117,10 +117,6 @@ PascalScheduler::onRequestExecuted(workload::Request* req,
     } else if (quanta_changed) {
         queueOf(req).markDirty(req);
         noteStateChanged();
-    } else if (keysUsePredictions()) {
-        // Its predicted length moved with its progress;
-        // keyedOrderHolds() decides plan reuse.
-        queueOf(req).markDirty(req);
     }
     // Its KV grew, possibly into reach of the demotion rule.
     if (high)
@@ -135,6 +131,14 @@ PascalScheduler::onPredictionsMoved()
         if (isHighPriority(r))
             addDemotionCandidate(r);
     }
+}
+
+bool
+PascalScheduler::repairQueues()
+{
+    const bool high_moved = highQueue.repair(rekey());
+    const bool low_moved = lowQueue.repair(rekey());
+    return high_moved || low_moved;
 }
 
 void
@@ -157,8 +161,7 @@ void
 PascalScheduler::planInto(const model::KvPool& pool, IterationPlan& out)
 {
     processPendingDemotions();
-    highQueue.repair(rekey());
-    lowQueue.repair(rekey());
+    repairQueues();
 
     // Optional answering reserve: cap how much KV the high queue may
     // claim so the low queue is never fully squeezed out.

@@ -75,6 +75,9 @@ class PascalScheduler : public IntraScheduler
     void onRequestExecuted(workload::Request* req,
                            bool quanta_changed) override;
     void onPredictionsMoved() override;
+    bool repairQueues() override;
+    /** Queue of @p req per its tag. */
+    OrderedQueue& queueOf(const workload::Request* r) override;
     /** Applies pending demotions and vetoes the reuse if any fired. */
     bool reuseVeto(const IterationPlan& prev) override;
     /** @} */
@@ -129,9 +132,6 @@ class PascalScheduler : public IntraScheduler
 
     /** Demote @p req into the low queue (flag, quantum, queues). */
     void demote(workload::Request* req);
-
-    /** Queue of @p req per its tag. */
-    OrderedQueue& queueOf(const workload::Request* r);
 
     /** The base queue (tag 1) holds the high-priority queue. */
     OrderedQueue& highQueue = queue;

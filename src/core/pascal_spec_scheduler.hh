@@ -23,10 +23,11 @@
  *    into the round-robin fairness envelope: the quantum still bounds
  *    how long a mis-prediction can starve anyone.
  *
- * Both run on PascalScheduler's maintained queues: an executed member
- * is re-keyed at the next repair, and a predictor version bump
- * re-keys every member and re-checks demotion for every high-queue
- * request inside the lookahead window.
+ * Both run on PascalScheduler's maintained queues: a member of the
+ * plan in flight is re-keyed at the next repair, and a predictor
+ * version bump re-keys every member and re-checks demotion for every
+ * high-queue request inside the lookahead window at the next plan
+ * boundary.
  */
 
 #ifndef PASCAL_CORE_PASCAL_SPEC_SCHEDULER_HH

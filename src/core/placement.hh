@@ -35,7 +35,8 @@ class Placement
 
     /**
      * Choose the instance for a request whose reasoning phase just
-     * ended. Returning @p home means "do not migrate".
+     * ended. Returning @p home means "do not migrate". The view's
+     * predictedKvFootprintTokens is not filled for this decision.
      */
     virtual InstanceId placeTransition(const ClusterView& view,
                                        const workload::Request& req,

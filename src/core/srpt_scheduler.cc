@@ -28,7 +28,7 @@ SrptScheduler::planInto(const model::KvPool& pool, IterationPlan& out)
     // tie-breaks keep runs deterministic when predictions collide.
     // Skip semantics: a long request that does not fit must not block
     // the shorter ones behind it (that would re-create FCFS blocking).
-    queue.repair(rekey());
+    repairQueues();
     greedySelectRanges(queue.end(), queue.end(), queue.begin(),
                        queue.end(), /*cap_high=*/false, 0, pool,
                        /*stop_at_unfit=*/false, out);

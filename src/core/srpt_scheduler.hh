@@ -16,10 +16,10 @@
  *
  * Without a quantum the queue's QueueOrder reduces to (rank score,
  * arrival, id). Rank scores move with the request's own progress, so
- * every executed member goes dirty each token and is re-keyed once at
- * the next repair; a predictor version bump re-keys every member. A
- * plan is reused between predictor changes while its batch keeps its
- * order (see IntraScheduler's file comment).
+ * each built plan's members go dirty once and are re-keyed at the next
+ * repair; a predictor version bump re-keys every member. A plan is
+ * reused while its batch keeps its order, across a version bump too
+ * when the bump moves no member (see IntraScheduler's file comment).
  */
 
 #ifndef PASCAL_CORE_SRPT_SCHEDULER_HH

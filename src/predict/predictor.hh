@@ -138,11 +138,13 @@ class LengthPredictor
      * Monotone state version. Advances whenever a served prediction
      * for a request that did not itself progress may have changed;
      * while it holds, every prediction is a pure function of the
-     * request's own progress. The cluster's predictive placement view
-     * rebuilds every instance's snapshot when it moves, and keyed
-     * schedulers reuse a plan only while it holds. Stateless
-     * predictors (oracle, noisy oracle) never bump it; the profile
-     * predictor bumps it only when a served quantile changes.
+     * request's own progress, so a keyed scheduler re-keys only the
+     * members that ran. At the first plan boundary after it moves, a
+     * keyed scheduler re-keys and repairs every queue, and keeps its
+     * plan only if no member moved (IntraScheduler::reusePlan()).
+     * Stateless predictors (oracle, noisy oracle) never bump it; the
+     * profile predictor bumps it only when a served quantile changes,
+     * and the rank predictor at every completion.
      */
     std::uint64_t version() const { return versionCounter; }
 

@@ -43,17 +43,6 @@ DatasetProfilePredictor::DatasetProfilePredictor(double quantile,
       fallback{kPriorReasoningTokens, kPriorAnswerTokens}
 {}
 
-const DatasetProfilePredictor::Served&
-DatasetProfilePredictor::servedFor(const workload::Request& req) const
-{
-    const std::string& dataset = req.spec().dataset;
-    for (const ServedEntry& e : servedTable) {
-        if (e.dataset == dataset)
-            return e.served;
-    }
-    return fallback;
-}
-
 double
 DatasetProfilePredictor::remainingReasoning(const workload::Request& req,
                                             const Served& s) const
@@ -99,10 +88,12 @@ void
 DatasetProfilePredictor::observeCompletion(const workload::Request& req)
 {
     const workload::RequestSpec& spec = req.spec();
-    auto [own_it, inserted] = perDataset.try_emplace(spec.dataset);
-    Lengths& own = own_it->second;
-    if (inserted) // It served the fallback until now.
-        servedTable.push_back({spec.dataset, &own, fallback});
+    if (req.datasetId >= perDataset.size()) {
+        // New rows served the fallback until now.
+        perDataset.resize(req.datasetId + 1u);
+        servedTable.resize(req.datasetId + 1u, fallback);
+    }
+    Lengths& own = perDataset[req.datasetId];
     // startInAnswering requests never decode reasoning tokens here, so
     // their (zero-length) reasoning phase would only skew the
     // reasoning quantile downward for requests that do reason.
@@ -123,25 +114,29 @@ DatasetProfilePredictor::observeCompletion(const workload::Request& req)
     bool changed = !(next_fallback == fallback);
     fallback = next_fallback;
     const auto warm = static_cast<std::size_t>(warmup);
-    for (ServedEntry& e : servedTable) {
-        const Served s = {e.stats->reasoning.count() >= warm
-                              ? e.stats->reasoning.quantile(q)
+    for (std::size_t d = 0; d < servedTable.size(); ++d) {
+        const Lengths& stats = perDataset[d];
+        // Every completion adds an answering sample.
+        const bool seen = stats.answering.count() > 0;
+        const Served s = {seen && stats.reasoning.count() >= warm
+                              ? stats.reasoning.quantile(q)
                               : fallback.reasoning,
-                          e.stats->answering.count() >= warm
-                              ? e.stats->answering.quantile(q)
+                          seen && stats.answering.count() >= warm
+                              ? stats.answering.quantile(q)
                               : fallback.answering};
-        changed = changed || !(s == e.served);
-        e.served = s;
+        changed = changed || !(s == servedTable[d]);
+        servedTable[d] = s;
     }
     if (changed)
         bumpVersion();
 }
 
 std::size_t
-DatasetProfilePredictor::observations(const std::string& dataset) const
+DatasetProfilePredictor::observations(workload::DatasetId dataset) const
 {
-    auto it = perDataset.find(dataset);
-    return it == perDataset.end() ? 0 : it->second.answering.count();
+    return dataset < perDataset.size()
+               ? perDataset[dataset].answering.count()
+               : 0;
 }
 
 } // namespace predict

@@ -14,15 +14,15 @@
  * completion at all to fixed chat-scale priors.
  *
  * The served expectations (per dataset, plus the fallback) are
- * recomputed once per completion, so a query is one table lookup plus
- * arithmetic, and the version moves only when a served value does.
+ * recomputed once per completion, so a query is one index into a table
+ * by the request's interned Request::datasetId plus arithmetic, and
+ * the version moves only when a served value does.
  */
 
 #ifndef PASCAL_PREDICT_PROFILE_PREDICTOR_HH
 #define PASCAL_PREDICT_PROFILE_PREDICTOR_HH
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -78,7 +78,7 @@ class DatasetProfilePredictor : public LengthPredictor
     void observeCompletion(const workload::Request& req) override;
 
     /** Completions observed for @p dataset (diagnostics/tests). */
-    std::size_t observations(const std::string& dataset) const;
+    std::size_t observations(workload::DatasetId dataset) const;
 
   private:
     /** Expected total (reasoning, answering) lengths a query serves. */
@@ -100,16 +100,14 @@ class DatasetProfilePredictor : public LengthPredictor
         RunningQuantile answering;
     };
 
-    /** One dataset's row of the served table. */
-    struct ServedEntry
-    {
-        std::string dataset;
-        const Lengths* stats = nullptr; //!< Its perDataset node (stable).
-        Served served;
-    };
-
     /** What @p req's dataset serves: its own row, else the fallback. */
-    const Served& servedFor(const workload::Request& req) const;
+    const Served&
+    servedFor(const workload::Request& req) const
+    {
+        return req.datasetId < servedTable.size()
+                   ? servedTable[req.datasetId]
+                   : fallback;
+    }
 
     /** Remaining reasoning given @p s (0 once answering). */
     double remainingReasoning(const workload::Request& req,
@@ -118,17 +116,18 @@ class DatasetProfilePredictor : public LengthPredictor
     double q;
     int warmup;
 
-    /** std::map: deterministic iteration and no rehash jitter. */
-    std::map<std::string, Lengths> perDataset;
+    /** Indexed by DatasetId; a dataset past the end, or with no
+     *  completion yet, has no statistics of its own. */
+    std::vector<Lengths> perDataset;
     Lengths global;
 
     /**
-     * The served table, refreshed once per completion: a dataset
-     * takes, field by field, its own quantile once warmed up and the
-     * fallback before that. A flat scan, because traces carry a
-     * handful of datasets and a query compares a length first.
+     * The served table, indexed by DatasetId and refreshed once per
+     * completion: a dataset with completions takes, field by field,
+     * its own quantile once warmed up and the fallback before that;
+     * one without takes the fallback.
      */
-    std::vector<ServedEntry> servedTable;
+    std::vector<Served> servedTable;
 
     /** Served for unseen datasets: the global quantile, or the fixed
      *  prior before any sample. */

@@ -18,11 +18,14 @@ constexpr std::size_t kReservoirSize = 64;
 constexpr double kPriorReasoningTokens = 600.0;
 constexpr double kPriorAnswerTokens = 500.0;
 
+/** log2 prompt buckets per dataset: one per bit of a TokenCount. */
+constexpr std::size_t kPromptBuckets = 64;
+
 /** log2 bucket of a prompt length (0 for <= 1 token). */
-int
+std::size_t
 promptBucket(TokenCount prompt)
 {
-    int bucket = 0;
+    std::size_t bucket = 0;
     while (prompt > 1) {
         prompt >>= 1;
         ++bucket;
@@ -36,17 +39,17 @@ PairwiseRankPredictor::PairwiseRankPredictor(int warmup_comparisons)
     : warmup(warmup_comparisons)
 {}
 
-std::string
-PairwiseRankPredictor::bucketKey(const workload::RequestSpec& spec)
+std::size_t
+PairwiseRankPredictor::bucketKey(const workload::Request& req)
 {
-    return spec.dataset + "/p" +
-           std::to_string(promptBucket(spec.promptTokens));
+    return req.datasetId * kPromptBuckets +
+           promptBucket(req.spec().promptTokens);
 }
 
 const PairwiseRankPredictor::Bucket*
 PairwiseRankPredictor::find(const workload::Request& req) const
 {
-    auto it = buckets.find(bucketKey(req.spec()));
+    auto it = buckets.find(bucketKey(req));
     return it == buckets.end() ? nullptr : &it->second;
 }
 
@@ -134,7 +137,7 @@ PairwiseRankPredictor::observeCompletion(const workload::Request& req)
 {
     bumpVersion(); // Win rates move: downstream keys must re-rank.
     const workload::RequestSpec& spec = req.spec();
-    const std::string key = bucketKey(spec);
+    const std::size_t key = bucketKey(req);
     double total = static_cast<double>(req.totalToGenerate());
 
     // std::map references are stable across the insertion below.

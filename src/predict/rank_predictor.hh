@@ -5,10 +5,11 @@
  * "Ranking before serving" style: instead of regressing a length, the
  * predictor learns which *kinds* of requests tend to finish before
  * which others, and emits a rank score. Requests are bucketed by the
- * features observable at scheduling time — source dataset and a log2
- * prompt-length bucket — and every completion plays pairwise games
- * against a bounded reservoir of recent completions from every other
- * bucket; the shorter total generation wins. A bucket's score is its
+ * features observable at scheduling time — source dataset (its
+ * interned Request::datasetId) and a log2 prompt-length bucket — and
+ * every completion plays pairwise games against a bounded reservoir of
+ * recent completions from every other bucket; the shorter total
+ * generation wins. A bucket's score is its
  * overall win rate, so rankScore() = 1 - winRate orders likely-short
  * requests first without committing to a token count.
  *
@@ -57,8 +58,9 @@ class PairwiseRankPredictor : public LengthPredictor
      *  reservoir and records its realized lengths. */
     void observeCompletion(const workload::Request& req) override;
 
-    /** Feature-bucket key for @p spec (tests/diagnostics). */
-    static std::string bucketKey(const workload::RequestSpec& spec);
+    /** Feature-bucket key of @p req: its dataset id and log2 prompt
+     *  bucket packed into one index (tests/diagnostics). */
+    static std::size_t bucketKey(const workload::Request& req);
 
     /** Win rate of the bucket @p req falls into (0.5 if unwarmed). */
     double winRate(const workload::Request& req) const;
@@ -90,9 +92,9 @@ class PairwiseRankPredictor : public LengthPredictor
 
     int warmup;
 
-    /** std::map keyed by bucket string: deterministic iteration, so
+    /** std::map keyed by bucketKey(): deterministic iteration, so
      *  pairwise game order is a pure function of completion order. */
-    std::map<std::string, Bucket> buckets;
+    std::map<std::size_t, Bucket> buckets;
 
     /** Global length means (fallback for unseen buckets). */
     double globalSumReasoning = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "src/common/log.hh"
@@ -38,7 +39,26 @@ RequestSpec::validate() const
     }
 }
 
-Request::Request(RequestSpec s) : specData(std::move(s))
+DatasetId
+DatasetTable::intern(const std::string& label)
+{
+    if (last != nullptr && last->first == label)
+        return last->second;
+    auto it = ids.find(label);
+    if (it == ids.end()) {
+        if (ids.size() > std::numeric_limits<DatasetId>::max()) {
+            fatal("DatasetTable: more than " + std::to_string(ids.size()) +
+                  " distinct dataset labels in one trace; merge labels "
+                  "that share a length profile");
+        }
+        it = ids.emplace(label, static_cast<DatasetId>(ids.size())).first;
+    }
+    last = &*it;
+    return it->second;
+}
+
+Request::Request(RequestSpec s, DatasetId dataset_id)
+    : datasetId(dataset_id), specData(std::move(s))
 {
     specData.validate();
     lastAccount = specData.arrival;

@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.hh"
@@ -64,6 +66,34 @@ enum class FailReason : std::uint8_t
                       //!< expired before completion (SLO classes).
 };
 
+/** Dense per-run index of a dataset label (RequestSpec::dataset),
+ *  assigned by a DatasetTable in order of first appearance. */
+using DatasetId = std::uint16_t;
+
+/**
+ * Interns dataset labels into DatasetIds. A run interns its trace once,
+ * as it constructs the requests (Cluster::submitTrace), so per-dataset
+ * consumers (the profile and rank predictors) index by id and never
+ * compare labels.
+ */
+class DatasetTable
+{
+  public:
+    /** The id of @p label, assigned on first sight.
+     *  @throws FatalError past 65536 distinct labels. */
+    DatasetId intern(const std::string& label);
+
+    /** Distinct labels interned so far. */
+    std::size_t size() const { return ids.size(); }
+
+  private:
+    std::unordered_map<std::string, DatasetId> ids;
+
+    /** The label interned last: traces run in same-label stretches,
+     *  so one compare usually spares the hash (nodes are stable). */
+    const std::pair<const std::string, DatasetId>* last = nullptr;
+};
+
 /** Immutable description of one request, as read from a trace. */
 struct RequestSpec
 {
@@ -81,7 +111,9 @@ struct RequestSpec
      */
     bool startInAnswering = false;
 
-    std::string dataset; //!< Source dataset label (diagnostic).
+    /** Source dataset label, kept for CSV I/O and reports; at run
+     *  time consumers read the interned Request::datasetId. */
+    std::string dataset;
 
     /** Service class (inert unless SloClassConfig::enabled). */
     SloClass sloClass = SloClass::Standard;
@@ -116,7 +148,9 @@ enum class BucketKind
 class Request
 {
   public:
-    explicit Request(RequestSpec s);
+    /** @param dataset_id The spec's interned dataset label (see
+     *         DatasetTable); requests of one run must share a table. */
+    explicit Request(RequestSpec s, DatasetId dataset_id = 0);
 
     const RequestSpec& spec() const { return specData; }
     RequestId id() const { return specData.id; }
@@ -327,6 +361,15 @@ class Request
 
     /** Queued for a demotion-rule re-check (KV or prediction moved). */
     bool schedDemotionPending = false;
+
+    /** The interned spec().dataset, set at construction (declared
+     *  here, where it fills alignment padding). */
+    DatasetId datasetId = 0;
+
+    /** The hosting scheduler's key epoch at which schedScore was last
+     *  read from the predictor: a key stamped with the current epoch
+     *  is fresh, so no boundary predicts a member twice (0 = never). */
+    std::uint32_t schedKeyEpoch = 0;
 
     /** Instance iteration epoch when the request last ran (replaces
      *  the per-iteration hash-set batch membership test). */

@@ -14,7 +14,9 @@
  * predictor version holds and the batch keeps its order. Scripted
  * decode runs pin the ways such a batch stops being the walk's answer
  * (a tie at the profile's clamp, unequal noise factors, a lookahead
- * demotion, a rising key): each must decline.
+ * demotion, a rising key): each must decline. A predictor version
+ * bump that keeps every queue in order keeps the plan; one that
+ * reorders members builds.
  */
 
 #include <gtest/gtest.h>
@@ -554,14 +556,16 @@ using MakeRequests = std::function<std::vector<workload::Request*>(
 
 /**
  * Drives @p sched through the engine's boundary protocol on a pool of
- * @p capacity tokens: reuse the last plan if reusePlan() allows, else
+ * @p capacity tokens: run @p before_boundary (if set) with the
+ * boundary's index, reuse the last plan if reusePlan() allows, else
  * build, apply its swaps, then run the decode batch one token and
  * report it. The requests are long enough that none finishes or
  * leaves its phase.
  */
 std::vector<Boundary>
 driveDecodeRun(core::IntraScheduler& sched, const MakeRequests& make,
-               int boundaries, TokenCount capacity)
+               int boundaries, TokenCount capacity,
+               const std::function<void(int)>& before_boundary = {})
 {
     SchedulerHarness h(capacity, &sched);
     const TokenCount quantum = sched.schedLimits().quantum;
@@ -572,6 +576,8 @@ driveDecodeRun(core::IntraScheduler& sched, const MakeRequests& make,
     core::IterationPlan plan;
     std::vector<Boundary> run;
     for (int b = 0; b < boundaries; ++b) {
+        if (before_boundary)
+            before_boundary(b);
         Boundary rec;
         rec.reused = sched.reusePlan(plan, h.pool);
         rec.decline = sched.lastReuseDecline();
@@ -787,6 +793,121 @@ TEST_F(PlanReuseFastPath, LookaheadDemotionDeclines)
             return std::vector<workload::Request*>{a, b, c};
         },
         core::PlanDecline::Veto);
+}
+
+/** A finished request of dataset @p dataset (prompt 8) for the
+ *  profile predictor to observe. */
+workload::Request
+completion(RequestId id, workload::DatasetId dataset,
+           TokenCount reasoning)
+{
+    workload::RequestSpec spec;
+    spec.id = id;
+    spec.promptTokens = 8;
+    spec.reasoningTokens = reasoning;
+    spec.answerTokens = 50;
+    return workload::Request(spec, dataset);
+}
+
+constexpr int kBumpBoundaries = 12;
+constexpr int kBump = 6;
+
+/**
+ * SRPT and PASCAL-Spec, each over its own profile predictor (served
+ * reasoning 100 and answer 50 for datasets 0 and 1), run a decode batch
+ * of two with a third request idle behind it, fast and as the
+ * force-resort twin. Before boundary kBump both predictors observe a
+ * 300-token reasoning completion of dataset 0, so the served median of
+ * dataset 0 rises to 200: every key of a dataset-0 request shifts up
+ * by 100. The twin builds at every boundary, and the fast run must
+ * match it everywhere; the fast run is returned.
+ *
+ * a (dataset 0) has 10 tokens, b (dataset 0) 5 and c (@p c_dataset)
+ * 1, so the keys start at 140 < 145 < 149 and a, b run. With c in
+ * dataset 0 the shift keeps the order; with c in dataset 1, c (149)
+ * overtakes both runners (about 230).
+ */
+std::vector<Boundary>
+expectBumpMatchesTwin(bool pascal_spec, workload::DatasetId c_dataset)
+{
+    std::vector<Boundary> runs[2];
+    for (const bool force : {false, true}) {
+        predict::DatasetProfilePredictor profile(0.5, 1);
+        profile.observeCompletion(completion(90, 0, 100));
+        profile.observeCompletion(completion(91, 1, 100));
+        core::SchedLimits limits;
+        limits.maxBatchSize = 2;
+        limits.forceResort = force;
+        std::unique_ptr<core::IntraScheduler> sched;
+        if (pascal_spec) {
+            sched = std::make_unique<core::PascalSpecScheduler>(limits);
+        } else {
+            sched = std::make_unique<core::SrptScheduler>(limits);
+        }
+        sched->setPredictor(&profile);
+        runs[force] = driveDecodeRun(
+            *sched,
+            [&](SchedulerHarness& h, TokenCount quantum) {
+                auto* a = h.make(1, 0.0, 32, 400, 50);
+                auto* b = h.make(2, 1.0, 32, 400, 50);
+                auto* c = h.make(3, 2.0, 32, 400, 50);
+                c->datasetId = c_dataset;
+                for (auto* r : {a, b, c})
+                    h.makeResident(r, quantum);
+                h.decodeTokens(a, 9, 0.0, quantum);
+                h.decodeTokens(b, 4, 0.0, quantum);
+                return std::vector<workload::Request*>{a, b, c};
+            },
+            kBumpBoundaries, 1 << 20, [&](int b) {
+                if (b != kBump)
+                    return;
+                const std::uint64_t before = profile.version();
+                profile.observeCompletion(completion(92, 0, 300));
+                ASSERT_GT(profile.version(), before);
+            });
+    }
+    for (int b = 0; b < kBumpBoundaries; ++b) {
+        SCOPED_TRACE("boundary " + std::to_string(b));
+        EXPECT_EQ(runs[0][b].decode, runs[1][b].decode);
+        EXPECT_FALSE(runs[1][b].reused);
+    }
+    // The batch reused its plan right up to the bump.
+    if (!fastPathForcedOff()) {
+        for (int b = 1; b < kBump; ++b)
+            EXPECT_TRUE(runs[0][b].reused) << "boundary " << b;
+    }
+    return runs[0];
+}
+
+TEST_F(PlanReuseFastPath, VersionBumpKeepingTheOrderReusesThePlan)
+{
+    for (const bool pascal_spec : {false, true}) {
+        SCOPED_TRACE(pascal_spec ? "PASCAL-Spec" : "SRPT");
+        const auto fast = expectBumpMatchesTwin(pascal_spec, 0);
+        EXPECT_EQ(fast[kBump].decode, (std::vector<RequestId>{1, 2}));
+        if (fastPathForcedOff())
+            continue;
+        // Every queue kept its order, so the plan stands: it equals
+        // the twin's fresh build at the same boundary (checked above).
+        // The refreshed member keys let the reuses run on.
+        EXPECT_EQ(fast[kBump].decline, core::PlanDecline::None);
+        for (int b = kBump; b < kBumpBoundaries; ++b)
+            EXPECT_TRUE(fast[b].reused) << "boundary " << b;
+    }
+}
+
+TEST_F(PlanReuseFastPath, VersionBumpReorderingMembersBuilds)
+{
+    for (const bool pascal_spec : {false, true}) {
+        SCOPED_TRACE(pascal_spec ? "PASCAL-Spec" : "SRPT");
+        const auto fast = expectBumpMatchesTwin(pascal_spec, 1);
+        EXPECT_EQ(fast[kBump - 1].decode, (std::vector<RequestId>{1, 2}));
+        EXPECT_EQ(fast[kBump].decode, (std::vector<RequestId>{3, 1}));
+        if (fastPathForcedOff())
+            continue;
+        EXPECT_FALSE(fast[kBump].reused);
+        EXPECT_EQ(fast[kBump].decline, core::PlanDecline::StateChanged);
+    }
 }
 
 } // namespace

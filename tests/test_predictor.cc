@@ -35,6 +35,15 @@ using predict::PredictorType;
 using workload::Request;
 using workload::RequestSpec;
 
+/** One label table for the whole suite, as a run interns its trace:
+ *  requests of equal labels share a DatasetId. */
+workload::DatasetTable&
+datasets()
+{
+    static workload::DatasetTable table;
+    return table;
+}
+
 Request
 makeRequest(RequestId id, TokenCount prompt, TokenCount reasoning,
             TokenCount answer, const std::string& dataset = "ds",
@@ -48,7 +57,7 @@ makeRequest(RequestId id, TokenCount prompt, TokenCount reasoning,
     s.answerTokens = answer;
     s.startInAnswering = start_in_answering;
     s.dataset = dataset;
-    return Request(s);
+    return Request(s, datasets().intern(dataset));
 }
 
 /** Advance a request by n decode tokens (no pool bookkeeping). */
@@ -157,14 +166,14 @@ TEST(ProfilePredictor, FallsBackToPriorsThenGlobalThenDataset)
     }
     EXPECT_DOUBLE_EQ(profile.predictRemainingTokens(fresh),
                      200.0 + 40.0);
-    EXPECT_EQ(profile.observations("mathy"), 0u);
+    EXPECT_EQ(profile.observations(datasets().intern("mathy")), 0u);
 
     // Two completions of the request's own dataset: its medians win.
     for (RequestId id = 20; id < 22; ++id) {
         auto done = makeRequest(id, 64, 800, 120, "mathy");
         profile.observeCompletion(done);
     }
-    EXPECT_EQ(profile.observations("mathy"), 2u);
+    EXPECT_EQ(profile.observations(datasets().intern("mathy")), 2u);
     EXPECT_DOUBLE_EQ(profile.predictRemainingTokens(fresh),
                      800.0 + 120.0);
 }

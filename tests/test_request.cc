@@ -1,10 +1,13 @@
 /**
  * @file
  * Unit tests for the request state machine: phase progression, the
- * </think> transition, quantum accounting, and time buckets.
+ * </think> transition, quantum accounting, time buckets, and dataset
+ * label interning.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "src/common/log.hh"
 #include "src/qoe/metrics.hh"
@@ -183,6 +186,32 @@ TEST(RequestDeath, EmitPastEndPanics)
     r.emitToken(0.2, 0);       // Final answer token.
     ASSERT_TRUE(r.finished());
     EXPECT_DEATH(r.emitToken(0.3, 0), "finished");
+}
+
+TEST(DatasetTable, InternsInFirstAppearanceOrder)
+{
+    workload::DatasetTable table;
+    EXPECT_EQ(table.intern("a"), 0u);
+    EXPECT_EQ(table.intern("a"), 0u);
+    EXPECT_EQ(table.intern("b"), 1u);
+    EXPECT_EQ(table.intern("a"), 0u);
+    EXPECT_EQ(table.intern(""), 2u);
+    EXPECT_EQ(table.intern("b"), 1u);
+    EXPECT_EQ(table.size(), 3u);
+    const Request r(makeSpec(), table.intern("b"));
+    EXPECT_EQ(r.datasetId, 1u);
+}
+
+TEST(DatasetTable, FailsPastTheIdRange)
+{
+    setQuiet(true);
+    workload::DatasetTable table;
+    for (int i = 0; i <= 0xffff; ++i)
+        table.intern(std::to_string(i));
+    EXPECT_EQ(table.intern("65535"), 0xffffu);
+    EXPECT_THROW(table.intern("one too many"), FatalError);
+    EXPECT_EQ(table.intern("0"), 0u); // Known labels still resolve.
+    setQuiet(false);
 }
 
 TEST(RequestDeath, DoublePrefillPanics)

@@ -4,7 +4,8 @@
  * predictive placement variant: ordering under oracle predictions,
  * predictive demotion timing (including the exact-threshold boundary,
  * startInAnswering edge cases and an idle request re-checked after a
- * predictor version bump), the no-predictor failure mode, and
+ * predictor version bump), the no-predictor failure mode, per-dataset
+ * profile rows learned through a Cluster run, and
  * the acceptance-criteria sweep {FCFS, RR, PASCAL, SRPT, PASCAL-Spec}
  * x {oracle, noisy(0.2), noisy(0.5), profile, rank} on a
  * reasoning-heavy trace.
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cluster/run_context.hh"
 #include "src/cluster/sweep_runner.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
@@ -134,7 +136,9 @@ TEST(PascalSpecScheduler, IdleRequestDemotesAtTheBuildAfterAVersionBump)
     // serves a 760-token reasoning median, so idle's predicted final
     // KV is 860 and it stays. Two long completions then raise the
     // median: the version bump must re-check idle at the very next
-    // build and demote it, on the fast path and the twin alike.
+    // boundary and demote it, on the fast path and the twin alike. The
+    // bump leaves the queue order as it was, so on the fast path the
+    // demotion fires in the reuse check and vetoes the reuse.
     const bool env_twin = std::getenv("PASCAL_FORCE_RESORT") != nullptr;
     for (const bool force : {false, true}) {
         SCOPED_TRACE(force ? "force-resort twin" : "default limits");
@@ -184,7 +188,7 @@ TEST(PascalSpecScheduler, IdleRequestDemotesAtTheBuildAfterAVersionBump)
             reuses += reused ? 1 : 0;
             if (b == kBump && !twin) {
                 EXPECT_EQ(sched.lastReuseDecline(),
-                          core::PlanDecline::StateChanged);
+                          core::PlanDecline::Veto);
             }
             ASSERT_EQ(plan.decode.size(), 1u);
             EXPECT_EQ(plan.decode[0], runner);
@@ -299,6 +303,60 @@ TEST(PascalSpecScheduler, StartInAnsweringRidesTheLowQueue)
     ASSERT_EQ(plan.prefill.size(), 1u);
     EXPECT_EQ(plan.prefill[0], reasoning);
     EXPECT_EQ(sched.numReasoning(), 1);
+}
+
+TEST_F(SpecAcceptance, TwoDatasetRunServesEachDatasetItsOwnProfileRow)
+{
+    // A Cluster interns the trace's dataset labels in order of first
+    // appearance, and the profile predictor keeps one row per id: after
+    // the run each dataset has learned from exactly its own
+    // completions and serves its own medians.
+    std::vector<workload::MixComponent> mix = {
+        {workload::DatasetProfile::alpacaEval(), 1.0},
+        {workload::DatasetProfile::gpqa(), 1.0},
+    };
+    Rng rng(5);
+    const auto trace = workload::generateMixedTrace(mix, 120, 4.0, rng);
+    predict::PredictorConfig pred;
+    pred.type = predict::PredictorType::Profile;
+    cluster::RunContext ctx(
+        SystemConfig::speculative(SchedulerType::PascalSpec, pred, 2));
+    ctx.submit(trace);
+    ctx.run();
+    ASSERT_EQ(ctx.result().numUnfinished, 0u);
+    const auto* profile =
+        dynamic_cast<const predict::DatasetProfilePredictor*>(
+            ctx.cluster().lengthPredictor());
+    ASSERT_NE(profile, nullptr);
+
+    workload::DatasetTable ids;
+    std::vector<predict::RunningQuantile> reasoning(2);
+    std::vector<predict::RunningQuantile> answering(2);
+    for (const auto& spec : trace.requests) {
+        const workload::DatasetId id = ids.intern(spec.dataset);
+        ASSERT_LT(id, 2u);
+        reasoning[id].add(static_cast<double>(spec.reasoningTokens));
+        answering[id].add(static_cast<double>(spec.answerTokens));
+    }
+    ASSERT_EQ(ids.size(), 2u);
+    EXPECT_EQ(profile->observations(2), 0u);
+    std::vector<double> served;
+    for (workload::DatasetId id = 0; id < 2; ++id) {
+        SCOPED_TRACE("dataset " + std::to_string(id));
+        EXPECT_EQ(profile->observations(id), answering[id].count());
+        ASSERT_GE(answering[id].count(), 8u); // Past the warmup.
+        workload::RequestSpec spec;
+        spec.id = 1000 + id;
+        spec.promptTokens = 64;
+        spec.reasoningTokens = 100;
+        spec.answerTokens = 50;
+        const workload::Request probe(spec, id);
+        served.push_back(profile->predictRemainingTokens(probe));
+        EXPECT_DOUBLE_EQ(served.back(), reasoning[id].quantile(0.5) +
+                                            answering[id].quantile(0.5));
+    }
+    // GPQA reasons far longer than AlpacaEval.
+    EXPECT_NE(served[0], served[1]);
 }
 
 /**
