@@ -85,24 +85,29 @@ DatasetProfilePredictor::predictRemainingTokens(
 }
 
 void
-DatasetProfilePredictor::observeCompletion(const workload::Request& req)
+DatasetProfilePredictor::Lengths::add(const workload::RequestSpec& spec)
 {
-    const workload::RequestSpec& spec = req.spec();
-    if (req.datasetId >= perDataset.size()) {
-        // New rows served the fallback until now.
-        perDataset.resize(req.datasetId + 1u);
-        servedTable.resize(req.datasetId + 1u, fallback);
-    }
-    Lengths& own = perDataset[req.datasetId];
     // startInAnswering requests never decode reasoning tokens here, so
     // their (zero-length) reasoning phase would only skew the
     // reasoning quantile downward for requests that do reason.
-    if (!spec.startInAnswering) {
-        own.reasoning.add(static_cast<double>(spec.reasoningTokens));
-        global.reasoning.add(static_cast<double>(spec.reasoningTokens));
+    if (!spec.startInAnswering)
+        reasoning.add(static_cast<double>(spec.reasoningTokens));
+    answering.add(static_cast<double>(spec.answerTokens));
+}
+
+void
+DatasetProfilePredictor::observeCompletion(const workload::Request& req)
+{
+    global.add(req.spec());
+    // A request without a dataset teaches the global statistics only.
+    if (req.datasetId != workload::kNoDataset) {
+        if (req.datasetId >= perDataset.size()) {
+            // New rows served the fallback until now.
+            perDataset.resize(req.datasetId + 1u);
+            servedTable.resize(req.datasetId + 1u, fallback);
+        }
+        perDataset[req.datasetId].add(req.spec());
     }
-    own.answering.add(static_cast<double>(spec.answerTokens));
-    global.answering.add(static_cast<double>(spec.answerTokens));
 
     // Re-serve every dataset: the fallback moved with the global
     // statistics. Keys must re-rank only if a served value changed.

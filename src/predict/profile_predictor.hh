@@ -98,9 +98,13 @@ class DatasetProfilePredictor : public LengthPredictor
     {
         RunningQuantile reasoning;
         RunningQuantile answering;
+
+        /** Record one completion's realized lengths. */
+        void add(const workload::RequestSpec& spec);
     };
 
-    /** What @p req's dataset serves: its own row, else the fallback. */
+    /** What @p req's dataset serves: its own row, else the fallback
+     *  (always for kNoDataset, which never gets a row). */
     const Served&
     servedFor(const workload::Request& req) const
     {

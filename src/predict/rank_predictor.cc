@@ -137,6 +137,18 @@ PairwiseRankPredictor::observeCompletion(const workload::Request& req)
 {
     bumpVersion(); // Win rates move: downstream keys must re-rank.
     const workload::RequestSpec& spec = req.spec();
+    if (!spec.startInAnswering) {
+        globalSumReasoning +=
+            static_cast<double>(spec.reasoningTokens);
+        ++globalReasoningCompletions;
+    }
+    ++globalCompletions;
+    globalSumAnswer += static_cast<double>(spec.answerTokens);
+    // A request without a dataset has no bucket: it teaches the global
+    // means only, and find() never meets its key.
+    if (req.datasetId == workload::kNoDataset)
+        return;
+
     const std::size_t key = bucketKey(req);
     double total = static_cast<double>(req.totalToGenerate());
 
@@ -162,15 +174,10 @@ PairwiseRankPredictor::observeCompletion(const workload::Request& req)
     if (!spec.startInAnswering) {
         bucket.sumReasoning +=
             static_cast<double>(spec.reasoningTokens);
-        globalSumReasoning +=
-            static_cast<double>(spec.reasoningTokens);
         ++bucket.reasoningCompletions;
-        ++globalReasoningCompletions;
     }
     bucket.sumAnswer += static_cast<double>(spec.answerTokens);
     ++bucket.completions;
-    ++globalCompletions;
-    globalSumAnswer += static_cast<double>(spec.answerTokens);
 
     if (bucket.reservoir.size() < kReservoirSize) {
         bucket.reservoir.push_back(total);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "src/common/log.hh"
@@ -42,19 +41,16 @@ RequestSpec::validate() const
 DatasetId
 DatasetTable::intern(const std::string& label)
 {
-    if (last != nullptr && last->first == label)
-        return last->second;
     auto it = ids.find(label);
-    if (it == ids.end()) {
-        if (ids.size() > std::numeric_limits<DatasetId>::max()) {
-            fatal("DatasetTable: more than " + std::to_string(ids.size()) +
-                  " distinct dataset labels in one trace; merge labels "
-                  "that share a length profile");
-        }
-        it = ids.emplace(label, static_cast<DatasetId>(ids.size())).first;
+    if (it != ids.end())
+        return it->second;
+    if (ids.size() >= kNoDataset) {
+        fatal("DatasetTable: more than " + std::to_string(ids.size()) +
+              " distinct dataset labels in one trace; merge labels "
+              "that share a length profile");
     }
-    last = &*it;
-    return it->second;
+    return ids.emplace(label, static_cast<DatasetId>(ids.size()))
+        .first->second;
 }
 
 Request::Request(RequestSpec s, DatasetId dataset_id)

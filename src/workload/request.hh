@@ -24,7 +24,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/common/types.hh"
@@ -70,6 +69,11 @@ enum class FailReason : std::uint8_t
  *  assigned by a DatasetTable in order of first appearance. */
 using DatasetId = std::uint16_t;
 
+/** The id of a request built without a DatasetTable. No table assigns
+ *  it, and per-dataset predictors serve such a request their global
+ *  statistics and learn no row from it. */
+constexpr DatasetId kNoDataset = 0xffff;
+
 /**
  * Interns dataset labels into DatasetIds. A run interns its trace once,
  * as it constructs the requests (Cluster::submitTrace), so per-dataset
@@ -80,7 +84,8 @@ class DatasetTable
 {
   public:
     /** The id of @p label, assigned on first sight.
-     *  @throws FatalError past 65536 distinct labels. */
+     *  @throws FatalError past 65535 distinct labels (kNoDataset is
+     *          never assigned). */
     DatasetId intern(const std::string& label);
 
     /** Distinct labels interned so far. */
@@ -88,10 +93,6 @@ class DatasetTable
 
   private:
     std::unordered_map<std::string, DatasetId> ids;
-
-    /** The label interned last: traces run in same-label stretches,
-     *  so one compare usually spares the hash (nodes are stable). */
-    const std::pair<const std::string, DatasetId>* last = nullptr;
 };
 
 /** Immutable description of one request, as read from a trace. */
@@ -149,8 +150,9 @@ class Request
 {
   public:
     /** @param dataset_id The spec's interned dataset label (see
-     *         DatasetTable); requests of one run must share a table. */
-    explicit Request(RequestSpec s, DatasetId dataset_id = 0);
+     *         DatasetTable); requests of one run must share a table.
+     *         Without one the request has no dataset (kNoDataset). */
+    explicit Request(RequestSpec s, DatasetId dataset_id = kNoDataset);
 
     const RequestSpec& spec() const { return specData; }
     RequestId id() const { return specData.id; }
@@ -364,7 +366,7 @@ class Request
 
     /** The interned spec().dataset, set at construction (declared
      *  here, where it fills alignment padding). */
-    DatasetId datasetId = 0;
+    DatasetId datasetId = kNoDataset;
 
     /** The hosting scheduler's key epoch at which schedScore was last
      *  read from the predictor: a key stamped with the current epoch

@@ -851,6 +851,8 @@ expectBumpMatchesTwin(bool pascal_spec, workload::DatasetId c_dataset)
                 auto* a = h.make(1, 0.0, 32, 400, 50);
                 auto* b = h.make(2, 1.0, 32, 400, 50);
                 auto* c = h.make(3, 2.0, 32, 400, 50);
+                a->datasetId = 0;
+                b->datasetId = 0;
                 c->datasetId = c_dataset;
                 for (auto* r : {a, b, c})
                     h.makeResident(r, quantum);

@@ -228,6 +228,26 @@ TEST(ProfilePredictor, StartInAnsweringSkewsNoReasoningQuantile)
                      200.0);
 }
 
+TEST(ProfilePredictor, RequestWithoutDatasetTeachesOnlyTheGlobalRow)
+{
+    predict::DatasetProfilePredictor profile(0.5, 1);
+    profile.observeCompletion(makeRequest(1, 64, 100, 50, "a"));
+    // Built without a DatasetTable: no row of its own, and it must not
+    // merge into any labelled one.
+    const Request none(makeRequest(2, 64, 900, 50).spec());
+    profile.observeCompletion(none);
+
+    EXPECT_EQ(profile.observations(datasets().intern("a")), 1u);
+    EXPECT_EQ(profile.observations(workload::kNoDataset), 0u);
+    // a keeps its own median; the dataset-less probe is served the
+    // global one, median(100, 900) = 500.
+    EXPECT_DOUBLE_EQ(
+        profile.predictRemainingTokens(makeRequest(3, 64, 5000, 50, "a")),
+        150.0);
+    const Request probe(makeRequest(4, 64, 5000, 50).spec());
+    EXPECT_DOUBLE_EQ(profile.predictRemainingTokens(probe), 550.0);
+}
+
 TEST(ProfilePredictor, VersionMovesOnlyWithServedValues)
 {
     // Every answer is 50 tokens, so only reasoning medians can move.
@@ -419,6 +439,31 @@ TEST(RankPredictor, LearnsWhichBucketFinishesFirst)
                 1.0);
     EXPECT_NEAR(rank.predictRemainingTokens(long_req), 3800.0 + 200.0,
                 1.0);
+}
+
+TEST(RankPredictor, RequestWithoutDatasetHasNoBucket)
+{
+    predict::PairwiseRankPredictor rank(1);
+    for (RequestId id = 0; id < 4; ++id) {
+        rank.observeCompletion(makeRequest(id, 64, 150, 50, "short"));
+        rank.observeCompletion(
+            makeRequest(100 + id, 64, 3800, 200, "long"));
+    }
+    auto short_req = makeRequest(50, 64, 999, 10, "short");
+    const double short_rate = rank.winRate(short_req);
+
+    // Built without a DatasetTable: it plays no games and joins no
+    // bucket, so the labelled buckets keep their win rates.
+    rank.observeCompletion(Request(makeRequest(60, 64, 5, 5).spec()));
+    EXPECT_DOUBLE_EQ(rank.winRate(short_req), short_rate);
+
+    // Such a request is served the neutral score and the global means,
+    // which did learn its lengths: (4*150 + 4*3800 + 5) / 9 reasoning,
+    // (4*50 + 4*200 + 5) / 9 answering.
+    const Request probe(makeRequest(61, 64, 999, 10, "short").spec());
+    EXPECT_DOUBLE_EQ(rank.winRate(probe), 0.5);
+    EXPECT_NEAR(rank.predictRemainingTokens(probe),
+                15805.0 / 9.0 + 1005.0 / 9.0, 1e-9);
 }
 
 TEST(RankPredictor, ZeroWarmupSingleBucketStaysNeutralNotNaN)

@@ -200,15 +200,17 @@ TEST(DatasetTable, InternsInFirstAppearanceOrder)
     EXPECT_EQ(table.size(), 3u);
     const Request r(makeSpec(), table.intern("b"));
     EXPECT_EQ(r.datasetId, 1u);
+    // Built without a table: no dataset, an id no table assigns.
+    EXPECT_EQ(Request(makeSpec()).datasetId, workload::kNoDataset);
 }
 
 TEST(DatasetTable, FailsPastTheIdRange)
 {
     setQuiet(true);
     workload::DatasetTable table;
-    for (int i = 0; i <= 0xffff; ++i)
+    for (int i = 0; i < 0xffff; ++i)
         table.intern(std::to_string(i));
-    EXPECT_EQ(table.intern("65535"), 0xffffu);
+    EXPECT_EQ(table.intern("65534"), 0xfffeu); // kNoDataset stays free.
     EXPECT_THROW(table.intern("one too many"), FatalError);
     EXPECT_EQ(table.intern("0"), 0u); // Known labels still resolve.
     setQuiet(false);
