@@ -83,48 +83,28 @@ configFor(const PolicyChoice& policy, int instances)
     return cfg;
 }
 
-/** Telemetry flags shared by the example mains. */
-struct TelemetryOptions
-{
-    std::string traceOut;        //!< "" = Perfetto tracing off.
-    bool streamingMetrics = false;
-
-    /** Enable the selected telemetry on @p cfg. */
-    void
-    apply(cluster::SystemConfig& cfg) const
-    {
-        if (!traceOut.empty())
-            cfg.telemetry.traceEnabled = true;
-        if (streamingMetrics)
-            cfg.telemetry.streamingMetrics = true;
-    }
-};
-
 /**
- * Strip `--trace-out <path>` and `--streaming-metrics` out of argv
- * (compacting argc/argv in place), so each main's positional parsing
- * stays untouched. Every example gains the two flags for free:
- * tracing writes a ui.perfetto.dev-loadable timeline, streaming mode
- * swaps per-request metric rows for bounded-memory sketches.
+ * Strip `--trace-out <path>` out of argv (compacting argc/argv in
+ * place), so a main's positional parsing stays untouched, and return
+ * the path ("" when the flag is absent: tracing stays off). The trace
+ * is a ui.perfetto.dev-loadable timeline.
  */
-inline TelemetryOptions
-stripTelemetryFlags(int& argc, char** argv)
+inline std::string
+stripTraceOutFlag(int& argc, char** argv)
 {
-    TelemetryOptions opts;
+    std::string trace_out;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--trace-out") == 0) {
             if (i + 1 >= argc)
                 fatal("--trace-out needs a path argument");
-            opts.traceOut = argv[++i];
-        } else if (std::strcmp(argv[i], "--streaming-metrics") == 0) {
-            opts.streamingMetrics = true;
+            trace_out = argv[++i];
         } else {
             argv[out++] = argv[i];
         }
     }
     argc = out;
-    return opts;
+    return trace_out;
 }
 
 /** Write one run's Perfetto trace JSON to @p path. */

@@ -8,7 +8,6 @@
  *   trace_replay [<trace.csv> <out_metrics.csv>]
  *                [fcfs|rr|pascal|srpt|pascal-spec|all] [instances]
  *                [--json <path>] [--trace-out <path>]
- *                [--streaming-metrics]
  *
  * Every replay goes through SweepRunner. A single policy (the
  * default: pascal) writes exactly <out_metrics.csv>; with `all`, the
@@ -22,11 +21,7 @@
  * so the example is runnable out of the box.
  *
  * `--trace-out <path>` records a Perfetto timeline per policy
- * (`<path>.<policy>` when sweeping — drop it on ui.perfetto.dev);
- * `--streaming-metrics` swaps per-request rows for bounded-memory
- * sketches, so the per-request CSVs come out empty but the summary
- * aggregates still populate (percentiles within 1 % of the plain
- * run's).
+ * (`<path>.<policy>` when sweeping — drop it on ui.perfetto.dev).
  */
 
 #include <cstdio>
@@ -163,7 +158,8 @@ main(int argc, char** argv)
     int instances = 8;
 
     try {
-        auto telemetry = examples::stripTelemetryFlags(argc, argv);
+        const std::string trace_out =
+            examples::stripTraceOutFlag(argc, argv);
 
         // Split --json off first; the rest stays positional for
         // backward compatibility.
@@ -212,7 +208,7 @@ main(int argc, char** argv)
 
         for (const auto& policy : policies) {
             auto cfg = examples::configFor(policy, instances);
-            telemetry.apply(cfg);
+            cfg.telemetry.traceEnabled = !trace_out.empty();
             runner.add({policy.name, cfg, trace_index, 0});
         }
 
@@ -242,11 +238,11 @@ main(int argc, char** argv)
             std::printf("summary JSON -> %s\n", json_path.c_str());
         }
 
-        if (!telemetry.traceOut.empty()) {
+        if (!trace_out.empty()) {
             for (const auto& outcome : sweep.outcomes) {
                 const std::string path =
-                    sweeping ? telemetry.traceOut + "." + outcome.label
-                             : telemetry.traceOut;
+                    sweeping ? trace_out + "." + outcome.label
+                             : trace_out;
                 examples::writeTraceFile(path,
                                          outcome.result.traceJson);
                 std::printf("Perfetto trace -> %s\n", path.c_str());

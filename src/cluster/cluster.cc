@@ -16,11 +16,8 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
 {
     this->cfg.validate();
 
-    TokenCount base = cfg.gpuKvCapacityTokens > 0
-                          ? cfg.gpuKvCapacityTokens
-                          : perf.gpuKvCapacityTokens();
-    kvCapacity = static_cast<TokenCount>(
-        std::llround(static_cast<double>(base) * cfg.kvCapacityFraction));
+    kvCapacity = cfg.gpuKvCapacityTokens > 0 ? cfg.gpuKvCapacityTokens
+                                             : perf.gpuKvCapacityTokens();
     if (kvCapacity <= 0)
         fatal("Cluster: resolved KV capacity is not positive");
 
@@ -713,11 +710,12 @@ Cluster::failTerminally(workload::Request* req,
     noteRequestFinished(req);
 }
 
-void
-Cluster::scoreRequests(
-    const std::function<void(qoe::RequestMetrics&&)>& sink) const
+std::vector<qoe::RequestMetrics>
+Cluster::scoreRequests() const
 {
     Time now = sim.now();
+    std::vector<qoe::RequestMetrics> rows;
+    rows.reserve(requests.size());
     for (auto& req : requests) {
         // Finished requests settled at their final emission; unarrived
         // ones have nothing accrued.
@@ -726,8 +724,10 @@ Cluster::scoreRequests(
             req.exec != workload::ExecState::Done) {
             req.settleAccrual(now);
         }
-        sink(qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
+        rows.push_back(
+            qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
     }
+    return rows;
 }
 
 TokenCount

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -54,17 +53,13 @@ class Cluster
     /** Resolved per-instance GPU KV capacity (tokens). */
     TokenCount kvCapacityTokens() const { return kvCapacity; }
 
-    /** Requests of the submitted trace (0 before submitTrace). */
-    std::size_t numRequests() const { return requests.size(); }
-
     /**
-     * Score every request against the configured SLO, in trace
-     * order, handing each row to @p sink. Requests still in flight
-     * first settle their lazily accrued phase time at the current
-     * clock (an observation, not a simulation step).
+     * Score every request against the configured SLO: one row per
+     * request, in trace order. Requests still in flight first settle
+     * their lazily accrued phase time at the current clock (an
+     * observation, not a simulation step).
      */
-    void scoreRequests(
-        const std::function<void(qoe::RequestMetrics&&)>& sink) const;
+    std::vector<qoe::RequestMetrics> scoreRequests() const;
 
     /** Requests that never finished: the ones still live (trace
      *  infeasible or horizon hit) plus the terminal failures. */

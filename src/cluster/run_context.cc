@@ -2,10 +2,8 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "src/common/log.hh"
-#include "src/obs/streaming_metrics.hh"
 #include "src/qoe/metrics.hh"
 
 namespace pascal
@@ -84,21 +82,8 @@ RunContext::result() const
     }
 
     RunResult result;
-    if (cfg.telemetry.streamingMetrics) {
-        // Streaming mode keeps no per-request rows: each one folds
-        // into the sketches, in the same trace order as perRequest.
-        auto sketch = std::make_shared<obs::StreamingMetrics>();
-        clusterPtr->scoreRequests(
-            [&](qoe::RequestMetrics&& row) { sketch->fold(row); });
-        result.aggregate = sketch->aggregate();
-        result.streaming = std::move(sketch);
-    } else {
-        result.perRequest.reserve(clusterPtr->numRequests());
-        clusterPtr->scoreRequests([&](qoe::RequestMetrics&& row) {
-            result.perRequest.push_back(std::move(row));
-        });
-        result.aggregate = qoe::aggregateMetrics(result.perRequest);
-    }
+    result.perRequest = clusterPtr->scoreRequests();
+    result.aggregate = qoe::aggregateMetrics(result.perRequest);
     result.statsDump = clusterPtr->dumpStats();
     result.traceJson = clusterPtr->traceJson();
     result.peakGpuKvTokens = clusterPtr->maxPeakGpuKv();
@@ -128,8 +113,7 @@ RunContext::result() const
                 : static_cast<double>(out.completed) /
                       static_cast<double>(out.submitted);
     }
-    if (!result.perRequest.empty())
-        result.classAggregates = qoe::aggregateByClass(result.perRequest);
+    result.classAggregates = qoe::aggregateByClass(result.perRequest);
     result.goodputFraction =
         result.aggregate.numRequests == 0
             ? 1.0

@@ -13,13 +13,11 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/cluster/system_config.hh"
 #include "src/obs/stat_registry.hh"
-#include "src/obs/streaming_metrics.hh"
 #include "src/qoe/metrics.hh"
 #include "src/workload/trace.hh"
 
@@ -109,8 +107,8 @@ struct RunResult
     };
     std::array<ClassOutcome, workload::kNumSloClasses> perClass{};
 
-    /** Per-class latency/QoE rollups over perRequest (left
-     *  zero-initialized in streaming mode, which keeps no rows). */
+    /** Per-class latency/QoE rollups over perRequest (all zero when
+     *  it is empty). */
     std::array<qoe::ClassAggregate, workload::kNumSloClasses>
         classAggregates{};
     /** @} */
@@ -120,8 +118,7 @@ struct RunResult
      *  (aggregate.p99KvTransferLatency ranks the finished rows' ones),
      *  so each row holds exactly migrationCount entries. A failover
      *  restore is not a migration and is not in it, nor is a transfer
-     *  a fault or an expired deadline aborted. Empty in streaming
-     *  mode, like perRequest (the sketch carries the p99). */
+     *  a fault or an expired deadline aborted. */
     std::vector<double> kvTransferLatencies;
 
     std::string schedulerName;
@@ -140,11 +137,6 @@ struct RunResult
      *  SystemConfig::telemetry.traceEnabled. */
     std::string traceJson;
 
-    /** Streaming-sketch rollup; non-null only in streaming mode
-     *  (where perRequest stays empty and aggregate comes from the
-     *  sketches). */
-    std::shared_ptr<const obs::StreamingMetrics> streaming;
-
     /** @} */
 };
 
@@ -155,8 +147,7 @@ struct RunResult
  * outcomes, the transfer latencies, the component names and the stat
  * dump, minus the entries that count fast-path work rather than
  * simulated behaviour ("*.plan.*" and any "*_ns" host time), so a run
- * and its force twins render the same text. traceJson and the
- * streaming sketches are left out.
+ * and its force twins render the same text. traceJson is left out.
  */
 std::string canonicalText(const RunResult& r);
 

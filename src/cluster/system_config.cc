@@ -29,8 +29,6 @@ SystemConfig::validate() const
         fatal("SystemConfig: numInstances must be positive");
     if (gpuKvCapacityTokens < 0)
         fatal("SystemConfig: negative KV capacity");
-    if (kvCapacityFraction <= 0.0)
-        fatal("SystemConfig: kvCapacityFraction must be positive");
     if (kvBlockSizeTokens <= 0)
         fatal("SystemConfig: kvBlockSizeTokens must be positive");
     if (gpuKvCapacityTokens > 0 &&

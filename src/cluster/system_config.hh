@@ -87,10 +87,6 @@ struct SystemConfig
      */
     TokenCount gpuKvCapacityTokens = 0;
 
-    /** Scale factor applied to the (derived or explicit) capacity;
-     *  Section III uses 0.5 for the memory-constrained runs. */
-    double kvCapacityFraction = 1.0;
-
     /** Paged-KV block size in tokens (vLLM default: 16). 1 gives
      *  exact token-granular accounting. */
     TokenCount kvBlockSizeTokens = 16;
@@ -99,11 +95,11 @@ struct SystemConfig
     Time maxSimTime = 1e7;
 
     /**
-     * Observability knobs (src/obs/): Perfetto trace recording and
-     * streaming metric sketches. The stat registry is always built —
-     * it is non-owning pointers over counters the cluster maintains
-     * anyway. Tracing and streaming are opt-in; neither perturbs
-     * scheduling (RunResults are byte-identical either way).
+     * Observability knobs (src/obs/): Perfetto trace recording. The
+     * stat registry is always built — it is non-owning pointers over
+     * counters the cluster maintains anyway. Tracing is opt-in and
+     * never perturbs scheduling (RunResults are byte-identical either
+     * way).
      */
     obs::TelemetryConfig telemetry;
 

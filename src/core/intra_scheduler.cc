@@ -22,15 +22,6 @@ const char* const kPlanDeclineNames[] = {
 };
 } // namespace
 
-const char*
-planDeclineName(PlanDecline d)
-{
-    const auto idx = static_cast<std::size_t>(d);
-    if (idx >= numPlanDeclineNames())
-        return "unknown";
-    return kPlanDeclineNames[idx];
-}
-
 const char* const*
 planDeclineNames()
 {

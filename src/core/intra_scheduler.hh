@@ -88,11 +88,8 @@ enum class PlanDecline : std::uint8_t
     Budget,       //!< Paged-memory revalidation failed.
 };
 
-/** Stable lowercase name of @p d (trace "reason" arg rendering). */
-const char* planDeclineName(PlanDecline d);
-
-/** The full name table, index == enum value (TraceSink reason
- *  table). */
+/** Stable lowercase name of each PlanDecline, index == enum value
+ *  (TraceSink reason table). */
 const char* const* planDeclineNames();
 
 /** Number of entries in planDeclineNames(). */

@@ -14,6 +14,7 @@
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 #include "src/workload/generator.hh"
+#include "tests/run_result_util.hh"
 
 namespace
 {
@@ -192,16 +193,6 @@ TEST(Cluster, PeakKvReportedForOracleRecipe)
     EXPECT_EQ(result.kvCapacityTokens, 2000000);
 }
 
-TEST(Cluster, CapacityFractionApplied)
-{
-    auto cfg = smallConfig(SchedulerType::Fcfs, PlacementType::Baseline,
-                           10000);
-    cfg.kvCapacityFraction = 0.5;
-    ServingSystem system(cfg);
-    auto result = system.run(smallTrace(5, 5.0));
-    EXPECT_EQ(result.kvCapacityTokens, 5000);
-}
-
 TEST(Cluster, RunsAreReproducible)
 {
     auto trace = smallTrace(40, 30.0);
@@ -217,13 +208,55 @@ TEST(Cluster, RunsAreReproducible)
     EXPECT_EQ(r1.aggregate.totalMigrations, r2.aggregate.totalMigrations);
 }
 
+/** The one scoring path: rows in trace order, and every rollup is
+ *  the exact one over those rows. */
+void
+expectScoredFromRows(const RunResult& result, const workload::Trace& trace)
+{
+    ASSERT_EQ(result.perRequest.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        EXPECT_EQ(result.perRequest[i].id, trace.requests[i].id);
+    RunResult rescored = result;
+    rescored.aggregate = qoe::aggregateMetrics(result.perRequest);
+    rescored.classAggregates = qoe::aggregateByClass(result.perRequest);
+    test::expectIdentical(rescored, result);
+}
+
 TEST(Cluster, EmptyTraceIsHarmless)
 {
     ServingSystem system(
         smallConfig(SchedulerType::Pascal, PlacementType::Pascal));
     auto result = system.run(workload::Trace{});
-    EXPECT_EQ(result.aggregate.numRequests, 0u);
     EXPECT_EQ(result.numUnfinished, 0u);
+    expectScoredFromRows(result, workload::Trace{});
+    RunResult zeroed = result;
+    zeroed.aggregate = {};
+    zeroed.classAggregates = {};
+    test::expectIdentical(zeroed, result);
+}
+
+TEST(Cluster, MidFlightHorizonScoresEveryRowInTraceOrder)
+{
+    // Classes stay dormant, but each spec's class still rides into its
+    // row, so every per-class rollup has rows to cover.
+    auto trace = smallTrace(60, 15.0);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        trace.requests[i].sloClass = static_cast<workload::SloClass>(
+            i % workload::kNumSloClasses);
+    }
+    // The horizon leaves requests finished, in flight and unarrived.
+    const Time horizon = 3.0;
+    ASSERT_GT(trace.requests.back().arrival, horizon);
+    cluster::RunContext ctx(
+        smallConfig(SchedulerType::Pascal, PlacementType::Pascal));
+    ctx.submit(trace);
+    ctx.run(horizon);
+    auto result = ctx.result();
+    expectScoredFromRows(result, trace);
+    EXPECT_GT(result.aggregate.numFinished, 0u);
+    EXPECT_LT(result.aggregate.numFinished, trace.size());
+    for (const auto& cls : result.classAggregates)
+        EXPECT_GT(cls.numRequests, 0u);
 }
 
 TEST(Cluster, SingleInstanceClusterWorks)
@@ -240,10 +273,6 @@ TEST(Cluster, ValidatesConfig)
 {
     auto cfg = smallConfig(SchedulerType::Pascal, PlacementType::Pascal);
     cfg.numInstances = 0;
-    EXPECT_THROW(ServingSystem{cfg}, FatalError);
-
-    cfg = smallConfig(SchedulerType::Pascal, PlacementType::Pascal);
-    cfg.kvCapacityFraction = -0.5;
     EXPECT_THROW(ServingSystem{cfg}, FatalError);
 }
 

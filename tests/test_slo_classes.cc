@@ -137,9 +137,7 @@ stripClassAnnotations(RunResult r)
 {
     for (auto& row : r.perRequest)
         row.sloClass = SloClass::Standard;
-    r.classAggregates = r.perRequest.empty()
-                            ? decltype(r.classAggregates){}
-                            : qoe::aggregateByClass(r.perRequest);
+    r.classAggregates = qoe::aggregateByClass(r.perRequest);
     return r;
 }
 
