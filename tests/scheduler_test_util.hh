@@ -93,6 +93,15 @@ class SchedulerHarness
         }
     }
 
+    /** Advance a resident request by @p n decode tokens, reporting
+     *  each emission the way the engine does. */
+    void
+    decodeLikeEngine(workload::Request* r, TokenCount n, Time t,
+                     TokenCount quantum = 0)
+    {
+        decodeTokens(r, n, t, quantum);
+    }
+
     /** Swap a resident request out to CPU. */
     void
     swapOut(workload::Request* r)

@@ -33,6 +33,7 @@
 #include "src/common/rng.hh"
 #include "src/core/pascal_scheduler.hh"
 #include "src/core/pascal_spec_scheduler.hh"
+#include "src/core/rr_scheduler.hh"
 #include "src/core/srpt_scheduler.hh"
 #include "src/predict/oracle_predictor.hh"
 #include "src/predict/profile_predictor.hh"
@@ -910,6 +911,184 @@ TEST_F(PlanReuseFastPath, VersionBumpReorderingMembersBuilds)
         EXPECT_FALSE(fast[kBump].reused);
         EXPECT_EQ(fast[kBump].decline, core::PlanDecline::StateChanged);
     }
+}
+
+TEST_F(PlanReuseFastPath, DemotedZeroQuantaReasonerCountsFreshAtThinkEnd)
+{
+    // A reasoning request demoted with its quantum just reset reaches
+    // </think> before its first low-queue rollover: it enters the
+    // answering phase with 0 quanta, so a_i rises on that very token,
+    // and r_i, which stopped counting it at the demotion, holds.
+    core::SchedLimits limits;
+    limits.quantum = 50;
+    limits.demoteThresholdTokens = 200;
+    core::PascalScheduler sched(limits);
+    sched.enableIncremental();
+    SchedulerHarness h(100000, &sched);
+    auto* r = h.make(0, 0.0, 64, 150, 20);
+    sched.add(r);
+    h.makeResident(r, limits.quantum);
+    h.decodeLikeEngine(r, 136, 0.0, limits.quantum); // KV 201.
+    EXPECT_EQ(sched.numReasoning(), 1);
+
+    core::IterationPlan plan;
+    sched.buildPlan(h.pool, plan);
+    ASSERT_TRUE(r->demoted);
+    EXPECT_EQ(r->quantaConsumed, 0);
+    EXPECT_EQ(sched.numReasoning(), 0);
+    EXPECT_EQ(sched.numFreshAnswering(), 0);
+
+    while (r->generated() + 1 < r->spec().reasoningTokens) {
+        h.decodeLikeEngine(r, 1, 1.0, limits.quantum);
+        ASSERT_EQ(sched.numFreshAnswering(), 0) << r->generated();
+        ASSERT_EQ(sched.numReasoning(), 0) << r->generated();
+    }
+    h.decodeLikeEngine(r, 1, 2.0, limits.quantum); // </think>.
+    ASSERT_EQ(r->phase(), workload::Phase::Answering);
+    EXPECT_EQ(r->quantaConsumed, 0);
+    EXPECT_EQ(sched.numFreshAnswering(), 1);
+    EXPECT_EQ(sched.numReasoning(), 0);
+}
+
+/** Ranks a request by id; predicts no reasoning left until it has
+ *  generated 430 tokens, then 10000. */
+class LateDoomPredictor : public predict::LengthPredictor
+{
+  public:
+    std::string name() const override { return "late-doom"; }
+
+    double
+    predictRemainingTokens(const workload::Request& req) const override
+    {
+        return static_cast<double>(req.id());
+    }
+
+    double
+    predictRemainingReasoningTokens(
+        const workload::Request& req) const override
+    {
+        return req.generated() >= 430 ? 10000.0 : 0.0;
+    }
+};
+
+TEST_F(PlanReuseFastPath, LookaheadWindowRechecksEveryBoundary)
+{
+    // a enters PASCAL-Spec's 128-token lookahead window at KV 473
+    // (token 409), but its prediction first dooms it at token 430,
+    // 21 boundaries later, with the predictor version unchanged. Only
+    // a re-check at every boundary inside the window demotes it
+    // there; a scheduler told of every token and one told the way the
+    // engine tells it must demote at the same boundary, on equal
+    // plans.
+    LateDoomPredictor doom;
+    core::SchedLimits limits;
+    limits.quantum = 100000; // No rollover inside the run.
+    limits.demoteThresholdTokens = 600;
+    limits.demoteLookaheadTokens = 128;
+    constexpr int kBoundaries = 40;
+
+    std::vector<Boundary> runs[2];
+    std::vector<int> demoted_at;
+    for (const bool per_token : {true, false}) {
+        core::PascalSpecScheduler sched(limits);
+        sched.setPredictor(&doom);
+        sched.enableIncremental();
+        SchedulerHarness h(1 << 20, &sched);
+        auto* a = h.make(1, 0.0, 64, 2000, 50);
+        auto* b = h.make(2, 1.0, 64, 3000, 50);
+        for (auto* r : {a, b})
+            h.makeResident(r, limits.quantum);
+        h.decodeTokens(a, 399, 0.0, limits.quantum); // KV 464.
+        sched.add(a);
+        sched.add(b);
+        core::IterationPlan plan;
+        int at = -1;
+        for (int k = 0; k < kBoundaries; ++k) {
+            Boundary rec;
+            rec.reused = sched.reusePlan(plan, h.pool);
+            if (!rec.reused)
+                sched.buildPlan(h.pool, plan);
+            for (const auto* r : plan.decode)
+                rec.decode.push_back(r->id());
+            if (at < 0 && a->demoted)
+                at = k;
+            for (auto* r : plan.decode) {
+                if (per_token)
+                    h.decodeTokens(r, 1, static_cast<Time>(k),
+                                   limits.quantum);
+                else
+                    h.decodeLikeEngine(r, 1, static_cast<Time>(k),
+                                       limits.quantum);
+            }
+            runs[per_token].push_back(rec);
+        }
+        demoted_at.push_back(at);
+    }
+    EXPECT_EQ(demoted_at[0], 30); // Token 430 was emitted by then.
+    EXPECT_EQ(demoted_at[1], demoted_at[0]);
+    for (int k = 0; k < kBoundaries; ++k) {
+        SCOPED_TRACE("boundary " + std::to_string(k));
+        EXPECT_EQ(runs[0][k].decode, runs[1][k].decode);
+        EXPECT_EQ(runs[0][k].reused, runs[1][k].reused);
+    }
+}
+
+TEST_F(PlanReuseFastPath, MigrantRollsOverOnItsNewHost)
+{
+    // m leaves a source whose quantum is far off mid-quantum and lands
+    // on a host with a 10-token quantum, where the earlier arrival b
+    // has used one quantum. m runs first (fewer quanta), and after 10
+    // tokens it ties b on quanta and yields to it. Whatever the source
+    // last knew about m must not hide that rollover from the new
+    // host: the run must match the force-resort twin's.
+    constexpr int kBoundaries = 25;
+    std::vector<RequestId> order[2];
+    for (const bool force : {false, true}) {
+        core::SchedLimits source_limits;
+        source_limits.quantum = 1000;
+        core::RrScheduler source(source_limits);
+        source.enableIncremental();
+        SchedulerHarness src(1 << 20, &source);
+
+        core::SchedLimits limits;
+        limits.quantum = 10;
+        limits.maxBatchSize = 1;
+        limits.forceResort = force;
+        core::RrScheduler target(limits);
+        target.enableIncremental();
+        SchedulerHarness dst(1 << 20, &target);
+
+        auto* b = dst.make(1, 0.0, 32, 0, 500, true);
+        target.add(b);
+        dst.makeResident(b, limits.quantum);
+        dst.decodeLikeEngine(b, 10, 0.0, limits.quantum);
+        ASSERT_EQ(b->quantaConsumed, 1);
+
+        auto* m = src.make(2, 1.0, 32, 0, 500, true);
+        source.add(m);
+        src.makeResident(m, source_limits.quantum);
+        src.decodeLikeEngine(m, 7, 0.0, source_limits.quantum);
+        source.remove(m);
+        src.pool.release(m->kvSlot);
+        m->resetQuantum();
+        m->kvSlot = dst.pool.allocGpu(m->id(), m->kvTokens());
+        target.add(m);
+
+        core::IterationPlan plan;
+        for (int k = 0; k < kBoundaries; ++k) {
+            if (!target.reusePlan(plan, dst.pool))
+                target.buildPlan(dst.pool, plan);
+            ASSERT_EQ(plan.decode.size(), 1u);
+            order[force].push_back(plan.decode[0]->id());
+            dst.decodeLikeEngine(plan.decode[0], 1,
+                                 static_cast<Time>(k), limits.quantum);
+        }
+    }
+    EXPECT_EQ(order[0], order[1]);
+    std::vector<RequestId> expect(kBoundaries, 2);
+    for (int k = 10; k < 20; ++k)
+        expect[k] = 1;
+    EXPECT_EQ(order[0], expect);
 }
 
 } // namespace
