@@ -468,9 +468,11 @@ Instance::completeIteration()
     // its progress, so the step's wall time lands in the phase it was
     // actually spent in; non-members keep accruing lazily under their
     // standing stamp. Emissions first (dirty-set contract: every
-    // mutation is reported via noteExecuted before any callback can
-    // observe the scheduler's counters), then completions and phase
-    // transitions.
+    // mutation that can move a key or counter is reported via
+    // noteExecuted before any callback can observe the scheduler),
+    // then completions and phase transitions. A prefill is always
+    // reported; a decode emission only at the member's wake token, the
+    // next token at which the scheduler's view of it can change.
     for (auto* r : plan.prefill) {
         r->settleAccrual(now);
         r->completePrefill(now, quantum);
@@ -482,7 +484,8 @@ Instance::completeIteration()
         r->settleAccrual(now);
         r->emitToken(now, quantum);
         ++decodeTokens;
-        sched->noteExecuted(r);
+        if (core::IntraScheduler::wakeDue(r))
+            sched->noteExecuted(r);
         monitor.onEmit(r);
     }
     // Answering members that sat this step out park at their exact

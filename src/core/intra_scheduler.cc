@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "src/common/log.hh"
@@ -96,9 +97,10 @@ IntraScheduler::add(workload::Request* req)
     req->schedCountedReasoning = false;
     req->schedCountedFreshAns = false;
     req->schedScore = 0.0;
-    req->schedCachedQuanta = req->quantaConsumed;
     syncCounters(req);
     onHostedAdded(req);
+    // A migrant's wake was set for its previous host's quantum.
+    setWake(req);
 }
 
 void
@@ -160,11 +162,37 @@ IntraScheduler::noteExecuted(workload::Request* req)
 {
     if (resortForced)
         return;
-    bool quanta_changed =
-        req->quantaConsumed != req->schedCachedQuanta;
-    req->schedCachedQuanta = req->quantaConsumed;
+    // Right after an emission, the quantum rolled over exactly when
+    // its token count wrapped to 0.
+    const bool quanta_changed =
+        limits.quantum > 0 && req->quantumTokens == 0;
     syncCounters(req);
     onRequestExecuted(req, quanta_changed);
+    setWake(req);
+}
+
+TokenCount
+IntraScheduler::nextWake(const workload::Request* req) const
+{
+    const TokenCount generated = req->generated();
+    TokenCount wake = req->totalToGenerate();
+    if (generated < req->spec().reasoningTokens)
+        wake = std::min(wake, req->spec().reasoningTokens);
+    if (limits.quantum > 0) {
+        wake = std::min(wake,
+                        generated + limits.quantum - req->quantumTokens);
+    }
+    return wake;
+}
+
+void
+IntraScheduler::setWake(workload::Request* req) const
+{
+    constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+    const TokenCount wake = nextWake(req);
+    req->schedWake = wake >= static_cast<TokenCount>(kMax)
+                         ? kMax
+                         : static_cast<std::uint32_t>(wake);
 }
 
 void

@@ -20,13 +20,23 @@
  *
  *  - add() / remove()       membership (arrival, migration, finish,
  *                           class-rank change),
- *  - noteExecuted()         after each emitToken()/completePrefill()
- *                           (token progress, quantum rollover, phase
- *                           flip, KV growth),
+ *  - noteExecuted()         after each completePrefill(), and after
+ *                           an emitToken() that reached the request's
+ *                           wake token (wakeDue()),
  *  - onPhaseTransition()    reasoning->answering staying home,
  *  - noteResidency()        exec-state flips (swaps, prefill
  *                           allocation); no key reads them, so they
  *                           only block verbatim reuse.
+ *
+ * Wake tokens. Token progress moves a request's keys and counters at
+ * a few tokens only: a quantum rollover, the </think> flip,
+ * completion, and, in PASCAL's high queue, every token inside the
+ * demotion window. Each time the scheduler handles a request (add(),
+ * noteExecuted(), a demotion, a phase transition) it stores the next
+ * of these, nextWake(), in the request's schedWake, and the engine
+ * reports a decode emission only once generated() reaches it.
+ * noteExecuted() is idempotent and may run at any token: an early wake
+ * costs one call, while a late one would lose a key change.
  *
  * Predictor-keyed policies (keysUsePredictions(): SRPT, PASCAL-Spec)
  * order by a prediction that moves with the request's own progress.
@@ -201,9 +211,22 @@ class IntraScheduler
     /**
      * Instance notification: @p req just emitted a token (or finished
      * prefill) in the iteration being completed. Updates the
-     * maintained counters and forwards key changes to the subclass.
+     * maintained counters, forwards key changes to the subclass and
+     * sets the request's next wake token. Owed after every prefill
+     * completion and after each decode emission for which wakeDue()
+     * holds; harmless after any other emission.
      */
     void noteExecuted(workload::Request* req);
+
+    /** True if @p req, having just emitted a decode token, has reached
+     *  its wake token, so noteExecuted() is owed. Inline: evaluated
+     *  once per decode member per iteration. */
+    static bool
+    wakeDue(const workload::Request* req)
+    {
+        return req->generated() >=
+               static_cast<TokenCount>(req->schedWake);
+    }
 
     /** Paper r_i: reasoning requests in the high-priority queue
      *  (excludes demoted ones). O(1). */
@@ -309,12 +332,12 @@ class IntraScheduler
     }
 
     /**
-     * @p req ran in the just-completed iteration: its generated-token
-     * count (hence KV and any prediction) advanced, and possibly its
-     * quantum or phase. Mark it dirty in your queues if a key level
-     * other than the prediction changed, and block plan reuse if it
-     * did. A keyed member's moved prediction needs nothing here: the
-     * build that selected it already marked it dirty.
+     * @p req ran and reached its wake token (or finished prefill): its
+     * generated-token count (hence KV and any prediction) advanced,
+     * and possibly its quantum or phase. Mark it dirty in your queues
+     * if a key level other than the prediction changed, and block plan
+     * reuse if it did. A keyed member's moved prediction needs nothing
+     * here: the build that selected it already marked it dirty.
      */
     virtual void onRequestExecuted(workload::Request* req,
                                    bool quanta_changed);
@@ -359,6 +382,18 @@ class IntraScheduler
         (void)req;
         return 0.0;
     }
+
+    /**
+     * The generated() count at which @p req's state next needs
+     * handling (its wake token; see the file comment): the next of its
+     * quantum rollover, its </think> flip and its completion. A policy
+     * with more token-driven rules adds their tokens. Must exceed
+     * generated() unless the request is finished.
+     */
+    virtual TokenCount nextWake(const workload::Request* req) const;
+
+    /** Store nextWake(@p req) in its schedWake, saturated. */
+    void setWake(workload::Request* req) const;
 
     /**
      * @p r's key at this boundary: read once into schedScore and

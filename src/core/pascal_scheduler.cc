@@ -47,10 +47,10 @@ PascalScheduler::demote(workload::Request* req)
 {
     req->demoted = true;
     req->resetQuantum();
-    req->schedCachedQuanta = req->quantaConsumed;
     syncCounters(req);
     highQueue.erase(req);
     lowQueue.insert(req);
+    setWake(req);
     noteStateChanged();
 }
 
@@ -123,6 +123,20 @@ PascalScheduler::onRequestExecuted(workload::Request* req,
         addDemotionCandidate(req);
 }
 
+TokenCount
+PascalScheduler::nextWake(const workload::Request* req) const
+{
+    const TokenCount wake = IntraScheduler::nextWake(req);
+    if (!isHighPriority(req))
+        return wake;
+    // The first token at which demotionPossible() holds; once it
+    // does, every token, so the rule is re-checked at each boundary.
+    const TokenCount window_entry = limits.demoteThresholdTokens -
+                                    demotionWindow() -
+                                    req->spec().promptTokens + 1;
+    return std::min(wake, std::max(window_entry, req->generated() + 1));
+}
+
 void
 PascalScheduler::onPredictionsMoved()
 {
@@ -185,11 +199,12 @@ PascalScheduler::onPhaseTransition(workload::Request* req)
     req->resetQuantum();
     if (resortForced)
         return;
-    req->schedCachedQuanta = req->quantaConsumed;
     syncCounters(req); // The quantum reset makes it "fresh" again.
     // noteExecuted already moved it into the low queue when the
-    // transition token was emitted; the reset re-keys it there.
+    // transition token was emitted; the reset re-keys it there and
+    // moves its next rollover.
     queueOf(req).markDirty(req);
+    setWake(req);
     noteStateChanged();
 }
 

@@ -20,9 +20,12 @@
  * (quantaConsumed, predicted length, arrival, id). They are repaired
  * only for requests whose key or phase/demotion membership changed.
  * The demotion rule is re-checked only for candidates: high-queue
- * requests whose KV moved into reach of the threshold since the last
- * plan, and, when the predictor version moves, every high-queue
- * request inside the lookahead window (demotionWindow()).
+ * requests whose KV is within reach of the threshold, and, when the
+ * predictor version moves, every high-queue request inside the
+ * lookahead window (demotionWindow()). A high-queue request's wake
+ * token (nextWake()) is its entry into that reach, and every token
+ * after it, so the engine reports each of its emissions there and
+ * none before.
  */
 
 #ifndef PASCAL_CORE_PASCAL_SCHEDULER_HH
@@ -76,6 +79,8 @@ class PascalScheduler : public IntraScheduler
                            bool quanta_changed) override;
     void onPredictionsMoved() override;
     bool repairQueues() override;
+    /** Adds, in the high queue, the demotion window's tokens. */
+    TokenCount nextWake(const workload::Request* req) const override;
     /** Queue of @p req per its tag. */
     OrderedQueue& queueOf(const workload::Request* r) override;
     /** Applies pending demotions and vetoes the reuse if any fired. */

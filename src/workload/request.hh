@@ -345,8 +345,11 @@ class Request
      *  elsewhere). */
     double schedScore = 0.0;
 
-    /** quantaConsumed at the last scheduler sync (change detector). */
-    int schedCachedQuanta = 0;
+    /** Wake token: the generated() count at which the hosting
+     *  scheduler next needs to hear of this request's emissions (see
+     *  IntraScheduler::nextWake()). Saturates at the type's maximum,
+     *  which only adds notifications. */
+    std::uint32_t schedWake = 0;
 
     /** Which scheduler queue holds the request (0 = none). */
     std::uint8_t schedQueueTag = 0;

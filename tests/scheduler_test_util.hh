@@ -2,8 +2,9 @@
  * @file
  * Shared fixtures for scheduler unit tests: build requests in chosen
  * exec states against a KV pool. With a scheduler attached, every
- * mutation of a request it hosts is reported to it the way the engine
- * reports it (the dirty-set contract in intra_scheduler.hh).
+ * mutation of a request it hosts is reported to it (the dirty-set
+ * contract in intra_scheduler.hh): decodeTokens() reports every
+ * emission, decodeLikeEngine() only those the engine reports.
  */
 
 #ifndef PASCAL_TESTS_SCHEDULER_TEST_UTIL_HH
@@ -94,12 +95,22 @@ class SchedulerHarness
     }
 
     /** Advance a resident request by @p n decode tokens, reporting
-     *  each emission the way the engine does. */
-    void
+     *  an emission the way the engine does: only at the request's
+     *  wake token. @return the number of emissions reported. */
+    int
     decodeLikeEngine(workload::Request* r, TokenCount n, Time t,
                      TokenCount quantum = 0)
     {
-        decodeTokens(r, n, t, quantum);
+        int reported = 0;
+        for (TokenCount i = 0; i < n; ++i) {
+            pool.growGpu(r->kvSlot, 1);
+            r->emitToken(t, quantum);
+            if (hosted(r) && core::IntraScheduler::wakeDue(r)) {
+                sched->noteExecuted(r);
+                ++reported;
+            }
+        }
+        return reported;
     }
 
     /** Swap a resident request out to CPU. */

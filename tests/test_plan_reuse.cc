@@ -16,7 +16,9 @@
  * (a tie at the profile's clamp, unequal noise factors, a lookahead
  * demotion, a rising key): each must decline. A predictor version
  * bump that keeps every queue in order keeps the plan; one that
- * reorders members builds.
+ * reorders members builds. A randomized lockstep holds a scheduler
+ * told of emissions only at their wake tokens, as the engine tells
+ * it, to one told of every emission, and bounds how often it is told.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@
 #include "src/cluster/system_config.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
+#include "src/core/fcfs_scheduler.hh"
 #include "src/core/pascal_scheduler.hh"
 #include "src/core/pascal_spec_scheduler.hh"
 #include "src/core/rr_scheduler.hh"
@@ -1089,6 +1092,338 @@ TEST_F(PlanReuseFastPath, MigrantRollsOverOnItsNewHost)
     for (int k = 10; k < 20; ++k)
         expect[k] = 1;
     EXPECT_EQ(order[0], expect);
+}
+
+/** One scheduler of a wake lockstep pair, with its own pool and its
+ *  own copy of every request (indexed by id). */
+struct LockstepSide
+{
+    LockstepSide(std::unique_ptr<core::IntraScheduler> s,
+                 TokenCount capacity, std::size_t n)
+        : sched(std::move(s)), h(capacity, sched.get()), reported(n, 0)
+    {
+        sched->enableIncremental();
+    }
+
+    /** Takes hosted @p r off the instance and lands it back, as a
+     *  migration does: its KV leaves and returns (to the GPU if it
+     *  fits) and its quantum restarts. */
+    void
+    migrate(workload::Request* r)
+    {
+        sched->remove(r);
+        if (r->kvSlot != model::kNoKvSlot) {
+            h.pool.release(r->kvSlot);
+            r->kvSlot = model::kNoKvSlot;
+        }
+        r->resetQuantum();
+        if (r->prefillDone) {
+            const bool fits = h.pool.canAllocGpu(r->kvTokens());
+            r->kvSlot = fits ? h.pool.allocGpu(r->id(), r->kvTokens())
+                             : h.pool.allocCpu(r->id(), r->kvTokens());
+            r->exec = fits ? workload::ExecState::ResidentGpu
+                           : workload::ExecState::SwappedCpu;
+        }
+        sched->add(r);
+    }
+
+    /** Runs the plan in flight as the engine does, ending at @p now.
+     *  The reference side reports every emission; the other reports
+     *  a decode emission only at its wake token. */
+    void
+    execute(Time now, bool per_token)
+    {
+        const TokenCount quantum = sched->schedLimits().quantum;
+        for (auto* r : plan.swapOut)
+            h.swapOut(r);
+        for (auto* r : plan.swapIn) {
+            h.pool.moveToGpu(r->kvSlot);
+            r->exec = workload::ExecState::ResidentGpu;
+            sched->noteResidency(r);
+        }
+        for (auto* r : plan.prewarm) {
+            r->kvSlot = h.pool.allocGpu(r->id(), r->spec().promptTokens);
+            r->exec = workload::ExecState::ResidentGpu;
+            r->prefillDone = true;
+            sched->noteResidency(r);
+        }
+        for (auto* r : plan.prefill) {
+            r->kvSlot =
+                h.pool.allocGpu(r->id(), r->spec().promptTokens + 1);
+            r->exec = workload::ExecState::ResidentGpu;
+            sched->noteResidency(r);
+            r->completePrefill(now, quantum);
+            sched->noteExecuted(r);
+            ++reported[r->id()];
+        }
+        for (auto* r : plan.decode) {
+            if (per_token)
+                h.decodeTokens(r, 1, now, quantum);
+            else
+                reported[r->id()] +=
+                    h.decodeLikeEngine(r, 1, now, quantum);
+        }
+    }
+
+    std::unique_ptr<core::IntraScheduler> sched;
+    SchedulerHarness h;
+    std::vector<workload::Request*> reqs;
+    std::vector<int> reported; //!< noteExecuted() calls per request.
+    core::IterationPlan plan;
+};
+
+std::vector<RequestId>
+idsOf(const std::vector<workload::Request*>& list)
+{
+    std::vector<RequestId> ids;
+    for (const auto* r : list)
+        ids.push_back(r->id());
+    return ids;
+}
+
+/** How often each kind of event fired in a lockstep run. */
+struct LockstepEvents
+{
+    int swaps = 0;
+    int flips = 0;
+    int migrations = 0;
+    int demotions = 0;
+    std::uint64_t reuses = 0;
+};
+
+/**
+ * Drives two schedulers of one policy through a random trace in
+ * lockstep: the reference is told of every emission, the other only
+ * at its wake tokens. Arrivals, swaps, </think> flips (staying home or
+ * migrating), random mid-quantum migrations and demotions all fire.
+ * At every boundary both must reuse or build alike and agree on the
+ * plan, the monitor counters, and each request's queue tag and
+ * demotion. Each request must be reported at most generated/quantum +
+ * 4 + window times: its rollovers, prefill, </think>, completion and
+ * the demotion rule's tokens (the lookahead window plus the crossing
+ * token, in PASCAL's high queue).
+ */
+LockstepEvents
+runWakeLockstep(
+    const std::function<std::unique_ptr<core::IntraScheduler>(
+        core::SchedLimits)>& build,
+    TokenCount window, std::uint64_t seed)
+{
+    constexpr int kRequests = 48;
+    constexpr int kMaxBoundaries = 20000;
+    constexpr TokenCount kCapacity = 1200;
+    core::SchedLimits limits;
+    limits.quantum = 16;
+    limits.maxBatchSize = 8;
+    limits.demoteThresholdTokens = 200;
+    limits.demoteLookaheadTokens = 24;
+
+    Rng rng(seed);
+    std::vector<workload::RequestSpec> specs;
+    for (int i = 0; i < kRequests; ++i) {
+        workload::RequestSpec spec;
+        spec.id = static_cast<RequestId>(i);
+        spec.arrival = static_cast<Time>(i * 3);
+        spec.promptTokens = rng.uniformInt(16, 96);
+        spec.startInAnswering = rng.bernoulli(0.15);
+        spec.reasoningTokens =
+            spec.startInAnswering ? 0 : rng.uniformInt(1, 320);
+        spec.answerTokens = rng.uniformInt(1, 160);
+        specs.push_back(spec);
+    }
+
+    LockstepSide sides[2] = {{build(limits), kCapacity, specs.size()},
+                             {build(limits), kCapacity, specs.size()}};
+    LockstepSide& ref = sides[0];
+    LockstepEvents events;
+    std::size_t arrived = 0;
+    int boundary = 0;
+    for (; boundary < kMaxBoundaries; ++boundary) {
+        const Time now = static_cast<Time>(boundary + 1);
+        while (arrived < specs.size() &&
+               specs[arrived].arrival <= static_cast<Time>(boundary)) {
+            const auto& spec = specs[arrived];
+            for (auto& side : sides) {
+                auto* r = side.h.make(spec.id, spec.arrival,
+                                      spec.promptTokens,
+                                      spec.reasoningTokens,
+                                      spec.answerTokens,
+                                      spec.startInAnswering);
+                side.reqs.push_back(r);
+                side.sched->add(r);
+            }
+            ++arrived;
+        }
+        if (arrived == specs.size() && ref.sched->hosted().empty())
+            break;
+        if (rng.bernoulli(0.05)) {
+            const std::size_t id = rng.pickIndex(ref.reqs.size());
+            if (ref.sched->isHosted(ref.reqs[id])) {
+                for (auto& side : sides)
+                    side.migrate(side.reqs[id]);
+                ++events.migrations;
+            }
+        }
+
+        SCOPED_TRACE("boundary " + std::to_string(boundary));
+        bool reused[2];
+        for (int s = 0; s < 2; ++s) {
+            reused[s] = sides[s].sched->reusePlan(sides[s].plan,
+                                                  sides[s].h.pool);
+            if (!reused[s])
+                sides[s].sched->buildPlan(sides[s].h.pool, sides[s].plan);
+        }
+        const auto& p0 = sides[0].plan;
+        const auto& p1 = sides[1].plan;
+        EXPECT_EQ(reused[0], reused[1]);
+        EXPECT_EQ(idsOf(p0.decode), idsOf(p1.decode));
+        EXPECT_EQ(idsOf(p0.prefill), idsOf(p1.prefill));
+        EXPECT_EQ(idsOf(p0.prewarm), idsOf(p1.prewarm));
+        EXPECT_EQ(idsOf(p0.swapIn), idsOf(p1.swapIn));
+        EXPECT_EQ(idsOf(p0.swapOut), idsOf(p1.swapOut));
+        EXPECT_EQ(sides[0].sched->numReasoning(),
+                  sides[1].sched->numReasoning());
+        EXPECT_EQ(sides[0].sched->numFreshAnswering(),
+                  sides[1].sched->numFreshAnswering());
+        for (std::size_t id = 0; id < ref.reqs.size(); ++id) {
+            const auto* a = sides[0].reqs[id];
+            const auto* b = sides[1].reqs[id];
+            EXPECT_EQ(a->schedQueueTag, b->schedQueueTag) << "id " << id;
+            EXPECT_EQ(a->demoted, b->demoted) << "id " << id;
+        }
+        if (::testing::Test::HasFailure())
+            return events; // One divergence floods every later step.
+        events.reuses += reused[0] ? 1 : 0;
+        events.swaps += static_cast<int>(p0.swapOut.size());
+        std::vector<workload::Request*> members = p0.prefill;
+        members.insert(members.end(), p0.decode.begin(), p0.decode.end());
+
+        sides[0].execute(now, /*per_token=*/true);
+        sides[1].execute(now, /*per_token=*/false);
+        // The engine's callbacks read the counters before it removes
+        // the step's finished members.
+        EXPECT_EQ(sides[0].sched->numReasoning(),
+                  sides[1].sched->numReasoning());
+        EXPECT_EQ(sides[0].sched->numFreshAnswering(),
+                  sides[1].sched->numFreshAnswering());
+
+        // Completions and </think> flips, as the engine settles them.
+        for (const auto* m : members) {
+            const RequestId id = m->id();
+            if (m->finished()) {
+                for (auto& side : sides) {
+                    auto* r = side.reqs[id];
+                    side.h.pool.release(r->kvSlot);
+                    r->kvSlot = model::kNoKvSlot;
+                    r->exec = workload::ExecState::Done;
+                    side.sched->remove(r);
+                }
+            } else if (!m->spec().startInAnswering &&
+                       m->reasoningEnd == now) {
+                const bool stay = rng.bernoulli(0.5);
+                for (auto& side : sides) {
+                    if (stay)
+                        side.sched->onPhaseTransition(side.reqs[id]);
+                    else
+                        side.migrate(side.reqs[id]);
+                }
+                ++events.flips;
+                events.migrations += stay ? 0 : 1;
+            }
+        }
+    }
+    EXPECT_LT(boundary, kMaxBoundaries) << "the trace never drained";
+
+    for (const auto* r : ref.reqs)
+        events.demotions += r->demoted ? 1 : 0;
+    if (fastPathForcedOff())
+        return events; // The twins ignore every notification.
+    const TokenCount quantum = ref.sched->schedLimits().quantum;
+    for (const auto* r : sides[1].reqs) {
+        const TokenCount g = r->generated();
+        const TokenCount bound =
+            (quantum > 0 ? g / quantum : 0) + 4 + window;
+        EXPECT_LE(sides[1].reported[r->id()], bound)
+            << "request " << r->id() << " generated " << g;
+    }
+    return events;
+}
+
+TEST_F(PlanReuseFastPath, WakeTokensMatchPerTokenNotification)
+{
+    struct Policy
+    {
+        const char* name;
+        std::function<std::unique_ptr<core::IntraScheduler>(
+            core::SchedLimits)>
+            build;
+        TokenCount window; //!< Demotion window (0: none).
+        bool demotes;
+    };
+    for (const char* kind : {"oracle", "noisy"}) {
+        predict::OraclePredictor oracle;
+        predict::NoisyOraclePredictor noisy(0.50, 11);
+        const predict::LengthPredictor* pred =
+            std::string(kind) == "oracle"
+                ? static_cast<const predict::LengthPredictor*>(&oracle)
+                : &noisy;
+        auto wired = [pred](std::unique_ptr<core::IntraScheduler> s) {
+            s->setPredictor(pred);
+            return s;
+        };
+        const Policy policies[] = {
+            {"FCFS",
+             [&](core::SchedLimits l) {
+                 return wired(std::make_unique<core::FcfsScheduler>(l));
+             },
+             0, false},
+            {"RR",
+             [&](core::SchedLimits l) {
+                 return wired(std::make_unique<core::RrScheduler>(l));
+             },
+             0, false},
+            {"SRPT",
+             [&](core::SchedLimits l) {
+                 return wired(std::make_unique<core::SrptScheduler>(l));
+             },
+             0, false},
+            {"PASCAL",
+             [&](core::SchedLimits l) {
+                 return wired(std::make_unique<core::PascalScheduler>(l));
+             },
+             0, true},
+            {"PASCAL-Spec",
+             [&](core::SchedLimits l) {
+                 return wired(
+                     std::make_unique<core::PascalSpecScheduler>(l));
+             },
+             24, true},
+        };
+        for (const Policy& policy : policies) {
+            LockstepEvents total;
+            for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+                SCOPED_TRACE(std::string(policy.name) + " " + kind +
+                             " seed " + std::to_string(seed));
+                const LockstepEvents e =
+                    runWakeLockstep(policy.build, policy.window, seed);
+                total.swaps += e.swaps;
+                total.flips += e.flips;
+                total.migrations += e.migrations;
+                total.demotions += e.demotions;
+                total.reuses += e.reuses;
+            }
+            SCOPED_TRACE(std::string(policy.name) + " " + kind);
+            EXPECT_GT(total.swaps, 0);
+            EXPECT_GT(total.flips, 0);
+            EXPECT_GT(total.migrations, 0);
+            if (policy.demotes) {
+                EXPECT_GT(total.demotions, 0);
+            }
+            if (!fastPathForcedOff()) {
+                EXPECT_GT(total.reuses, 0u);
+            }
+        }
+    }
 }
 
 } // namespace

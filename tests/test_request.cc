@@ -216,6 +216,14 @@ TEST(DatasetTable, FailsPastTheIdRange)
     setQuiet(false);
 }
 
+TEST(Request, LayoutDoesNotGrow)
+{
+    // Every hosted request is touched each step, so its size is a
+    // cache-footprint budget: 432 bytes with gcc 12.2 on x86-64. A
+    // field that grows it is a reviewed change of this bound.
+    EXPECT_LE(sizeof(workload::Request), 432u);
+}
+
 TEST(RequestDeath, DoublePrefillPanics)
 {
     Request r(makeSpec());
