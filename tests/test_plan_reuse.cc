@@ -19,6 +19,8 @@
  * reorders members builds. A randomized lockstep holds a scheduler
  * told of emissions only at their wake tokens, as the engine tells
  * it, to one told of every emission, and bounds how often it is told.
+ * On one instance, a </think> followed by a reused plan still stamps
+ * the first answering step.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cluster/instance.hh"
 #include "src/cluster/run_context.hh"
 #include "src/cluster/system_config.hh"
 #include "src/common/log.hh"
@@ -38,8 +41,11 @@
 #include "src/core/pascal_spec_scheduler.hh"
 #include "src/core/rr_scheduler.hh"
 #include "src/core/srpt_scheduler.hh"
+#include "src/model/perf_model.hh"
+#include "src/obs/stat_registry.hh"
 #include "src/predict/oracle_predictor.hh"
 #include "src/predict/profile_predictor.hh"
+#include "src/sim/simulator.hh"
 #include "src/workload/generator.hh"
 #include "tests/run_result_util.hh"
 #include "tests/scheduler_test_util.hh"
@@ -951,6 +957,79 @@ TEST_F(PlanReuseFastPath, DemotedZeroQuantaReasonerCountsFreshAtThinkEnd)
     EXPECT_EQ(r->quantaConsumed, 0);
     EXPECT_EQ(sched.numFreshAnswering(), 1);
     EXPECT_EQ(sched.numReasoning(), 0);
+}
+
+TEST_F(PlanReuseFastPath, ThinkEndOnAReusedPlanStampsTheFirstAnswerStep)
+{
+    // The base onPhaseTransition raises no state change, so FCFS and
+    // RR run the first answering step on a reused plan. That step's
+    // start is still the request's firstAnswerScheduled, and its end
+    // the first answer token.
+    constexpr TokenCount kPrompt = 64;
+    constexpr TokenCount kReasoning = 6;
+    for (const bool rr : {false, true}) {
+        SCOPED_TRACE(rr ? "RR" : "FCFS");
+        core::SchedLimits limits;
+        limits.quantum = rr ? 500 : 0;
+        std::unique_ptr<core::IntraScheduler> sched;
+        if (rr)
+            sched = std::make_unique<core::RrScheduler>(limits);
+        else
+            sched = std::make_unique<core::FcfsScheduler>(limits);
+
+        sim::Simulator sim;
+        const model::PerfModel perf(
+            model::ModelConfig::deepseekR1Distill32B(),
+            model::HardwareConfig::h100());
+        obs::StatRegistry stats;
+        std::unique_ptr<cluster::Instance> inst;
+        auto stat = [&](const std::string& name) {
+            return test::statValue(stats.dump(), "instance.0." + name);
+        };
+        int transitions = 0;
+        double reuses_at_think = -1.0;
+        double iterations_at_think = -1.0;
+        double reuses_in_next_step = -1.0;
+        double iterations_in_next_step = -1.0;
+        cluster::InstanceCallbacks cbs;
+        cbs.onPhaseTransition = [&](workload::Request* r, InstanceId) {
+            ++transitions;
+            inst->scheduler().onPhaseTransition(r);
+            reuses_at_think = stat("plan.reuses");
+            iterations_at_think = stat("engine.iterations");
+            // Same timestamp, after this completion: the next step
+            // has started and is in flight.
+            sim.at(sim.now(), [&] {
+                reuses_in_next_step = stat("plan.reuses");
+                iterations_in_next_step = stat("engine.iterations");
+            });
+        };
+        inst = std::make_unique<cluster::Instance>(
+            0, sim, perf, std::move(sched), 100000, qoe::SloConfig{}, cbs);
+        inst->registerStats(stats, "instance.0");
+
+        workload::RequestSpec s;
+        s.id = 0;
+        s.promptTokens = kPrompt;
+        s.reasoningTokens = kReasoning;
+        s.answerTokens = 4;
+        workload::Request r(s);
+        sim.at(0.0, [&] { inst->addRequest(&r); });
+        sim.run();
+
+        ASSERT_TRUE(r.finished());
+        EXPECT_EQ(transitions, 1);
+        EXPECT_EQ(iterations_in_next_step, iterations_at_think + 1.0);
+        if (!fastPathForcedOff()) {
+            EXPECT_EQ(reuses_in_next_step, reuses_at_think + 1.0)
+                << "the first answering step did not reuse the plan";
+        }
+        EXPECT_EQ(r.firstAnswerScheduled, r.reasoningEnd);
+        // One decode step of the batch of one, at its </think> KV.
+        EXPECT_EQ(r.firstAnswer,
+                  r.reasoningEnd +
+                      perf.mixedStepLatency(0, 1, kPrompt + kReasoning));
+    }
 }
 
 /** Ranks a request by id; predicts no reasoning left until it has
