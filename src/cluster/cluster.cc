@@ -714,6 +714,10 @@ std::vector<qoe::RequestMetrics>
 Cluster::scoreRequests() const
 {
     Time now = sim.now();
+    // Decode-batch members keep their accrual and QoE lazily; settle
+    // them before anything reads those.
+    for (const auto& inst : instances)
+        inst->settleBatch();
     std::vector<qoe::RequestMetrics> rows;
     rows.reserve(requests.size());
     for (auto& req : requests) {

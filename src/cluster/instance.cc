@@ -64,6 +64,7 @@ Instance::Instance(InstanceId id, sim::Simulator& sim,
     // the scheduler's twin).
     verifyAccrual = this->sched->schedLimits().forceAccrue ||
                     std::getenv("PASCAL_FORCE_ACCRUE") != nullptr;
+    batch.setEager(verifyAccrual);
 }
 
 void
@@ -79,7 +80,6 @@ Instance::admit(Request* req)
         req->resetAccrual(sim.now(), BucketKind::Blocked);
     req->exec = ExecState::WaitingNew;
     req->home = instanceId;
-    req->runEpoch = 0;
     req->kvSlot = model::kNoKvSlot;
     sched->add(req);
     // startInAnswering arrivals begin their TTFAT countdown the
@@ -118,7 +118,6 @@ Instance::landMigration(Request* req)
     // (the stamp was set by detach on the source instance).
     req->settleAccrual(sim.now());
     req->home = instanceId;
-    req->runEpoch = 0;
     checkNoKv(req);
     if (kvPool.canAllocGpu(req->kvTokens())) {
         req->kvSlot = kvPool.allocGpu(req->id(), req->kvTokens());
@@ -149,6 +148,8 @@ Instance::detach(Request* req)
     // Settle up to the detach point, then stamp the transit interval
     // as preemption (it lands in the answering phase: detach happens
     // at the observed </think> emission).
+    if (DecodeBatch::contains(req))
+        batch.leave(req);
     req->stampAccrual(sim.now(), BucketKind::Preempted);
     if (req->kvSlot != model::kNoKvSlot) {
         kvPool.release(req->kvSlot);
@@ -255,6 +256,11 @@ Instance::startIteration()
     stepInFlight = true;
     Time t0 = sim.now();
     Time swaps_done = t0;
+    stepStart = t0;
+    const bool decodes = !plan.decode.empty();
+    batch.beginStep(t0);
+    if (!reused)
+        reshapeBatch(plan, t0);
 
     // Evictions free GPU memory; the KV rides the PCIe link to host
     // DRAM. The iteration's compute cannot start until swap traffic
@@ -289,7 +295,7 @@ Instance::startIteration()
     for (auto* r : plan.prewarm) {
         r->stampAccrual(t0, BucketKind::Executed);
         checkNoKv(r);
-        r->kvSlot = kvPool.allocGpu(r->id(), r->spec().promptTokens);
+        r->kvSlot = kvPool.allocGpu(r->id(), r->kvTokens());
         r->exec = ExecState::ResidentGpu;
         sched->noteResidency(r);
         r->prefillDone = true;
@@ -311,22 +317,22 @@ Instance::startIteration()
         if (r->firstScheduled < 0.0)
             r->firstScheduled = t0;
         prompt_tokens += r->spec().promptTokens;
-        r->runEpoch = iterations;
         ++prefills;
     }
 
+    // The decode batch is the plan's decode list: its growth is one
+    // charge, its KV a running sum.
     TokenCount batch_kv = 0;
-    for (auto* r : plan.decode) {
-        r->stampAccrual(t0, BucketKind::Executed);
-        kvPool.growGpu(r->kvSlot, 1);
-        batch_kv += r->kvTokens();
-        if (r->firstScheduled < 0.0)
-            r->firstScheduled = t0;
-        if (r->phase() == Phase::Answering &&
-            r->firstAnswerScheduled < 0.0) {
-            r->firstAnswerScheduled = t0;
+    if (decodes) {
+        kvPool.chargeGrowth(batch.growthCharge());
+        batch.startDecodeStep();
+        if (verifyAccrual) {
+            batch.verifyStep(plan.decode, instanceId);
+            // The eager reference stamps the first answering step as
+            // it starts; the fast path, at its first answering token.
+            stampFirstAnswerSteps();
         }
-        r->runEpoch = iterations;
+        batch_kv = batch.kvSum();
     }
 
     // On a freshly built plan the not-running residents' standing
@@ -334,13 +340,17 @@ Instance::startIteration()
     // prefill pass stalls the decode stream); the greedy walk already
     // recorded exactly those requests. Reused plans are pure decode
     // with an unchanged batch, so every stamp is already current —
-    // steady-state iterations touch only the batch.
+    // steady-state iterations touch only the batch. A member a
+    // prefill pass stalls stays in the batch, Executed, and its
+    // stretch logs the stall.
     if (!reused) {
         BucketKind kept_kind = plan.isPrefillIteration()
                                    ? BucketKind::Executed
                                    : BucketKind::Preempted;
-        for (auto* r : sched->keptResidents())
-            r->stampAccrual(t0, kept_kind);
+        for (auto* r : sched->keptResidents()) {
+            if (!DecodeBatch::contains(r))
+                r->stampAccrual(t0, kept_kind);
+        }
     }
 
     // Scheduler contract: prefill and decode only coexist in chunked
@@ -369,13 +379,53 @@ Instance::startIteration()
 }
 
 void
+Instance::reshapeBatch(const core::IterationPlan& plan, Time t0)
+{
+    if (plan.decode.empty()) {
+        // A prefill pass stalls the batch: its members wait, Executed,
+        // unless evicted. Any other non-decoding step preempts them
+        // all. Pacing members stall either way (SloMonitor::endStep).
+        if (!plan.isPrefillIteration()) {
+            batch.clear();
+            return;
+        }
+        for (auto* r : plan.swapOut) {
+            if (DecodeBatch::contains(r))
+                batch.leave(r);
+        }
+        return;
+    }
+    batch.reshape(plan.decode, t0, sloSitOuts);
+    // Leavers that were pacing sit this step out; members that pace
+    // but hold no pacing key (newcomers, or back from a stall) join
+    // their pacing heap once they emit.
+    std::size_t kept = 0;
+    for (auto* r : sloSitOuts) {
+        if (monitor.paces(r))
+            sloSitOuts[kept++] = r;
+    }
+    sloSitOuts.resize(kept);
+    for (auto* r : plan.decode) {
+        if (r->firstAnswer >= 0.0 && !monitor.paces(r))
+            sloJoins.push_back(r);
+    }
+}
+
+void
 Instance::crash(bool preserve_cpu_kv,
                 std::vector<Request*>& orphans)
 {
     up = false;
     draining = false;
     ++crashGen; // Invalidate the in-flight step's completion event.
+    if (stepInFlight && !inflight.decode.empty()) {
+        // The abandoned step still was the first answering step of
+        // the members that entered it answering.
+        stampFirstAnswerSteps();
+    }
     stepInFlight = false;
+    sloJoins.clear();
+    sloSitOuts.clear();
     // detach() mutates the scheduler's hosted set; walk a copy. The
     // hosted vector is swap-pop ordered, not insertion ordered, but
     // that order is a function of the event sequence alone, so the
@@ -394,11 +444,31 @@ Instance::crash(bool preserve_cpu_kv,
         detach(r);
         orphans.push_back(r);
     }
+    batch.abandonStep();
     // The crash ends the step, so the expiries it deferred meet the
     // class policy now: an orphan is flagged (or fails at its
     // requeue), a preserved request is demoted or failed in place.
     if (!deadlineDeferred.empty())
         drainDeadlineDeferred();
+}
+
+void
+Instance::stampFirstAnswerSteps()
+{
+    for (auto* r : batch.members()) {
+        if (r->phase() == Phase::Answering && r->firstAnswerScheduled < 0.0)
+            r->firstAnswerScheduled = stepStart;
+    }
+}
+
+void
+Instance::settleBatch()
+{
+    // A step cut off mid-flight was its members' first answering step
+    // as well (the engine stamps it at the first answering token).
+    if (stepInFlight && !inflight.decode.empty())
+        stampFirstAnswerSteps();
+    batch.settleAll();
 }
 
 void
@@ -425,7 +495,8 @@ Instance::verifyAccrualStamps(bool prefill_iteration) const
 {
     for (const auto* r : sched->hosted()) {
         BucketKind expect;
-        if (r->runEpoch == iterations) {
+        if (DecodeBatch::contains(r)) {
+            // Decoding, or stalled by a prefill pass.
             expect = BucketKind::Executed;
         } else if (r->exec == ExecState::WaitingNew) {
             expect = BucketKind::Blocked;
@@ -464,15 +535,10 @@ Instance::completeIteration()
 
     TokenCount quantum = sched->schedLimits().quantum;
 
-    // Settle each batch member's executed interval before mutating
-    // its progress, so the step's wall time lands in the phase it was
-    // actually spent in; non-members keep accruing lazily under their
-    // standing stamp. Emissions first (dirty-set contract: every
-    // mutation that can move a key or counter is reported via
-    // noteExecuted before any callback can observe the scheduler),
-    // then completions and phase transitions. A prefill is always
-    // reported; a decode emission only at the member's wake token, the
-    // next token at which the scheduler's view of it can change.
+    // Emissions first (dirty-set contract: every mutation that can
+    // move a key or counter is reported via noteExecuted before any
+    // callback can observe the scheduler), then completions and phase
+    // transitions. A prefill is always reported, and settles eagerly.
     for (auto* r : plan.prefill) {
         r->settleAccrual(now);
         r->completePrefill(now, quantum);
@@ -480,20 +546,61 @@ Instance::completeIteration()
         // A one-token reasoning phase transitions at its prefill.
         monitor.park(r);
     }
+    // The decode batch advances as a unit: each member's progress
+    // moves by one token, and only the members at a wake get
+    // per-member work: the scheduler's wake token (a quantum rollover,
+    // </think>, completion, a policy rule's token; see
+    // IntraScheduler::nextWake()) or the first answering token.
+    // Everything else a token changes settles later from the step log.
+    const bool decoded = !plan.decode.empty();
+    woken.clear();
+    const TokenCount quantum_step = quantum > 0 ? 1 : 0;
+    // The eager reference twin books each member's step and token
+    // right here instead, as the engine did before the batch advanced
+    // as a unit; its log stays empty.
+    if (verifyAccrual) {
+        for (auto* r : plan.decode)
+            r->settleAccrual(now);
+    }
     for (auto* r : plan.decode) {
-        r->settleAccrual(now);
-        r->emitToken(now, quantum);
-        ++decodeTokens;
+        if (r->advanceDecode(quantum_step))
+            woken.push_back(r);
+    }
+    decodeTokens += plan.decode.size();
+    batch.logStep(now, decoded);
+    if (verifyAccrual) {
+        for (auto* r : plan.decode)
+            r->foldDecodedToken(now);
+    }
+    for (auto* r : woken) {
+        r->rollQuantum(quantum);
+        if (r->atMilestone()) {
+            // Settle the stretch in the phase it ran, then stamp.
+            batch.settle(r);
+            if (r->generated() == r->spec().reasoningTokens + 1 &&
+                r->firstAnswerScheduled < 0.0) {
+                r->firstAnswerScheduled = stepStart;
+            }
+            r->stampMilestones(now);
+        }
         if (core::IntraScheduler::wakeDue(r))
             sched->noteExecuted(r);
         monitor.onEmit(r);
     }
-    // Answering members that sat this step out park at their exact
-    // keys; the batch's pacing keys advance with one offset bump.
-    monitor.endStep(iterations);
+    // Pacing churn comes from the plan: members that rejoin their
+    // pacing heap, and pacing members this step left out.
+    for (auto* r : sloJoins)
+        monitor.onEmit(r);
+    for (auto* r : sloSitOuts)
+        monitor.park(r);
+    sloJoins.clear();
+    sloSitOuts.clear();
+    monitor.endStep(decoded);
 
     auto handle = [&](Request* r) {
         if (r->finished()) {
+            if (DecodeBatch::contains(r))
+                batch.leave(r);
             kvPool.release(r->kvSlot);
             r->kvSlot = model::kNoKvSlot;
             r->exec = ExecState::Done;
@@ -512,7 +619,7 @@ Instance::completeIteration()
     };
     for (auto* r : plan.prefill)
         handle(r);
-    for (auto* r : plan.decode)
+    for (auto* r : woken)
         handle(r);
 
     stepInFlight = false;

@@ -9,6 +9,15 @@
  * scheduler for a plan, applies the swaps (PCIe latency), then runs
  * either one prefill pass or one decode step and reports emissions,
  * phase transitions, and completions to the cluster.
+ *
+ * The decode batch advances as a unit (DecodeBatch). A step moves
+ * each member's token counts in one tight loop; the rest of a token's
+ * work happens only for members at a wake: the scheduler's wake token
+ * (IntraScheduler::nextWake()) or the first answering token. KV growth
+ * is one pool charge per step, accrual and QoE settle from the batch's
+ * step log, and the SLO monitor learns pacing churn from the plan.
+ * Plan builds, wakes, detaches and crashes are the only per-member
+ * work, so a reused step costs O(batch) integer increments plus O(1).
  */
 
 #ifndef PASCAL_CLUSTER_INSTANCE_HH
@@ -19,6 +28,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/cluster/decode_batch.hh"
 #include "src/cluster/slo_monitor.hh"
 #include "src/core/cluster_view.hh"
 #include "src/core/intra_scheduler.hh"
@@ -242,9 +252,25 @@ class Instance
      *  hosted set at @p now. */
     void verifySloHeap(Time now) const;
 
+    /**
+     * Settle every decode-batch member's lazily kept accrual and QoE
+     * through the last completed step (scoring calls this before it
+     * reads them; a step still in flight settles as an ordinary
+     * interval, Request::settleAccrual()).
+     */
+    void settleBatch();
+
   private:
     void startIteration();
     void completeIteration();
+
+    /** A built plan's membership change: the batch becomes the plan's
+     *  decode list, or stalls for a prefill pass (see DecodeBatch). */
+    void reshapeBatch(const core::IterationPlan& plan, Time t0);
+
+    /** Stamp firstAnswerScheduled at the in-flight step's start for
+     *  the batch members it runs answering. */
+    void stampFirstAnswerSteps();
 
     /** Shared admission body (exec/home/accrual/scheduler/SLO heap). */
     void admit(workload::Request* req);
@@ -311,15 +337,23 @@ class Instance
      *  never even rebuilt. */
     core::IterationPlan inflight;
 
-    /**
-     * Iterations started; also the epoch stamp for batch membership:
-     * startIteration bumps it and stamps every running request's
-     * runEpoch, so the "did this request run in the completed step?"
-     * test is one integer compare instead of a hash-set lookup (and
-     * there is no per-iteration set to clear). Requests arriving or
-     * migrating in get their stamp reset so a stale epoch from a
-     * previous host can never collide.
-     */
+    /** The running decode batch and its step log. */
+    DecodeBatch batch{kvPool};
+
+    /** Start of the step in flight (or of the last one). */
+    Time stepStart = 0.0;
+
+    /** completeIteration() scratch: decode members at their wake
+     *  token, in decode order. */
+    std::vector<workload::Request*> woken;
+
+    /** Decode members of the step in flight that pace but hold no
+     *  pacing key yet, and pacing members it leaves out: the SLO
+     *  monitor's membership churn, applied when the step completes
+     *  (recorded by reshapeBatch()). */
+    std::vector<workload::Request*> sloJoins;
+    std::vector<workload::Request*> sloSitOuts;
+
     std::uint64_t iterations = 0;
     std::uint64_t decodeTokens = 0;
     std::uint64_t prefills = 0;

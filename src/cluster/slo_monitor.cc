@@ -199,29 +199,16 @@ SloMonitor::join(Request* r, std::int8_t id)
 }
 
 void
-SloMonitor::endStep(std::uint64_t epoch)
+SloMonitor::endStep(bool decoded)
 {
     for (std::size_t id = 1; id < kNumHeaps; ++id) {
         Heap& h = heaps[id];
-        if (h.emitted < h.items.size()) {
-            // Some members sat this step out; their bounds did not
-            // move, so park them at their exact keys. Every slot at
-            // index >= i holds a member that emitted: erasing slot
-            // i - 1 refills it with the (already checked) last member
-            // or, when that member sifts up, with the slot's parent,
-            // so the slot is examined again before moving on.
-            std::size_t i = h.items.size();
-            while (i > 0) {
-                Request* r = h.items[i - 1];
-                if (r->runEpoch == epoch) {
-                    --i;
-                    continue;
-                }
-                place(r, kParked, sloKeyOf(r));
-                i = std::min(i, h.items.size());
-            }
+        // A step that emitted nothing left every pacing bound where it
+        // was: park each member at its exact key.
+        while (!decoded && !h.items.empty()) {
+            Request* r = h.items.back();
+            place(r, kParked, sloKeyOf(r));
         }
-        h.emitted = 0;
         if (h.items.empty()) {
             // Nothing is stored relative to the offset: restart it so
             // its rounding drift stays bounded by one membership.

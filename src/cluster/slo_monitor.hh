@@ -17,13 +17,18 @@
  *   and a step advances the whole heap with one offset bump. There is
  *   one pacing heap per effective TPOT target: one with SLO classes
  *   off, one per SloClass with them on (best-effort requests pace in
- *   Batch's heap).
+ *   Batch's heap). The monitor never sees a pacing member's ordinary
+ *   tokens: the engine reports the churn its plan implies, the
+ *   members a step leaves out (kept residents, swap-outs, a prefill
+ *   pass's stall) and the ones that start or resume pacing (newcomers
+ *   to the batch, first answering tokens).
  * - **One parked heap** holds every other answering request (swapped
  *   out, preempted, waiting for its first answering token), keyed by
  *   its absolute flip bound, which cannot move while it sits out.
  *
  * A step therefore costs O(batch churn · log n): only requests that
- * leave or join the decode batch are re-keyed, however many sit out.
+ * leave or join the decode batch are re-keyed, however many sit out
+ * and however many keep pacing.
  */
 
 #ifndef PASCAL_CLUSTER_SLO_MONITOR_HH
@@ -66,8 +71,9 @@ class SloMonitor
     /**
      * Membership and key fixup after any event outside the decode
      * emission path: admission, migration landing, prefill, best-
-     * effort demotion. An answering request lands in the parked heap
-     * with its exact key; anything else leaves the monitor.
+     * effort demotion, and a pacing member that a step left out of its
+     * batch. An answering request lands in the parked heap with its
+     * exact key; anything else leaves the monitor.
      */
     void park(workload::Request* r);
 
@@ -75,21 +81,22 @@ class SloMonitor
     void remove(workload::Request* r);
 
     /**
-     * A decode-batch member just emitted one token (call after
-     * Request::emitToken). A request that keeps pacing in the same
-     * heap costs nothing; one that joins the batch moves to its
-     * pacing heap. Inline: runs once per batch member per step.
+     * A decode-batch member emitted a token that can move its
+     * membership (call after the emission): its first answering token
+     * or another milestone, or a token that brings it back into the
+     * batch while it paces. A member that keeps pacing in the same
+     * heap needs no call (endStep's offset bump moves it); one that
+     * joins the batch moves to its pacing heap; one that finished or
+     * just crossed </think> is parked or leaves.
      */
     void
     onEmit(workload::Request* r)
     {
         if (r->firstAnswer >= 0.0 && !r->finished()) {
-            std::int8_t id = pacingHeapOf(r);
-            ++heaps[static_cast<std::size_t>(id)].emitted;
             // A member that kept pacing needs nothing: its bound moved
             // by exactly one tpot, which endStep's offset bump applies.
-            if (r->sloHeapPos < 0 || r->sloHeapId != id)
-                join(r, id);
+            if (!paces(r))
+                join(r, pacingHeapOf(r));
         } else if (r->sloHeapPos >= 0 ||
                    r->phase() == workload::Phase::Answering) {
             // Finished (leaves), or just crossed </think> and now
@@ -100,12 +107,19 @@ class SloMonitor
     }
 
     /**
-     * End of a step whose batch members carry Request::runEpoch ==
-     * @p epoch: pacing members that did not emit move to the parked
-     * heap with their exact key, then every live pacing heap bumps its
-     * offset by one TPOT.
+     * End of a step. Every pacing member must have emitted in it (the
+     * engine parks the ones the step left out); @p decoded false means
+     * nothing emitted, so every pacing member parks with its exact key.
+     * Then every live pacing heap bumps its offset by one TPOT.
      */
-    void endStep(std::uint64_t epoch);
+    void endStep(bool decoded);
+
+    /** True if @p r holds a key in its pacing heap. */
+    bool
+    paces(const workload::Request* r) const
+    {
+        return r->sloHeapPos >= 0 && r->sloHeapId == pacingHeapOf(r);
+    }
 
     /** @} */
 
@@ -157,8 +171,7 @@ class SloMonitor
     {
         std::vector<workload::Request*> items;
         double offset = 0.0;
-        Time tpot = 0.0;          //!< Offset bump per step (pacing).
-        std::size_t emitted = 0;  //!< Pacing members that emitted.
+        Time tpot = 0.0; //!< Offset bump per step (pacing).
 
         double
         top() const

@@ -38,6 +38,13 @@
  * noteExecuted() is idempotent and may run at any token: an early wake
  * costs one call, while a late one would lose a key change.
  *
+ * The wake token is also the engine's: a decode batch member gets
+ * per-member work only at its schedWake or at its first answering
+ * token, which the engine stamps itself (cluster::Instance). So the
+ * </think> flip and completion stay wake candidates of every policy,
+ * whatever its keys read, and the force-resort twin, which leaves
+ * schedWake at 0, wakes every member at every token.
+ *
  * Predictor-keyed policies (keysUsePredictions(): SRPT, PASCAL-Spec)
  * order by a prediction that moves with the request's own progress.
  * Only the members of the plan in flight execute, so a build marks its
@@ -219,8 +226,7 @@ class IntraScheduler
     void noteExecuted(workload::Request* req);
 
     /** True if @p req, having just emitted a decode token, has reached
-     *  its wake token, so noteExecuted() is owed. Inline: evaluated
-     *  once per decode member per iteration. */
+     *  its wake token, so noteExecuted() is owed. */
     static bool
     wakeDue(const workload::Request* req)
     {

@@ -41,6 +41,25 @@ KvPool::growGpuPanic(const Entry& e, TokenCount delta) const
           std::to_string(e.owner));
 }
 
+void
+KvPool::chargeGrowthPanic(TokenCount tokens) const
+{
+    panic("KvPool::chargeGrowth: " + std::to_string(tokens) +
+          " tokens of growth do not fit in " +
+          std::to_string(gpuFree()) + " free");
+}
+
+TokenCount
+KvPool::chargedGpuTokens() const
+{
+    TokenCount sum = 0;
+    for (const Entry& e : entries) {
+        if (e.tier == KvTier::Gpu)
+            sum += chargeFor(e.tokens);
+    }
+    return sum;
+}
+
 KvSlot
 KvPool::acquireSlot(RequestId id, TokenCount tokens)
 {

@@ -49,8 +49,8 @@ constexpr KvSlot kNoKvSlot = -1;
  * Allocations are keyed by a compact per-pool KvSlot handle that
  * alloc*() returns and the caller carries (the engine stores it in
  * Request::kvSlot). Slots index a dense table and are recycled through
- * a free list on release, so the per-iteration hot calls — growGpu()
- * for every decode-batch member, the swap moves — are branch-cheap
+ * a free list on release, so the per-iteration hot calls (the swap
+ * moves, and one chargeGrowth() per decode step) are branch-cheap
  * O(1) array indexing with no hashing, and the table is bounded by the
  * peak number of *live* requests instead of growing with the largest
  * RequestId the instance ever hosted (the old dense-by-id table cost
@@ -152,22 +152,14 @@ class KvPool
      *  full instance). @return The slot handle. */
     KvSlot allocCpu(RequestId id, TokenCount tokens);
 
-    /** Grow a GPU-resident KV by @p delta tokens (decode step).
-     *  Inline: runs once per decode-batch member per iteration. */
+    /** Grow a GPU-resident KV by @p delta tokens. */
     void
     growGpu(KvSlot slot, TokenCount delta)
     {
         Entry& e = lookup(slot);
         if (delta < 0 || e.tier != KvTier::Gpu)
             growGpuPanic(e, delta);
-        // One-token growth (every decode step) opens a fresh block
-        // only when the current size is an exact block multiple.
-        TokenCount extra =
-            delta == 1 ? (e.tokens % blockSizeTokens == 0
-                              ? blockSizeTokens
-                              : 0)
-                       : chargeFor(e.tokens + delta) -
-                             chargeFor(e.tokens);
+        TokenCount extra = chargeFor(e.tokens + delta) - chargeFor(e.tokens);
         if (extra > gpuFree())
             growGpuPanic(e, delta);
         e.tokens += delta;
@@ -175,6 +167,35 @@ class KvPool
         if (gpuUsedTokens > peakGpuTokens)
             peakGpuTokens = gpuUsedTokens;
     }
+
+    /**
+     * Charge @p tokens of block growth that GPU-resident entries made
+     * without growGpu(): the engine grows a whole decode batch by one
+     * token per step and charges the blocks it opened at once. The
+     * grown entries' logical sizes lag until syncTokens().
+     */
+    void
+    chargeGrowth(TokenCount tokens)
+    {
+        if (tokens < 0 || tokens > gpuFree())
+            chargeGrowthPanic(tokens);
+        gpuUsedTokens += tokens;
+        if (gpuUsedTokens > peakGpuTokens)
+            peakGpuTokens = gpuUsedTokens;
+    }
+
+    /** Set @p slot's logical size to @p tokens, whose growth was
+     *  already charged (chargeGrowth()); owed before the entry moves
+     *  or is released. */
+    void
+    syncTokens(KvSlot slot, TokenCount tokens)
+    {
+        lookup(slot).tokens = tokens;
+    }
+
+    /** Charged tokens summed over the GPU-resident entries: gpuUsed()
+     *  recomputed from scratch (audits; O(table)). */
+    TokenCount chargedGpuTokens() const;
 
     /** Offload @p slot's KV from GPU to CPU. */
     void moveToCpu(KvSlot slot);
@@ -226,6 +247,7 @@ class KvPool
     [[noreturn]] void lookupPanic(KvSlot slot) const;
     [[noreturn]] void growGpuPanic(const Entry& e,
                                    TokenCount delta) const;
+    [[noreturn]] void chargeGrowthPanic(TokenCount tokens) const;
 
     /** Pop a recycled slot or append a fresh one. */
     KvSlot acquireSlot(RequestId id, TokenCount tokens);

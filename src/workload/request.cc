@@ -54,7 +54,7 @@ DatasetTable::intern(const std::string& label)
 }
 
 Request::Request(RequestSpec s, DatasetId dataset_id)
-    : datasetId(dataset_id), specData(std::move(s))
+    : specData(std::move(s)), datasetId(dataset_id)
 {
     specData.validate();
     lastAccount = specData.arrival;
@@ -69,6 +69,59 @@ void
 Request::emitTokenPanic() const
 {
     panic("emitToken on finished request " + std::to_string(id()));
+}
+
+void
+Request::settleStretch(const Time* end,
+                       const std::uint32_t* decoded_before,
+                       std::uint32_t from, std::uint32_t to)
+{
+    if (from >= to)
+        return;
+    // Progress already counts the span's tokens, so the span began at
+    // generated - emitted; answer index k of its first token is that
+    // count less the reasoning length (negative: a reasoning span).
+    const auto emitted =
+        static_cast<TokenCount>(decoded_before[to] - decoded_before[from]);
+    const TokenCount first_k =
+        generatedTokens - emitted - specData.reasoningTokens;
+    PhaseBuckets& b = first_k < 0 ? reasoningBuckets : answeringBuckets;
+    // Locals, so each accumulator's chain stays in a register.
+    double executed = b.executed;
+    Time last = lastAccount;
+    // Answering tokens after the first fold. The first answering token
+    // is always a wake, where the engine settles its span before
+    // stampMilestones() sets firstAnswer, so a span folds all of its
+    // tokens or none of them.
+    if (firstAnswer < 0.0 || emitted == 0) {
+        for (std::uint32_t i = from; i < to; ++i) {
+            const double dt = end[i] - last;
+            last = end[i];
+            if (dt > 0.0)
+                executed += dt;
+        }
+    } else {
+        qoe::QoeFold fold = qoe;
+        TokenCount k = first_k;
+        for (std::uint32_t i = from; i < to; ++i) {
+            const double dt = end[i] - last;
+            last = end[i];
+            if (dt > 0.0)
+                executed += dt;
+            if (decoded_before[i + 1] != decoded_before[i])
+                fold.next(end[i], k++);
+        }
+        qoe = fold;
+        if (bestEffortQoe) {
+            k = first_k;
+            for (std::uint32_t i = from; i < to; ++i) {
+                if (decoded_before[i + 1] != decoded_before[i])
+                    bestEffortQoe->next(end[i], k++);
+            }
+        }
+    }
+    b.executed = executed;
+    lastAccount = last;
 }
 
 void

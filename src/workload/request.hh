@@ -12,8 +12,9 @@
  * be predicted in advance.
  *
  * A request keeps no per-token history: each answering token is folded
- * into fixed-size QoE state on emission (qoe::QoeFold), so a request's
- * footprint does not grow with its answer length.
+ * into fixed-size QoE state (qoe::QoeFold), so a request's footprint
+ * does not grow with its answer length. In the engine's decode batch
+ * the fold runs when the token's stretch settles (settleStretch()).
  */
 
 #ifndef PASCAL_WORKLOAD_REQUEST_HH
@@ -141,6 +142,9 @@ enum class BucketKind
     Preempted,
 };
 
+/** Request::batchPos of a request outside every decode batch. */
+constexpr std::uint32_t kNotInBatch = 0xffffffffu;
+
 /**
  * Mutable runtime state of one request.
  *
@@ -212,21 +216,81 @@ class Request
     }
 
     /** Record the emission of one decode token at time @p now.
-     *  Updates phase timestamps and quantum accounting. Inline: runs
-     *  once per decode-batch member per iteration. */
+     *  Updates phase timestamps, quantum accounting and the QoE folds
+     *  (the prefill token and reference drivers; the engine's decode
+     *  batch splits the same work between advanceDecode(), at every
+     *  step, and the wake-time calls below). */
     void
     emitToken(Time now, TokenCount quantum)
     {
         if (finished())
             emitTokenPanic();
         ++generatedTokens;
-        if (quantum > 0) {
+        if (quantum > 0)
             ++quantumTokens;
-            if (quantumTokens >= quantum) {
-                quantumTokens = 0;
-                ++quantaConsumed;
-            }
+        rollQuantum(quantum);
+        if (generatedTokens > specData.reasoningTokens + 1)
+            foldAnswerToken(now, generatedTokens);
+        stampMilestones(now);
+    }
+
+    /**
+     * The engine's decode step, the integer half of emitToken(): one
+     * more token, and @p quantum_step (1 under a positive quantum, 0
+     * otherwise) more in the current quantum. Rollovers, timestamps
+     * and QoE wait for the token's wake or its stretch's settlement.
+     * Inline: runs once per decode-batch member per step.
+     *
+     * @return True at the engine's wake: the scheduler's wake token
+     *         (schedWake), which covers every rollover and milestone
+     *         but the first answering token, or that token.
+     */
+    bool
+    advanceDecode(TokenCount quantum_step)
+    {
+        ++generatedTokens;
+        quantumTokens += quantum_step;
+        return (generatedTokens >= static_cast<TokenCount>(schedWake)) |
+               (generatedTokens == specData.reasoningTokens + 1);
+    }
+
+    /** Fold the token the last advanceDecode() generated, at @p now,
+     *  if it is an answering token after the first (the eager
+     *  reference's per-step fold; see settleStretch()). */
+    void
+    foldDecodedToken(Time now)
+    {
+        if (generatedTokens > specData.reasoningTokens + 1)
+            foldAnswerToken(now, generatedTokens);
+    }
+
+    /** Roll a full quantum over (more = lower RR priority). */
+    void
+    rollQuantum(TokenCount quantum)
+    {
+        if (quantum > 0 && quantumTokens >= quantum) {
+            quantumTokens = 0;
+            ++quantaConsumed;
         }
+    }
+
+    /** The last generated token was a milestone: the </think> marker,
+     *  the first answering token or the final token. */
+    bool
+    atMilestone() const
+    {
+        const TokenCount reasoning = specData.reasoningTokens;
+        return (generatedTokens == reasoning &&
+                !specData.startInAnswering) ||
+               generatedTokens == reasoning + 1 ||
+               generatedTokens == totalToGenerate();
+    }
+
+    /** Stamp the timestamps of the milestone the last generated token
+     *  reached at @p now (none for an ordinary token). */
+    void
+    stampMilestones(Time now)
+    {
         if (!specData.startInAnswering &&
             generatedTokens == specData.reasoningTokens) {
             // This token is the </think> marker: the reasoning phase
@@ -241,16 +305,30 @@ class Request
             qoe.first(now, reasoningEnd);
             if (bestEffortQoe)
                 bestEffortQoe->first(now, reasoningEnd);
-        } else if (generatedTokens > specData.reasoningTokens) {
-            const TokenCount k =
-                generatedTokens - specData.reasoningTokens - 1;
-            qoe.next(now, k);
-            if (bestEffortQoe)
-                bestEffortQoe->next(now, k);
         }
         if (generatedTokens == totalToGenerate())
             finish = now;
     }
+
+    /**
+     * Settle a decode stretch: replay steps [@p from, @p to) of the
+     * hosting engine's step log, which this request spent in the
+     * decode batch under the Executed stamp and in one phase. Each
+     * step books its wall time (@p end[i] minus the previous end) as
+     * accrue() would, and each step that decoded folds its answering
+     * token into the QoE folds, in step order — the per-step
+     * arithmetic of settleAccrual() plus emitToken(), so the results
+     * are bit-identical. The request's integer progress already
+     * counts every decoded step of the span.
+     *
+     * @param end Step end times.
+     * @param decoded_before decoded_before[i] is the number of steps
+     *        in [0, i) that decoded (so step i decoded iff
+     *        decoded_before[i + 1] > decoded_before[i]).
+     */
+    void settleStretch(const Time* end,
+                       const std::uint32_t* decoded_before,
+                       std::uint32_t from, std::uint32_t to);
 
     [[noreturn]] void emitTokenPanic() const;
 
@@ -260,6 +338,37 @@ class Request
 
     /** @} */
 
+  private:
+    /** @name The decode loop's working set
+     *
+     * Declared first, so that advanceDecode() touches one cache line
+     * per batch member: the token counters, the wake token and the
+     * spec's lengths.
+     */
+    /** @{ */
+
+    TokenCount generatedTokens = 0;
+
+  public:
+    /** Tokens generated inside the current quantum. */
+    TokenCount quantumTokens = 0;
+
+    /** Wake token (owned by the hosting IntraScheduler): the
+     *  generated() count at which it next needs to hear of this
+     *  request's emissions (see IntraScheduler::nextWake()). Saturates
+     *  at the type's maximum, which only adds notifications. */
+    std::uint32_t schedWake = 0;
+
+    /** Index in the hosting instance's decode batch
+     *  (cluster::DecodeBatch), or kNotInBatch. */
+    std::uint32_t batchPos = kNotInBatch;
+
+  private:
+    RequestSpec specData;
+
+    /** @} */
+
+  public:
     /** @name Scheduling state (manipulated by instances/schedulers) */
     /** @{ */
 
@@ -280,8 +389,6 @@ class Request
      *  event interleaving. */
     std::uint64_t transferNonce = 0;
 
-    /** Tokens generated inside the current quantum. */
-    TokenCount quantumTokens = 0;
     /** Full quanta consumed (the RR priority key; more = lower prio). */
     int quantaConsumed = 0;
 
@@ -320,8 +427,9 @@ class Request
     /** @name Intrusive scheduler/engine bookkeeping
      *
      * Owned by the hosting core::IntraScheduler (sched*) and
-     * cluster::Instance (runEpoch); not part of the workload
-     * semantics. Keeping these fields inside the request spares the
+     * cluster::Instance (batchPos, stretchStart); not part of the
+     * workload semantics. Keeping these fields inside the request
+     * spares the
      * scheduling structures any side table: the queues store raw
      * pointers, and a request carries its queue tag, dirtiness and
      * cached ordering keys itself.
@@ -344,12 +452,6 @@ class Request
      *  repair, so comparisons never call the predictor (0
      *  elsewhere). */
     double schedScore = 0.0;
-
-    /** Wake token: the generated() count at which the hosting
-     *  scheduler next needs to hear of this request's emissions (see
-     *  IntraScheduler::nextWake()). Saturates at the type's maximum,
-     *  which only adds notifications. */
-    std::uint32_t schedWake = 0;
 
     /** Which scheduler queue holds the request (0 = none). */
     std::uint8_t schedQueueTag = 0;
@@ -376,9 +478,9 @@ class Request
      *  is fresh, so no boundary predicts a member twice (0 = never). */
     std::uint32_t schedKeyEpoch = 0;
 
-    /** Instance iteration epoch when the request last ran (replaces
-     *  the per-iteration hash-set batch membership test). */
-    std::uint64_t runEpoch = 0;
+    /** First step of the hosting engine's step log not yet settled
+     *  into this request (valid while batchPos != kNotInBatch). */
+    std::uint32_t stretchStart = 0;
 
     /**
      * Intrusive slot in one of the hosting instance's SLO-monitor
@@ -455,10 +557,20 @@ class Request
      * for every hosted request (the old O(hosted) accrueAll walk),
      * the engine restamps a request only when its standing bucket
      * changes (batch entry/exit, admit, swap, detach, migration) and
-     * the elapsed interval is settled in one addition at the next
-     * observation point (emission, detach, finish, scoring). The
-     * PASCAL_FORCE_ACCRUE debug mode keeps the eager per-iteration
-     * walk as a verification pass that panics on any stale stamp.
+     * settles the elapsed time at the next observation point:
+     *
+     *  - a prefill's completion, a migration landing, a detach, a
+     *    crash, a terminal failure: one addition (settleAccrual());
+     *  - for a decode-batch member (stamped Executed), the end of its
+     *    stretch: leaving the batch, its </think>, first answering and
+     *    final tokens, a full step log, scoring. The stretch replays
+     *    the logged steps one interval at a time (settleStretch()),
+     *    folding its answering tokens into the QoE folds as it goes;
+     *  - scoring, for every unfinished request.
+     *
+     * The PASCAL_FORCE_ACCRUE debug mode settles every batch member
+     * at every step instead, and keeps the eager per-iteration walk as
+     * a verification pass that panics on any stale stamp.
      */
     BucketKind accrualKind = BucketKind::Blocked;
 
@@ -510,8 +622,17 @@ class Request
     /** @} */
 
   private:
-    RequestSpec specData;
-    TokenCount generatedTokens = 0;
+    /** Fold answering token number @p generated (> the first) into
+     *  the QoE folds. */
+    void
+    foldAnswerToken(Time now, TokenCount generated)
+    {
+        const TokenCount k = generated - specData.reasoningTokens - 1;
+        qoe.next(now, k);
+        if (bestEffortQoe)
+            bestEffortQoe->next(now, k);
+    }
+
     Time lastAccount = 0.0;
 
 };

@@ -65,19 +65,23 @@ struct Driver
         hosted.erase(std::find(hosted.begin(), hosted.end(), r));
     }
 
-    /** One decode step of @p dt: every request in @p batch emits. */
+    /** One decode step of @p dt: every request in @p batch emits,
+     *  and the pacing members it leaves out park, as the engine
+     *  reports them. */
     void
     step(const std::vector<Request*>& batch, Time dt = 0.1)
     {
-        ++epoch;
         now += dt;
-        for (auto* r : batch)
-            r->runEpoch = epoch;
         for (auto* r : batch) {
             r->emitToken(now, 0);
             mon.onEmit(r);
         }
-        mon.endStep(epoch);
+        for (auto* r : hosted) {
+            if (mon.paces(r) &&
+                std::find(batch.begin(), batch.end(), r) == batch.end())
+                mon.park(r);
+        }
+        mon.endStep(!batch.empty());
         hosted.erase(std::remove_if(hosted.begin(), hosted.end(),
                                     [](const Request* r) {
                                         return r->finished();
@@ -98,7 +102,6 @@ struct Driver
     SloMonitor mon;
     std::vector<std::unique_ptr<Request>> owned;
     std::vector<Request*> hosted;
-    std::uint64_t epoch = 0;
     Time now = 0.0;
 };
 
