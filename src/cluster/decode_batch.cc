@@ -11,15 +11,6 @@ namespace cluster
 
 using workload::Request;
 
-namespace
-{
-
-/** reshape()'s mark on the members it has not yet seen in the new
- *  decode list. */
-constexpr std::uint32_t kLeaving = workload::kNotInBatch - 1;
-
-} // namespace
-
 DecodeBatch::DecodeBatch(model::KvPool& pool)
     : pool(pool), blockSize(pool.blockSize()),
       kvOffsets(static_cast<std::size_t>(pool.blockSize()), 0)
@@ -46,21 +37,23 @@ DecodeBatch::beginStep(Time t0)
 
 void
 DecodeBatch::reshape(const std::vector<Request*>& decode, Time t0,
-                     std::vector<Request*>& leavers)
+                     std::vector<Request*>& leavers,
+                     std::vector<Request*>& joiners)
 {
-    for (auto* r : batch)
-        r->batchPos = kLeaving;
     for (std::size_t i = 0; i < decode.size(); ++i) {
         Request* r = decode[i];
         if (r->batchPos == workload::kNotInBatch) {
             r->stampAccrual(t0, workload::BucketKind::Executed);
             r->stretchStart = len;
             countKv(r, 1);
+            joiners.push_back(r);
         }
         r->batchPos = static_cast<std::uint32_t>(i);
     }
+    // A member that stays now indexes itself in the decode list; a
+    // leaver still holds its old index.
     for (auto* r : batch) {
-        if (r->batchPos != kLeaving)
+        if (r->batchPos < decode.size() && decode[r->batchPos] == r)
             continue;
         settle(r);
         pool.syncTokens(r->kvSlot, r->kvTokens());
@@ -92,14 +85,16 @@ DecodeBatch::clear()
         leave(batch.back());
 }
 
-TokenCount
-DecodeBatch::growthCharge() const
+void
+DecodeBatch::growStep()
 {
     // A member opens a block iff its KV sits on a block boundary, i.e.
     // (kv - decodeSteps) + decodeSteps == 0 (mod blockSize).
     const auto b = static_cast<std::uint64_t>(blockSize);
     const auto crossing = static_cast<std::size_t>((b - decodeSteps % b) % b);
-    return blockSize * static_cast<TokenCount>(kvOffsets[crossing]);
+    pool.chargeGrowth(blockSize *
+                      static_cast<TokenCount>(kvOffsets[crossing]));
+    growing = true;
 }
 
 void

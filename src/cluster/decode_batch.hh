@@ -57,9 +57,10 @@ class DecodeBatch
 
     /**
      * The eager reference twin (PASCAL_FORCE_ACCRUE): the engine books
-     * every member's wall time and tokens at every step, as before the
-     * batch was advanced as a unit, so the log records nothing and the
-     * stall before a step is stamped at its start.
+     * every member's wall time and token at every step with the calls
+     * the log replays (Request::settleAccrual(), foldDecodedToken()),
+     * so the log records nothing and a stall is stamped at the start
+     * of the step after it.
      */
     void setEager(bool on) { eager = on; }
 
@@ -68,9 +69,6 @@ class DecodeBatch
     {
         return batch;
     }
-
-    bool empty() const { return batch.empty(); }
-    std::size_t size() const { return batch.size(); }
 
     /** True if @p r is a member of some decode batch (a request is a
      *  member of its home instance's only). */
@@ -90,11 +88,12 @@ class DecodeBatch
     /**
      * A plan build's decoding step makes @p decode the batch: members
      * outside it leave (appended to @p leavers, settled and synced)
-     * and newcomers join under the Executed stamp at @p t0. Call
-     * after beginStep().
+     * and newcomers join (appended to @p joiners) under the Executed
+     * stamp at @p t0. Call after beginStep().
      */
     void reshape(const std::vector<workload::Request*>& decode, Time t0,
-                 std::vector<workload::Request*>& leavers);
+                 std::vector<workload::Request*>& leavers,
+                 std::vector<workload::Request*>& joiners);
 
     /** @p r leaves the batch: settle its stretch and sync its pool
      *  entry. */
@@ -103,17 +102,15 @@ class DecodeBatch
     /** Every member leaves. */
     void clear();
 
-    /** Block-rounded KV growth of a step that decodes the batch. */
-    TokenCount growthCharge() const;
-
     /** Summed KV tokens of the members (the step latency model's
      *  batch KV). */
     TokenCount kvSum() const { return kvTokens; }
 
-    /** A decoding step's growth was charged: until the step logs
-     *  (logStep()) or is abandoned, each member's KV entry holds one
-     *  more token than its progress shows. */
-    void startDecodeStep() { growing = true; }
+    /** A step that decodes the batch starts: charge the pool for the
+     *  blocks it opens. Until the step logs (logStep()) or is
+     *  abandoned, each member's KV entry holds one more token than its
+     *  progress shows. */
+    void growStep();
 
     /** The step that started at beginStep() ended at @p end; @p decoded
      *  says whether the members emitted (each already advanced its

@@ -177,6 +177,7 @@ Instance::demoteBestEffort(Request* req)
     // The pacing targets just relaxed to the Batch class's: the SLO
     // monitor key must move with them.
     monitor.park(req);
+    sloRepace = true;
 }
 
 void
@@ -324,8 +325,7 @@ Instance::startIteration()
     // charge, its KV a running sum.
     TokenCount batch_kv = 0;
     if (decodes) {
-        kvPool.chargeGrowth(batch.growthCharge());
-        batch.startDecodeStep();
+        batch.growStep();
         if (verifyAccrual) {
             batch.verifyStep(plan.decode, instanceId);
             // The eager reference stamps the first answering step as
@@ -395,20 +395,24 @@ Instance::reshapeBatch(const core::IterationPlan& plan, Time t0)
         }
         return;
     }
-    batch.reshape(plan.decode, t0, sloSitOuts);
-    // Leavers that were pacing sit this step out; members that pace
-    // but hold no pacing key (newcomers, or back from a stall) join
-    // their pacing heap once they emit.
-    std::size_t kept = 0;
-    for (auto* r : sloSitOuts) {
-        if (monitor.paces(r))
-            sloSitOuts[kept++] = r;
+    batch.reshape(plan.decode, t0, sloSitOuts, sloJoins);
+    // Leavers that were pacing sit this step out. Members that pace
+    // but hold no pacing key join their pacing heap once they emit:
+    // newcomers, and, after a step that parked pacing members without
+    // a batch change (a stall, a best-effort demotion), anyone.
+    auto keep = [](std::vector<Request*>& v, auto pred) {
+        v.erase(std::remove_if(v.begin(), v.end(),
+                               [&](Request* r) { return !pred(r); }),
+                v.end());
+    };
+    keep(sloSitOuts, [this](Request* r) { return monitor.paces(r); });
+    if (sloRepace) {
+        sloJoins.assign(plan.decode.begin(), plan.decode.end());
+        sloRepace = false;
     }
-    sloSitOuts.resize(kept);
-    for (auto* r : plan.decode) {
-        if (r->firstAnswer >= 0.0 && !monitor.paces(r))
-            sloJoins.push_back(r);
-    }
+    keep(sloJoins, [this](Request* r) {
+        return r->firstAnswer >= 0.0 && !monitor.paces(r);
+    });
 }
 
 void
@@ -556,8 +560,8 @@ Instance::completeIteration()
     woken.clear();
     const TokenCount quantum_step = quantum > 0 ? 1 : 0;
     // The eager reference twin books each member's step and token
-    // right here instead, as the engine did before the batch advanced
-    // as a unit; its log stays empty.
+    // right here instead, with the calls the log replays; its log
+    // stays empty.
     if (verifyAccrual) {
         for (auto* r : plan.decode)
             r->settleAccrual(now);
@@ -596,6 +600,7 @@ Instance::completeIteration()
     sloJoins.clear();
     sloSitOuts.clear();
     monitor.endStep(decoded);
+    sloRepace = sloRepace || !decoded;
 
     auto handle = [&](Request* r) {
         if (r->finished()) {

@@ -354,6 +354,12 @@ class Instance
     std::vector<workload::Request*> sloJoins;
     std::vector<workload::Request*> sloSitOuts;
 
+    /** Pacing members were parked without leaving the batch (a step
+     *  that decoded nothing, a best-effort demotion): the next
+     *  decoding build re-checks every member's pacing key, not only
+     *  the newcomers'. */
+    bool sloRepace = false;
+
     std::uint64_t iterations = 0;
     std::uint64_t decodeTokens = 0;
     std::uint64_t prefills = 0;

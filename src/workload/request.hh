@@ -229,8 +229,7 @@ class Request
         if (quantum > 0)
             ++quantumTokens;
         rollQuantum(quantum);
-        if (generatedTokens > specData.reasoningTokens + 1)
-            foldAnswerToken(now, generatedTokens);
+        foldDecodedToken(now);
         stampMilestones(now);
     }
 
@@ -254,14 +253,18 @@ class Request
                (generatedTokens == specData.reasoningTokens + 1);
     }
 
-    /** Fold the token the last advanceDecode() generated, at @p now,
-     *  if it is an answering token after the first (the eager
-     *  reference's per-step fold; see settleStretch()). */
+    /** Fold the last generated token, emitted at @p now, into the
+     *  QoE folds if it is an answering token after the first (the
+     *  first anchors them; see stampMilestones()). */
     void
     foldDecodedToken(Time now)
     {
-        if (generatedTokens > specData.reasoningTokens + 1)
-            foldAnswerToken(now, generatedTokens);
+        if (generatedTokens <= specData.reasoningTokens + 1)
+            return;
+        const TokenCount k = generatedTokens - specData.reasoningTokens - 1;
+        qoe.next(now, k);
+        if (bestEffortQoe)
+            bestEffortQoe->next(now, k);
     }
 
     /** Roll a full quantum over (more = lower RR priority). */
@@ -429,10 +432,9 @@ class Request
      * Owned by the hosting core::IntraScheduler (sched*) and
      * cluster::Instance (batchPos, stretchStart); not part of the
      * workload semantics. Keeping these fields inside the request
-     * spares the
-     * scheduling structures any side table: the queues store raw
-     * pointers, and a request carries its queue tag, dirtiness and
-     * cached ordering keys itself.
+     * spares the scheduling structures any side table: the queues
+     * store raw pointers, and a request carries its queue tag,
+     * dirtiness and cached ordering keys itself.
      */
     /** @{ */
 
@@ -622,17 +624,6 @@ class Request
     /** @} */
 
   private:
-    /** Fold answering token number @p generated (> the first) into
-     *  the QoE folds. */
-    void
-    foldAnswerToken(Time now, TokenCount generated)
-    {
-        const TokenCount k = generated - specData.reasoningTokens - 1;
-        qoe.next(now, k);
-        if (bestEffortQoe)
-            bestEffortQoe->next(now, k);
-    }
-
     Time lastAccount = 0.0;
 
 };

@@ -428,9 +428,11 @@ TEST_F(AccrualUnit, StepLogReplaysThePerStepArithmetic)
     std::vector<workload::Request*> decode = {lazy[0].get(),
                                               lazy[1].get()};
     std::vector<workload::Request*> leavers;
+    std::vector<workload::Request*> joiners;
     batch.beginStep(now);
-    batch.reshape(decode, now, leavers);
+    batch.reshape(decode, now, leavers, joiners);
     ASSERT_TRUE(leavers.empty());
+    ASSERT_EQ(joiners, decode);
     for (auto& r : eager)
         r->stampAccrual(now, workload::BucketKind::Executed);
 
@@ -449,8 +451,7 @@ TEST_F(AccrualUnit, StepLogReplaysThePerStepArithmetic)
             batch.logStep(now, false);
             continue;
         }
-        lazy_pool.chargeGrowth(batch.growthCharge());
-        batch.startDecodeStep();
+        batch.growStep();
         std::vector<workload::Request*> woken;
         for (auto* r : batch.members()) {
             if (r->advanceDecode(0))
