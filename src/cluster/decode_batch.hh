@@ -32,7 +32,6 @@
 #ifndef PASCAL_CLUSTER_DECODE_BATCH_HH
 #define PASCAL_CLUSTER_DECODE_BATCH_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -172,9 +171,10 @@ class DecodeBatch
 
     /** @name Step log */
     /** @{ */
-    std::array<Time, kLogCapacity> endTime{};
+    std::vector<Time> endTime = std::vector<Time>(kLogCapacity);
     /** decodedBefore[i]: decoding steps among the first i. */
-    std::array<std::uint32_t, kLogCapacity + 1> decodedBefore{};
+    std::vector<std::uint32_t> decodedBefore =
+        std::vector<std::uint32_t>(kLogCapacity + 1);
     std::uint32_t len = 0;
     /** End of the last logged step (or stall). */
     Time loggedThrough = 0.0;
